@@ -40,7 +40,6 @@ from .compiler import (
     compile_circuit,
     encode_secret,
     location_report,
-    translate_primitive,
 )
 from .faults import (
     CliffordCircuit,
@@ -115,7 +114,6 @@ __all__ = [
     "serialize_netlist",
     "syndrome_of",
     "tables",
-    "translate_primitive",
     "transversality_audit",
     "truth_table",
 ]

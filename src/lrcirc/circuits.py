@@ -32,29 +32,41 @@ class Role(Enum):
 
 
 class GateKind(Enum):
-    NOT = "NOT"
-    CNOT = "CNOT"
-    TOF = "TOF"
-    Z = "Z"
-    CZ = "CZ"
-    RAND = "RAND"
-    COPY = "COPY"
+    """Gate kinds as (netlist mnemonic, operand count, written port).
 
+    Every operand is also an output port (one wire event each); the written
+    port is the operand whose value the gate may change, None for the
+    value-transparent phase gates.  A conditioned write counts as a write.
+    """
 
-# operand count per kind; every operand is also an output port
-_ARITY = {
-    GateKind.NOT: 1,
-    GateKind.CNOT: 2,
-    GateKind.TOF: 3,
-    GateKind.Z: 1,
-    GateKind.CZ: 2,
-    GateKind.RAND: 1,
-    GateKind.COPY: 2,
-}
+    NOT = ("NOT", 1, 0)
+    CNOT = ("CNOT", 2, 1)
+    TOF = ("TOF", 3, 2)
+    Z = ("Z", 1, None)
+    CZ = ("CZ", 2, None)
+    RAND = ("RAND", 1, 0)
+    COPY = ("COPY", 2, 1)
+
+    def __new__(cls, mnemonic: str, arity: int, write_port: int | None):
+        kind = object.__new__(cls)
+        kind._value_ = mnemonic
+        kind.arity = arity
+        kind.write_port = write_port
+        return kind
 
 
 class CircuitError(ValueError):
-    """Raised for structurally invalid circuits."""
+    """Raised for structurally invalid circuits.
+
+    `gate` (an index into the gate list) or `register` (a register id)
+    names the part that was rejected, when there is one.
+    """
+
+    def __init__(self, message: str, *, gate: int | None = None,
+                 register: int | None = None):
+        super().__init__(message)
+        self.gate = gate
+        self.register = register
 
 
 class EvalError(RuntimeError):
@@ -76,8 +88,8 @@ class Gate:
     cond: int | None = None  # wire-event id; gate runs only if its value is 1
 
     def __post_init__(self):
-        if len(self.args) != _ARITY[self.kind]:
-            raise CircuitError(f"{self.kind.value} takes {_ARITY[self.kind]} operands")
+        if len(self.args) != self.kind.arity:
+            raise CircuitError(f"{self.kind.value} takes {self.kind.arity} operands")
         if len(set(self.args)) != len(self.args):
             raise CircuitError(f"duplicate operand in {self.kind.value} gate")
 
@@ -141,31 +153,30 @@ class Circuit:
         names = set()
         for i, reg in enumerate(self.registers):
             if reg.id != i:
-                raise CircuitError(f"register ids must be dense, got {reg.id} at {i}")
+                raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
+                                   register=i)
             if reg.name in names:
-                raise CircuitError(f"duplicate register name {reg.name!r}")
+                raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
             names.add(reg.name)
 
     def _validate_gates(self):
         nregs = len(self.registers)
         written = set()
-        for g, events in zip(self.gates, self.gate_events):
+        for gi, (g, events) in enumerate(zip(self.gates, self.gate_events)):
             for a in g.args:
                 if not 0 <= a < nregs:
-                    raise CircuitError(f"gate references undeclared register {a}")
+                    raise CircuitError(f"gate references undeclared register {a}", gate=gi)
             if g.cond is not None and not 0 <= g.cond < events[0]:
                 raise CircuitError(
-                    f"condition event {g.cond} does not precede the gate it controls"
+                    f"condition event {g.cond} does not precede the gate it controls",
+                    gate=gi,
                 )
-            if g.kind in (GateKind.NOT, GateKind.RAND):
-                written.add(g.args[0])
-            elif g.kind in (GateKind.CNOT, GateKind.COPY):
-                written.add(g.args[1])
-            elif g.kind is GateKind.TOF:
-                written.add(g.args[2])
+            if g.kind.write_port is not None:
+                written.add(g.args[g.kind.write_port])
         for reg in self.output_regs:
             if reg.id not in written:
-                raise CircuitError(f"output register {reg.name!r} is never written")
+                raise CircuitError(f"output register {reg.name!r} is never written",
+                                   register=reg.id)
 
     # -- introspection ----------------------------------------------------
 
@@ -428,27 +439,3 @@ def truth_table(circuit: Circuit, tape_policy: str = "exhaustive",
             table[(sec, pub)] = {k: v / total for k, v in counts.items()}
     return table
 
-
-def strip_phase_gates(circuit: Circuit) -> Circuit:
-    """Drop all Z/CZ gates (event ids renumber; values are untouched)."""
-    remap: dict[int, int] = dict(
-        zip(sorted(circuit.input_events.values()), sorted(circuit.input_events.values()))
-    )
-    eid = len(circuit.input_events)
-    kept: list[Gate] = []
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        if g.kind in (GateKind.Z, GateKind.CZ):
-            continue
-        for ev in eids:
-            remap[ev] = eid
-            eid += 1
-        kept.append(g)
-    out: list[Gate] = []
-    for g in kept:
-        if g.cond is None:
-            out.append(g)
-        elif g.cond in remap:
-            out.append(Gate(g.kind, g.args, cond=remap[g.cond]))
-        else:
-            raise CircuitError("a condition references a dropped phase-gate event")
-    return Circuit(list(circuit.registers), out)

@@ -19,7 +19,7 @@ partition the gate list, documented tape costs, and a compile log.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 from .circuits import Circuit, Gate, GateKind, Register, Role
@@ -144,47 +144,7 @@ class CircuitBuilder:
         return circuit
 
 
-# -- primitive translations --------------------------------------------------
-
-
-def translate_primitive(builder: CircuitBuilder, kind: str, *args: int) -> dict:
-    """Emit the classical replacement of one primitive component.
-
-    X/CNOT/TOFFOLI are already classical; Z and CZ keep their identity
-    events; preparations and measurements use the leak-free randomness
-    translations.  Returns the registers of interest (readouts, targets).
-    """
-    k = kind.lower()
-    if k in ("x", "not"):
-        builder.emit(GateKind.NOT, *args)
-        return {}
-    if k == "cnot":
-        builder.emit(GateKind.CNOT, *args)
-        return {}
-    if k in ("toffoli", "tof"):
-        builder.emit(GateKind.TOF, *args)
-        return {}
-    if k in ("z", "cz"):
-        builder.emit(GateKind.Z if k == "z" else GateKind.CZ, *args)
-        return {}
-    if k == "prepare-zero":
-        target = builder.new_reg(builder.fresh("p0"))
-        return {"target": target}
-    if k == "prepare-plus":
-        target = builder.new_reg(builder.fresh("pplus"))
-        src = builder.new_reg(builder.fresh("pplus.r"))
-        builder.emit(GateKind.RAND, src)
-        builder.emit(GateKind.CNOT, src, target)
-        return {"target": target, "tape": 1}
-    if k == "measure-z":
-        (wire,) = args
-        ro = builder.new_reg(builder.fresh("mz"))
-        events = builder.emit(GateKind.COPY, wire, ro)
-        return {"readout": ro, "readout_event": events[1]}
-    if k == "measure-x":
-        (wire,) = args
-        return emit_measure_x(builder, wire)
-    raise CompileError(f"unsupported primitive {kind!r}")
+# -- measurement and readout -------------------------------------------------
 
 
 def emit_measure_x(builder: CircuitBuilder, wire: int) -> dict:
@@ -204,23 +164,26 @@ def emit_measure_x(builder: CircuitBuilder, wire: int) -> dict:
     return {"readout": ro, "readout_event": ro_events[1], "tape": 2}
 
 
-def emit_parity_readout(builder: CircuitBuilder, block: Block,
-                        name: str, role: Role = Role.INTERNAL,
-                        whitelist: bool = False) -> tuple[int, int]:
-    """Left-to-right CNOT cascade of a block into a fresh readout register.
+def emit_parity_cascade(builder: CircuitBuilder, block: Block, ro: int,
+                        whitelist: bool = False) -> int:
+    """Left-to-right CNOT cascade of a block into register `ro`.
 
-    Returns (register, final event id); the final event carries the block
-    parity, i.e. the logical value.
+    Returns the final event id, which carries the block parity, i.e. the
+    logical value.  Whitelisted cascade gates are exempt from the
+    transversality audit.
     """
-    ro = builder.new_reg(name, role)
-    last = None
     for rid in block:
-        start = len(builder.gates)
-        events = builder.emit(GateKind.CNOT, rid, ro)
         if whitelist:
-            builder.readout_gates.append(start)
-        last = events[1]
-    return ro, last
+            builder.readout_gates.append(len(builder.gates))
+        last = builder.emit(GateKind.CNOT, rid, ro)[1]
+    return last
+
+
+def emit_parity_readout(builder: CircuitBuilder, block: Block, name: str,
+                        whitelist: bool = False) -> tuple[int, int]:
+    """Parity cascade into a fresh register: (register, final event id)."""
+    ro = builder.new_reg(name)
+    return ro, emit_parity_cascade(builder, block, ro, whitelist)
 
 
 # -- gadgets ------------------------------------------------------------------
@@ -425,7 +388,6 @@ class EncodedSecret:
     randomness; entering the circuit they become ordinary input events."""
 
     blocks: tuple[Word, ...]
-    tape_consumed: int
 
     def flat_bits(self) -> list[int]:
         return [b for w in self.blocks for b in w]
@@ -433,12 +395,10 @@ class EncodedSecret:
 
 def encode_secret(bits, rng: random.Random) -> EncodedSecret:
     words = []
-    used = 0
     for b in bits:
         seeds = (rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1))
-        used += 3
         words.append(encode_codeword(int(b) & 1, seeds))
-    return EncodedSecret(tuple(words), used)
+    return EncodedSecret(tuple(words))
 
 
 @dataclass
@@ -454,20 +414,6 @@ class CompiledCircuit:
     log: list[str]
     logical_stats: dict = field(default_factory=dict)
     aux_groups: list[tuple[str, Block]] = field(default_factory=list)
-
-    @property
-    def secret_width(self) -> int:
-        return len(self.secret_blocks)
-
-    def encode_inputs(self, secret, rng: random.Random) -> list[int]:
-        if len(secret) != self.secret_width:
-            raise CompileError(
-                f"expected {self.secret_width} logical secret bits"
-            )
-        return encode_secret(secret, rng).flat_bits()
-
-    def top_level_gadgets(self) -> list[dict]:
-        return [g for g in self.gadget_index if g["depth"] == 0]
 
     def location_counts(self) -> list[tuple[str, str, int]]:
         """(kind, source, locations) per gadget: emitted gates plus the
@@ -509,263 +455,163 @@ class CompiledCircuit:
         )
 
 
-_LOGICAL_KINDS = {GateKind.NOT, GateKind.CNOT, GateKind.TOF}
+_LOGICAL_KINDS = {GateKind.NOT, GateKind.CNOT, GateKind.TOF, GateKind.Z, GateKind.CZ}
 _LEVEL2_GUARD = 2000  # level-1 gates; quadratic blowup beyond this is refused
+
+# top-level gadget span per expanded gate kind (TOF opens its own span)
+_GATE_GADGETS = {
+    GateKind.NOT: "logical-not",
+    GateKind.CNOT: "logical-cnot",
+    GateKind.RAND: "encoded-rand",
+    GateKind.COPY: "encoded-copy",
+}
 
 
 def compile_circuit(logical: Circuit, level: int = 1, ec: bool = True) -> CompiledCircuit:
     """Compile a reversible logical circuit into leakage-hardened form.
 
-    Phase gates in the input are dropped (identity on values) with a log
-    entry; anything outside {NOT, CNOT, TOF, Z, CZ} is rejected.  With ec
-    on, every logical gate is followed by syndrome extraction on the blocks
-    it touched.  Level 2 re-expands every physical gate of the level-1
-    result through the same gadget map (structural only, no EC insertion).
+    The logical circuit may hold only NOT, CNOT, TOF, Z and CZ, with no
+    conditioned gates.  Level 1 is one pass of the gadget map (`_expand`):
+    phase gates are dropped with a log entry, and with ec on every logical
+    gate is followed by syndrome extraction on the blocks it touched.
+    Level 2 applies the same pass again to the level-1 circuit, with EC
+    off (structural concatenation).
     """
     if level not in (1, 2):
         raise CompileError(f"level must be 1 or 2, got {level}")
-    compiled = _compile_logical(logical, ec)
-    if level == 1:
-        return compiled
-    if len(compiled.circuit.gates) > _LEVEL2_GUARD:
-        raise CompileError(
-            f"level-2 expansion refused: level-1 result has "
-            f"{len(compiled.circuit.gates)} gates (> {_LEVEL2_GUARD})"
-        )
-    return _expand_physical(compiled, logical)
-
-
-def _compile_logical(logical: Circuit, ec: bool) -> CompiledCircuit:
     for g in logical.gates:
         if g.cond is not None:
             raise CompileError("conditioned gates are not compilable")
-        if g.kind not in _LOGICAL_KINDS | {GateKind.Z, GateKind.CZ}:
+        if g.kind not in _LOGICAL_KINDS:
             raise CompileError(f"unsupported logical gate {g.kind.value}")
-
-    b = CircuitBuilder()
-    block_map: dict[str, Block] = {}
-    secret_blocks: list[Block] = []
-    public_raw: dict[str, int] = {}
-
-    for reg in logical.registers:
-        if reg.role is Role.SECRET:
-            block = tuple(
-                b.new_reg(f"{reg.name}.{j}", Role.SECRET) for j in range(1, 8)
-            )
-            b.blocks.append((reg.name, block))
-            block_map[reg.name] = block
-            secret_blocks.append(block)
-        elif reg.role is Role.PUBLIC:
-            public_raw[reg.name] = b.new_reg(reg.name, Role.PUBLIC)
-    out_regs = {
-        reg.name: b.new_reg(reg.name, Role.OUTPUT)
-        for reg in logical.registers if reg.role is Role.OUTPUT
-    }
-
-    for reg in logical.registers:
-        if reg.role is Role.PUBLIC:
-            b.begin("encode-public", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.enc")
-            for j in LOGICAL_SUPPORT:
-                b.emit(GateKind.CNOT, public_raw[reg.name], block[j - 1])
-            b.end()
-            block_map[reg.name] = block
-        elif reg.role in (Role.INTERNAL, Role.OUTPUT):
-            b.begin("prep-block", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.blk")
-            if reg.init:
-                for j in LOGICAL_SUPPORT:
-                    b.emit(GateKind.NOT, block[j - 1])
-            b.end()
-            block_map[reg.name] = block
-
-    def name_of(rid: int) -> str:
-        return logical.registers[rid].name
-
-    for gi, g in enumerate(logical.gates):
-        if g.kind in (GateKind.Z, GateKind.CZ):
-            b.log.append(
-                f"dropped {g.kind.value} gate #{gi} on "
-                f"{', '.join(name_of(a) for a in g.args)} (identity on values)"
-            )
-            continue
-        touched = [name_of(a) for a in g.args]
-        src = f"gate#{gi} {g.kind.value} {' '.join(touched)}"
-        if g.kind is GateKind.NOT:
-            b.begin("logical-not", src)
-            blk = block_map[touched[0]]
-            for j in LOGICAL_SUPPORT:
-                b.emit(GateKind.NOT, blk[j - 1])
-            b.end()
-        elif g.kind is GateKind.CNOT:
-            b.begin("logical-cnot", src)
-            cb, tb = block_map[touched[0]], block_map[touched[1]]
-            for c, t in zip(cb, tb):
-                b.emit(GateKind.CNOT, c, t)
-            b.end()
-        elif g.kind is GateKind.TOF:
-            a1, a2, a3 = toffoli_gadget(
-                b, block_map[touched[0]], block_map[touched[1]],
-                block_map[touched[2]], base=f"g{gi}"
-            )
-            block_map[touched[0]] = a1
-            block_map[touched[1]] = a2
-            block_map[touched[2]] = a3
-        if ec:
-            for name in touched:
-                steane_ec_gadget(b, block_map[name], f"g{gi}.ec.{name}")
-
-    for reg in logical.registers:
-        if reg.role is Role.OUTPUT:
-            b.begin("output-readout", reg.name)
-            # decode: block parity lands in the declared output register
-            for rid in block_map[reg.name]:
-                start = len(b.gates)
-                b.emit(GateKind.CNOT, rid, out_regs[reg.name])
-                b.readout_gates.append(start)
-            b.end()
-
-    circuit = b.build()
     stats = {
         "gates": len(logical.gates),
         "depth": logical.depth(),
         "secret": [r.name for r in logical.secret_regs],
         "public": [r.name for r in logical.public_regs],
         "outputs": [r.name for r in logical.output_regs],
-        "compiled_gates": len(circuit.gates),
-        "compiled_depth": circuit.depth(),
-        "compiled_events": circuit.num_events,
-        "tape_bits": circuit.rand_count,
     }
-    return CompiledCircuit(
-        circuit=circuit, level=1, ec=ec, block_map=block_map,
-        blocks=list(b.blocks), secret_blocks=secret_blocks,
-        aux_groups=list(b.aux_groups),
-        gadget_index=list(b.gadgets), readout_gates=list(b.readout_gates),
-        log=list(b.log), logical_stats=stats,
-    )
-
-
-def _expand_physical(level1: CompiledCircuit, logical: Circuit) -> CompiledCircuit:
-    """Structural level-2 pass: each level-1 register becomes a block and
-    each physical gate goes through the gadget map again.
-
-    Gate conditions are decoded on the spot: a parity readout of the block
-    holding the conditioning register supplies the classical bit.  RAND
-    becomes a fresh plus-block copied over; COPY copies position-wise.
-    """
-    src = level1.circuit
-    b = CircuitBuilder()
-    block_map: dict[int, Block] = {}
-    secret_blocks: list[Block] = []
-
-    for reg in src.registers:
-        if reg.role is Role.SECRET:
-            block = tuple(
-                b.new_reg(f"{reg.name}.{j}", Role.SECRET) for j in range(1, 8)
+    compiled = _expand(logical, 1, ec)
+    log = compiled.log
+    if level == 2:
+        level1_gates = len(compiled.circuit.gates)
+        if level1_gates > _LEVEL2_GUARD:
+            raise CompileError(
+                f"level-2 expansion refused: level-1 result has "
+                f"{level1_gates} gates (> {_LEVEL2_GUARD})"
             )
-            b.blocks.append((reg.name, block))
-            block_map[reg.id] = block
-            secret_blocks.append(block)
-        elif reg.role is Role.PUBLIC:
-            block_map[reg.id] = None  # filled after encode
-    out_regs = {
-        reg.id: b.new_reg(reg.name, Role.OUTPUT)
-        for reg in src.registers if reg.role is Role.OUTPUT
-    }
-
-    for reg in src.registers:
-        if reg.role is Role.PUBLIC:
-            raw = b.new_reg(f"{reg.name}.raw", Role.PUBLIC)
-            b.begin("encode-public", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.enc")
-            for j in LOGICAL_SUPPORT:
-                b.emit(GateKind.CNOT, raw, block[j - 1])
-            b.end()
-            block_map[reg.id] = block
-        elif reg.role in (Role.INTERNAL, Role.OUTPUT):
-            b.begin("prep-block", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.blk")
-            if reg.init:
-                for j in LOGICAL_SUPPORT:
-                    b.emit(GateKind.NOT, block[j - 1])
-            b.end()
-            block_map[reg.id] = block
-
-    # map level-1 wire events to the registers that carried them, so gate
-    # conditions can be re-decoded from the corresponding block
-    event_reg: dict[int, int] = {eid: rid for rid, eid in src.input_events.items()}
-    for g, eids in zip(src.gates, src.gate_events):
-        for port, ev in enumerate(eids):
-            event_reg[ev] = g.args[port]
-
-    for gi, g in enumerate(src.gates):
-        cond2 = None
-        if g.cond is not None:
-            blk = block_map[event_reg[g.cond]]
-            _, cond2 = emit_parity_readout(
-                b, blk, b.fresh(f"x{gi}.cond"), whitelist=True
-            )
-        srcdesc = f"phys#{gi} {g.kind.value}"
-        if g.kind is GateKind.NOT:
-            b.begin("logical-not", srcdesc)
-            blk = block_map[g.args[0]]
-            for j in LOGICAL_SUPPORT:
-                b.emit(GateKind.NOT, blk[j - 1], cond=cond2)
-            b.end()
-        elif g.kind is GateKind.CNOT:
-            b.begin("logical-cnot", srcdesc)
-            for c, t in zip(block_map[g.args[0]], block_map[g.args[1]]):
-                b.emit(GateKind.CNOT, c, t, cond=cond2)
-            b.end()
-        elif g.kind is GateKind.TOF:
-            if cond2 is not None:
-                raise CompileError("conditioned TOF cannot be re-expanded")
-            a1, a2, a3 = toffoli_gadget(
-                b, block_map[g.args[0]], block_map[g.args[1]],
-                block_map[g.args[2]], base=f"x{gi}"
-            )
-            block_map[g.args[0]], block_map[g.args[1]], block_map[g.args[2]] = a1, a2, a3
-        elif g.kind is GateKind.RAND:
-            b.begin("encoded-rand", srcdesc)
-            fresh = emit_bare_plus(b, f"x{gi}.rand")
-            for s, t in zip(fresh, block_map[g.args[0]]):
-                b.emit(GateKind.COPY, s, t, cond=cond2)
-            b.end()
-        elif g.kind is GateKind.COPY:
-            b.begin("encoded-copy", srcdesc)
-            for s, t in zip(block_map[g.args[0]], block_map[g.args[1]]):
-                b.emit(GateKind.COPY, s, t, cond=cond2)
-            b.end()
-        else:  # Z/CZ never appear in level-1 output
-            raise CompileError(f"unexpected physical gate {g.kind.value}")
-
-    for reg in src.registers:
-        if reg.role is Role.OUTPUT:
-            b.begin("output-readout", reg.name)
-            for rid in block_map[reg.id]:
-                start = len(b.gates)
-                b.emit(GateKind.CNOT, rid, out_regs[reg.id])
-                b.readout_gates.append(start)
-            b.end()
-
-    circuit = b.build()
-    stats = dict(level1.logical_stats)
+        compiled = _expand(compiled.circuit, 2, ec=False)
+        log = log + compiled.log
+    circuit = compiled.circuit
     stats.update({
-        "level1_gates": len(src.gates),
         "compiled_gates": len(circuit.gates),
         "compiled_depth": circuit.depth(),
         "compiled_events": circuit.num_events,
         "tape_bits": circuit.rand_count,
     })
-    named_map = {src.registers[rid].name: blk
-                 for rid, blk in block_map.items() if blk is not None}
+    if level == 2:
+        stats["level1_gates"] = level1_gates
+    return replace(compiled, ec=ec, log=log, logical_stats=stats)
+
+
+def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
+    """One application of the gadget map: every register of `source` becomes
+    a block and every gate goes through its gadget.
+
+    Inputs, secret and public, are all declared before the first gate.
+    Z and CZ are dropped with a log entry (identity on values); RAND becomes
+    a fresh plus-block copied over; COPY copies position-wise.  Gate
+    conditions (only a level-1 circuit has them) are decoded on the spot: a
+    parity readout of the block holding the conditioning register supplies
+    the classical bit.
+    """
+    prefix = "g" if level == 1 else "x"
+    regs = source.registers
+    b = CircuitBuilder()
+    block_map: dict[int, Block] = {}
+    secret_blocks: list[Block] = []
+    public_raw: dict[int, int] = {}
+
+    for reg in regs:
+        if reg.role is Role.SECRET:
+            block_map[reg.id] = b.new_block(reg.name, Role.SECRET)
+            secret_blocks.append(block_map[reg.id])
+        elif reg.role is Role.PUBLIC:
+            public_raw[reg.id] = b.new_reg(reg.name, Role.PUBLIC)
+    out_regs = {reg.id: b.new_reg(reg.name, Role.OUTPUT) for reg in source.output_regs}
+
+    for reg in regs:
+        if reg.role is Role.SECRET:
+            continue
+        if reg.role is Role.PUBLIC:
+            b.begin("encode-public", reg.name)
+            block = prep_zero_gadget(b, f"{reg.name}.enc")
+            for j in LOGICAL_SUPPORT:
+                b.emit(GateKind.CNOT, public_raw[reg.id], block[j - 1])
+        else:
+            b.begin("prep-block", reg.name)
+            block = prep_zero_gadget(b, f"{reg.name}.blk")
+            if reg.init:
+                for j in LOGICAL_SUPPORT:
+                    b.emit(GateKind.NOT, block[j - 1])
+        b.end()
+        block_map[reg.id] = block
+
+    # the register each wire event was recorded on, to decode conditions
+    event_reg = {eid: rid for rid, eid in source.input_events.items()}
+    for g, eids in zip(source.gates, source.gate_events):
+        event_reg.update(zip(eids, g.args))
+
+    for gi, g in enumerate(source.gates):
+        names = [regs[a].name for a in g.args]
+        if g.kind in (GateKind.Z, GateKind.CZ):
+            b.log.append(
+                f"dropped {g.kind.value} gate #{gi} on {', '.join(names)} "
+                f"(identity on values)"
+            )
+            continue
+        cond = None
+        if g.cond is not None:
+            _, cond = emit_parity_readout(
+                b, block_map[event_reg[g.cond]], b.fresh(f"{prefix}{gi}.cond"),
+                whitelist=True,
+            )
+        blocks = [block_map[a] for a in g.args]
+        if g.kind is GateKind.TOF:
+            if cond is not None:
+                raise CompileError("conditioned TOF cannot be re-expanded")
+            outs = toffoli_gadget(b, *blocks, base=f"{prefix}{gi}")
+            block_map.update(zip(g.args, outs))
+        else:
+            if level == 1:
+                b.begin(_GATE_GADGETS[g.kind], f"gate#{gi} {g.kind.value} {' '.join(names)}")
+            else:
+                b.begin(_GATE_GADGETS[g.kind], f"phys#{gi} {g.kind.value}")
+            if g.kind is GateKind.NOT:
+                for j in LOGICAL_SUPPORT:
+                    b.emit(GateKind.NOT, blocks[0][j - 1], cond=cond)
+            elif g.kind is GateKind.RAND:
+                fresh = emit_bare_plus(b, f"{prefix}{gi}.rand")
+                for s, t in zip(fresh, blocks[0]):
+                    b.emit(GateKind.COPY, s, t, cond=cond)
+            else:  # CNOT and COPY act position-wise
+                for s, t in zip(*blocks):
+                    b.emit(g.kind, s, t, cond=cond)
+            b.end()
+        if ec:
+            for a, name in zip(g.args, names):
+                steane_ec_gadget(b, block_map[a], f"{prefix}{gi}.ec.{name}")
+
+    for reg in source.output_regs:
+        b.begin("output-readout", reg.name)
+        emit_parity_cascade(b, block_map[reg.id], out_regs[reg.id], whitelist=True)
+        b.end()
+
     return CompiledCircuit(
-        circuit=circuit, level=2, ec=level1.ec, block_map=named_map,
-        blocks=list(b.blocks), secret_blocks=secret_blocks,
-        aux_groups=list(b.aux_groups),
-        gadget_index=list(b.gadgets), readout_gates=list(b.readout_gates),
-        log=list(level1.log) + list(b.log), logical_stats=stats,
+        circuit=b.build(), level=level, ec=ec,
+        block_map={regs[rid].name: blk for rid, blk in block_map.items()},
+        blocks=b.blocks, secret_blocks=secret_blocks, aux_groups=b.aux_groups,
+        gadget_index=b.gadgets, readout_gates=b.readout_gates, log=b.log,
     )
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .circuits import (
     Circuit,
     EvalError,
-    GateKind,
     RandomTape,
     evaluate,
     evaluate_batch,
@@ -448,7 +447,7 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
             bi = reg_block.get(rid)
             if bi is None:
                 continue
-            if port in _WRITE_PORTS[g.kind]:
+            if port == g.kind.write_port:
                 window[bi] += 1
             if ev not in circuit.leak_free:
                 snapshot_events.setdefault((bi, window[bi]), []).append(ev)
@@ -459,19 +458,6 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
             for j in range(i + 1, len(events)):
                 pairs.append((events[i], events[j]))
     return pairs
-
-
-# which operand port each gate kind writes (a conditioned write counts as a
-# write for snapshot purposes even though it may be skipped at runtime)
-_WRITE_PORTS = {
-    GateKind.NOT: {0},
-    GateKind.CNOT: {1},
-    GateKind.TOF: {2},
-    GateKind.Z: set(),
-    GateKind.CZ: set(),
-    GateKind.RAND: {0},
-    GateKind.COPY: {1},
-}
 
 
 def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,

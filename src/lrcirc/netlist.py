@@ -25,8 +25,6 @@ from .circuits import Circuit, CircuitError, Gate, GateKind, Register, Role
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
-_GATE_ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "Z": 1, "CZ": 2, "RAND": 1, "COPY": 2}
-
 
 class NetlistError(ValueError):
     """Syntax or structural error in netlist text, with a line number."""
@@ -60,25 +58,23 @@ def parse_netlist(text: str) -> Circuit:
 
     def parse_gate(line_no: int, tok: list[str], cond: int | None) -> None:
         nonlocal seen_gate
-        kind = tok[0]
-        if kind not in _GATE_ARITY:
-            raise NetlistError(line_no, f"unknown gate kind {kind!r}")
-        if len(tok) - 1 != _GATE_ARITY[kind]:
+        try:
+            kind = GateKind(tok[0])
+        except ValueError:
+            raise NetlistError(line_no, f"unknown gate kind {tok[0]!r}") from None
+        if len(tok) - 1 != kind.arity:
             raise NetlistError(
                 line_no,
-                f"{kind} takes {_GATE_ARITY[kind]} operand(s), got {len(tok) - 1}",
+                f"{kind.value} takes {kind.arity} operand(s), got {len(tok) - 1}",
             )
         args = tuple(resolve(line_no, t) for t in tok[1:])
-        if len(set(args)) != len(args):
-            raise NetlistError(line_no, f"duplicate operand in {kind} gate")
+        try:
+            gates.append(Gate(kind, args, cond=cond))
+        except CircuitError as exc:
+            raise NetlistError(line_no, str(exc)) from exc
         seen_gate = True
-        gates.append(Gate(GateKind(kind), args, cond=cond))
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for line_no, tok in _statements(text):
         head = tok[0]
         if head == "in":
             if len(tok) != 3 or tok[1] not in ("secret", "public"):
@@ -115,7 +111,30 @@ def parse_netlist(text: str) -> Circuit:
     try:
         return Circuit(registers, gates)
     except CircuitError as exc:
-        raise NetlistError(0, str(exc)) from exc
+        raise NetlistError(_line_of(text, exc), str(exc)) from exc
+
+
+def _statements(text: str):
+    """(line number, tokens) of every line that is not blank or comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            yield line_no, tok
+
+
+def _line_of(text: str, exc: CircuitError) -> int:
+    """Line of the gate or register a Circuit validation error names, or 0.
+
+    Only called once every statement has parsed, so the k-th gate (or
+    declaration) statement is gate (or register) k.
+    """
+    if exc.gate is not None:
+        heads, index = ("gate", "cgate"), exc.gate
+    elif exc.register is not None:
+        heads, index = ("in", "reg", "out"), exc.register
+    else:
+        return 0
+    return [n for n, tok in _statements(text) if tok[0] in heads][index]
 
 
 def serialize_netlist(circuit: Circuit) -> str:

@@ -30,7 +30,6 @@ from lrcirc.compiler import (
     steane_ec_gadget,
     toffoli_ancilla_gadget,
     toffoli_gadget,
-    translate_primitive,
 )
 from lrcirc.faults import transversality_audit
 from lrcirc.netlist import parse_netlist, serialize_netlist
@@ -56,26 +55,7 @@ def block_word(vals, block):
     return "".join(str(vals[r]) for r in block)
 
 
-# -- primitive translations ---------------------------------------------------
-
-
-def test_translate_z_is_identity_event():
-    b = CircuitBuilder()
-    a = b.new_reg("a", Role.SECRET)
-    translate_primitive(b, "z", a)
-    circ = b.build()
-    tr = evaluate(circ, [1], [], RandomTape.of([]))
-    assert tr.values == (1, 1)  # input event plus the identity event
-
-
-def test_translate_prepare_plus_then_measure_z():
-    b = CircuitBuilder()
-    info = translate_primitive(b, "prepare-plus")
-    ro = translate_primitive(b, "measure-z", info["target"])
-    circ = b.build()
-    vals = register_file(circ, [], [], RandomTape.of([1]))
-    assert vals[ro["readout"]] == 1
-    assert circ.rand_count == 1
+# -- measurement translation ---------------------------------------------------
 
 
 def test_translate_measure_x_readout_uniform_and_independent():
@@ -92,12 +72,6 @@ def test_translate_measure_x_readout_uniform_and_independent():
     for data in (0, 1):
         assert sorted(outcomes[data]) == [0, 0, 1, 1]
     assert TAPE_COST["measure-x"] == 2
-
-
-def test_translate_rejects_unknown():
-    b = CircuitBuilder()
-    with pytest.raises(CompileError):
-        translate_primitive(b, "hadamard")
 
 
 # -- preparation gadgets --------------------------------------------------------
@@ -426,7 +400,7 @@ def compiled_outputs(compiled, secret, public, n_tapes, seed):
 def test_compile_one_cnot_ec_off_structure():
     logical = parse_netlist("in secret a\nout c\ngate CNOT a c\n")
     comp = compile_circuit(logical, level=1, ec=False)
-    kinds = [g["kind"] for g in comp.top_level_gadgets()]
+    kinds = [g["kind"] for g in comp.gadget_index if g["depth"] == 0]
     assert kinds == ["prep-block", "logical-cnot", "output-readout"]
     cnot_span = next(g for g in comp.gadget_index if g["kind"] == "logical-cnot")
     assert cnot_span["gates"][1] - cnot_span["gates"][0] == 7
@@ -437,7 +411,7 @@ def test_compile_one_cnot_ec_off_structure():
 
 def test_compile_top_level_spans_partition_gates():
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
-    spans = sorted(g["gates"] for g in comp.top_level_gadgets())
+    spans = sorted(g["gates"] for g in comp.gadget_index if g["depth"] == 0)
     pos = 0
     for a, bnd in spans:
         assert a == pos
@@ -544,7 +518,7 @@ def test_rand_accounting_whole_circuit():
     assert comp.circuit.rand_count == 17 + 86 + 3 * 18
     per_gadget = {
         (g["kind"], g["source"]): g["tape"][1] - g["tape"][0]
-        for g in comp.top_level_gadgets()
+        for g in comp.gadget_index if g["depth"] == 0
     }
     for (kind, _), used in per_gadget.items():
         if kind in ("prep-block",):
@@ -565,7 +539,6 @@ def test_encode_secret_uniform_and_eventless():
         assert logical_value(enc.blocks[0]) == 1
         seen.add(enc.blocks[0])
     assert len(seen) == 8
-    assert enc.tape_consumed == 3
 
 
 def test_empty_circuit_compiles_to_inputs_only():
@@ -598,6 +571,22 @@ def test_level2_smoke_structure_and_function():
     for a in (0, 1):
         outs = compiled_outputs(comp2, [a], [], 20, seed=31 + a)
         assert (outs[:, 0] == a).all()
+
+
+def test_level2_two_public_inputs():
+    # every input is declared before the first gate at level 2 as well, so
+    # more than one public input compiles and decodes correctly
+    logical = parse_netlist(
+        "in secret s\nin public x\nin public z\nout o\n"
+        "gate CNOT s o\ngate CNOT x o\ngate CNOT z o\n"
+    )
+    comp2 = compile_circuit(logical, level=2, ec=False)
+    assert len(comp2.circuit.gates) == 10_283
+    assert [r.name for r in comp2.circuit.public_regs] == ["x", "z"]
+    for k, (s, x, z) in enumerate(product((0, 1), repeat=3)):
+        want = evaluate(logical, [s], [x, z], RandomTape.of([])).outputs["o"]
+        outs = compiled_outputs(comp2, [s], [x, z], 4, seed=90 + k)
+        assert (outs[:, 0] == want).all()
 
 
 def test_level2_guard():

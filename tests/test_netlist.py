@@ -104,6 +104,19 @@ def test_error_line_number_attribute():
         pytest.fail("expected NetlistError")
 
 
+def test_late_condition_reports_its_cgate_line():
+    text = "in secret s\n# comment\nout o\n\ngate CNOT s o\ncgate 3 NOT o\n"
+    with pytest.raises(NetlistError, match="line 6.*does not precede") as info:
+        parse_netlist(text)
+    assert info.value.line_no == 6
+
+
+def test_unwritten_output_reports_its_out_line():
+    with pytest.raises(NetlistError, match="line 2.*'o' is never written") as info:
+        parse_netlist("in secret s\nout o\nreg t\ngate CNOT s t\n")
+    assert info.value.line_no == 2
+
+
 def test_event_listing_is_documented_order():
     circ = parse_netlist("in secret s\nout o\ngate CNOT s o\n")
     listing = circ.event_listing()
