@@ -411,14 +411,18 @@ def truth_table(circuit: Circuit, tape_policy: str = "exhaustive",
     With the exhaustive policy every tape of length rand_count is enumerated,
     giving the exact distribution; with the fixed policy the supplied tape is
     used and every distribution is a point mass.  Guard rails: at most 20
-    total input bits, and at most 20 tape bits under the exhaustive policy.
+    total input bits, and at most 20 input and tape bits together under the
+    exhaustive policy, so at most 2^20 evaluations either way.
     """
     ns, npub = len(circuit.secret_regs), len(circuit.public_regs)
     if ns + npub > 20:
         raise EvalError("truth_table limited to 20 input bits")
     if tape_policy == "exhaustive":
-        if circuit.rand_count > 20:
-            raise EvalError("truth_table limited to 20 tape bits")
+        if ns + npub + circuit.rand_count > 20:
+            raise EvalError(
+                f"truth_table limited to 20 input and tape bits together "
+                f"({ns + npub} input, {circuit.rand_count} tape)"
+            )
         tapes = [RandomTape.of(bits) for bits in product((0, 1), repeat=circuit.rand_count)]
     elif tape_policy == "fixed":
         if tape is None:

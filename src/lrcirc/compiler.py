@@ -22,8 +22,10 @@ import random
 from dataclasses import dataclass, field, replace
 from math import comb
 
+import numpy as np
+
 from .circuits import Circuit, Gate, GateKind, Register, Role
-from .steane import H_ROWS, LOGICAL_SUPPORT, Word, encode_codeword
+from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD, Word
 
 # documented tape cost (RAND bits) per gadget
 TAPE_COST = {
@@ -53,12 +55,19 @@ class CircuitBuilder:
     per gate operand) so gadget emitters can condition gates on events they
     just produced.  The finished Circuit re-derives the table; build()
     asserts both agree.
+
+    `reserved` names are declared verbatim later (the source circuit's
+    public and output registers); blocks created before them avoid them.
     """
 
-    def __init__(self):
+    def __init__(self, reserved=()):
         self.regs: list[Register] = []
         self.gates: list[Gate] = []
         self._names: set[str] = set()
+        self._reserved = frozenset(reserved)
+        # per prefix, the suffix at which fresh() resumes probing; names are
+        # never released, so every candidate before it is still taken
+        self._next_suffix: dict[str, int] = {}
         self._event = 0
         self._tape = 0
         self._gate_started = False
@@ -74,11 +83,13 @@ class CircuitBuilder:
     # -- registers ------------------------------------------------------
 
     def fresh(self, prefix: str) -> str:
-        name = prefix
-        k = 2
+        """First free name among `prefix`, `prefix.2`, `prefix.3`, ..."""
+        k = self._next_suffix.get(prefix, 1)
+        name = prefix if k == 1 else f"{prefix}.{k}"
         while name in self._names:
-            name = f"{prefix}.{k}"
             k += 1
+            name = f"{prefix}.{k}"
+        self._next_suffix[prefix] = k
         return name
 
     def new_reg(self, name: str, role: Role = Role.INTERNAL, init: int = 0) -> int:
@@ -97,6 +108,15 @@ class CircuitBuilder:
 
     def new_block(self, base: str, role: Role = Role.INTERNAL,
                   code: bool = True) -> Block:
+        """Seven registers `base.1`..`base.7`; when one of those names is
+        taken or reserved, the base becomes the first of `base.2`,
+        `base.3`, ... whose seven names are all free."""
+        name, k = base, 1
+        while any(n in self._names or n in self._reserved
+                  for n in (f"{name}.{j}" for j in range(1, 8))):
+            k += 1
+            name = f"{base}.{k}"
+        base = name
         block = tuple(self.new_reg(f"{base}.{j}", role) for j in range(1, 8))
         (self.blocks if code else self.aux_groups).append((base, block))
         return block
@@ -393,12 +413,47 @@ class EncodedSecret:
         return [b for w in self.blocks for b in w]
 
 
+_H = np.array(H_ROWS, dtype=np.int8)
+_LOGICAL = np.array(LOGICAL_WORD, dtype=np.int8)
+
+
+def seed_count(bits: int, level: int) -> int:
+    """Leak-free seed bits one encoding of `bits` logical bits consumes:
+    3 per bit per pass, and a level-2 pass re-encodes the 7x wider word."""
+    return 3 * bits * (1 if level == 1 else 8)
+
+
+def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
+    """Fresh codeword encodings of the logical `bits`, one per row of `seeds`.
+
+    A pass turns each bit b into the 7-bit block s @ H_ROWS ^ b * LOGICAL_WORD
+    (steane.encode_codeword), where s is the bit's next three seed columns;
+    a pass over k bits reads 3k columns, bit by bit.  Level 2 is a second
+    pass over the 7k level-1 bits.  Returns the int8 (rows, k * 7**level)
+    matrix of circuit secret bits.
+    """
+    seeds = np.asarray(seeds, dtype=np.int8)
+    rows = seeds.shape[0]
+    if seeds.shape[1] != seed_count(len(bits), level):
+        raise ValueError(f"need {seed_count(len(bits), level)} seed columns, "
+                         f"got {seeds.shape[1]}")
+    words = np.broadcast_to(np.array([int(b) & 1 for b in bits], dtype=np.int8),
+                            (rows, len(bits)))
+    used = 0
+    for _ in range(level):
+        k = words.shape[1]
+        combos = seeds[:, used:used + 3 * k].reshape(rows * k, 3) @ _H
+        flips = words.reshape(rows * k, 1) * _LOGICAL
+        words = ((combos ^ flips) & 1).reshape(rows, 7 * k)
+        used += 3 * k
+    return words
+
+
 def encode_secret(bits, rng: random.Random) -> EncodedSecret:
-    words = []
-    for b in bits:
-        seeds = (rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1))
-        words.append(encode_codeword(int(b) & 1, seeds))
-    return EncodedSecret(tuple(words))
+    """One level-1 encoding, drawing three seed bits per secret bit."""
+    seeds = np.array([[rng.getrandbits(1) for _ in range(3 * len(bits))]], dtype=np.int8)
+    flat = encode_seed_rows(bits, seeds, level=1)[0].tolist()
+    return EncodedSecret(tuple(tuple(flat[i:i + 7]) for i in range(0, len(flat), 7)))
 
 
 @dataclass
@@ -456,7 +511,10 @@ class CompiledCircuit:
 
 
 _LOGICAL_KINDS = {GateKind.NOT, GateKind.CNOT, GateKind.TOF, GateKind.Z, GateKind.CZ}
-_LEVEL2_GUARD = 2000  # level-1 gates; quadratic blowup beyond this is refused
+# level-1 gates above which level 2 is refused: level-2 compile time and
+# output size are linear in it (about 50 level-2 gates per level-1 gate),
+# and this keeps one compile near a second and 10^5 gates
+_LEVEL2_GUARD = 2000
 
 # top-level gadget span per expanded gate kind (TOF opens its own span)
 _GATE_GADGETS = {
@@ -527,7 +585,8 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
     """
     prefix = "g" if level == 1 else "x"
     regs = source.registers
-    b = CircuitBuilder()
+    b = CircuitBuilder(reserved=[r.name for r in regs
+                                 if r.role in (Role.PUBLIC, Role.OUTPUT)])
     block_map: dict[int, Block] = {}
     secret_blocks: list[Block] = []
     public_raw: dict[int, int] = {}

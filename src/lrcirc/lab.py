@@ -35,7 +35,8 @@ from .circuits import (
     evaluate,
     evaluate_batch,
 )
-from .compiler import CompiledCircuit, encode_secret
+from .compiler import CompiledCircuit, encode_seed_rows, seed_count
+from .steane import LOGICAL_WORD
 
 _METHODS = ("exact-tiny", "mask-decomposed-MC", "per-wire-marginal", "pairwise-marginal")
 _MAX_EXACT_EVENTS = 24
@@ -111,26 +112,22 @@ def _unpack(target) -> tuple[Circuit, CompiledCircuit | None]:
     return target, None
 
 
-def _round_secret(compiled: CompiledCircuit | None, secret, rng: random.Random):
-    """Per-round circuit-level secret bits; compiled targets get a fresh
-    encoding from leak-free randomness (level 2 encodes the level-1 bits
-    again)."""
+def _secret_rows(compiled: CompiledCircuit | None, secret, seeds: np.ndarray) -> np.ndarray:
+    """Circuit-level secret bits, one row per row of leak-free encoding
+    seeds; a compiled target gets a fresh encoding of the logical secret
+    per row, a raw circuit the secret itself."""
     if compiled is None:
-        return [int(b) & 1 for b in secret]
-    bits = [int(b) & 1 for b in secret]
-    for _ in range(compiled.level):
-        bits = encode_secret(bits, rng).flat_bits()
-    if len(bits) != len(compiled.circuit.secret_regs):
+        bits = np.array([int(b) & 1 for b in secret], dtype=np.int8)
+        return np.broadcast_to(bits, (len(seeds), bits.size))
+    rows = encode_seed_rows(secret, seeds, compiled.level)
+    if rows.shape[1] != len(compiled.circuit.secret_regs):
         raise EvalError("secret width does not match the compiled circuit")
-    return bits
+    return rows
 
 
 def _encoding_bits(compiled: CompiledCircuit | None, logical_bits: int) -> int:
     """Leak-free seed bits consumed per round by the secret encoding."""
-    if compiled is None:
-        return 0
-    # 3 seeds per bit per pass; a level-2 pass re-encodes the 7x wider word
-    return 3 * logical_bits * (1 if compiled.level == 1 else 8)
+    return 0 if compiled is None else seed_count(logical_bits, compiled.level)
 
 
 def _leakable_events(circuit: Circuit) -> list[int]:
@@ -157,9 +154,11 @@ def run_rounds(target, secret, inputs, model: LeakageModel, seed: int,
     circuit, compiled = _unpack(target)
     rng = random.Random(seed)
     leakable = _leakable_events(circuit)
+    enc_bits = _encoding_bits(compiled, len(secret))
     out = []
     for rnd, x in enumerate(inputs):
-        bits = _round_secret(compiled, secret, rng)
+        seeds = [[rng.getrandbits(1) for _ in range(enc_bits)]]
+        bits = _secret_rows(compiled, secret, seeds)[0].tolist()
         if tape_policy == "fresh":
             round_tape = RandomTape.of(
                 [rng.getrandbits(1) for _ in range(circuit.rand_count)]
@@ -193,18 +192,17 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     if total_tape > _MAX_EXACT_TAPE:
         raise EvalError(f"size guard exceeded: {total_tape} tape bits (max {_MAX_EXACT_TAPE})")
 
+    seeds = np.array(list(product((0, 1), repeat=enc_bits)), dtype=np.int8)
     dists = []
     for secret in (y0, y1):
         counts: Counter = Counter()
-        for bits in product((0, 1), repeat=total_tape):
-            rng = _BitFeeder(bits)
-            circ_secret = _round_secret(compiled, secret, rng)
-            tape = RandomTape.of(bits[enc_bits:])
-            trace = evaluate(circuit, circ_secret, x, tape)
-            key = tuple(
-                -1 if trace.values[e] is None else trace.values[e] for e in leakable
-            )
-            counts[key] += 1
+        for circ_secret in _secret_rows(compiled, secret, seeds).tolist():
+            for tape_bits in product((0, 1), repeat=circuit.rand_count):
+                trace = evaluate(circuit, circ_secret, x, RandomTape.of(tape_bits))
+                key = tuple(
+                    -1 if trace.values[e] is None else trace.values[e] for e in leakable
+                )
+                counts[key] += 1
         total = 2 ** total_tape
         dists.append({k: v / total for k, v in counts.items()})
 
@@ -235,21 +233,6 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
         samples=2 ** total_tape,
         details={"leakable_events": n, "tape_bits": total_tape, "p": p},
     )
-
-
-class _BitFeeder:
-    """random.Random stand-in that replays a fixed bit sequence (used to
-    enumerate the leak-free encoding seeds exactly)."""
-
-    def __init__(self, bits):
-        self._bits = list(bits)
-        self._i = 0
-
-    def getrandbits(self, k):
-        assert k == 1
-        b = self._bits[self._i]
-        self._i += 1
-        return b
 
 
 # -- Monte-Carlo mask-decomposition estimator -------------------------------------
@@ -317,8 +300,9 @@ def _paired_event_batches(circuit, compiled, y0, y1, x, rows, np_rng):
     enc0 = encoded_secret_rows(compiled, y0, rows, np_rng)
     if compiled.level == 1:
         # same seed stream, other secret: encode(b, s) differs from
-        # encode(b^1, s) exactly by the flip on the logical support
-        enc1 = _apply_logical_flip(compiled, enc0, y0, y1)
+        # encode(b^1, s) exactly by the logical word on that bit's block
+        diff = np.array([(int(a) ^ int(b)) & 1 for a, b in zip(y0, y1)], dtype=np.int8)
+        enc1 = enc0 ^ np.kron(diff, np.array(LOGICAL_WORD, dtype=np.int8))
     else:
         enc1 = encoded_secret_rows(compiled, y1, rows, np_rng)
     ev0 = evaluate_batch(circuit, enc0, x, tapes)
@@ -330,34 +314,21 @@ def encoded_secret_rows(compiled: CompiledCircuit, secret, rows: int,
                         np_rng) -> np.ndarray:
     """Fresh per-row codeword encodings of the logical secret, ready to be
     passed to evaluate_batch as the per-row secret matrix."""
-    bits = [int(b) & 1 for b in secret]
-    width = len(compiled.circuit.secret_regs)
-    out = np.empty((rows, width), dtype=np.int8)
-    feeder = np_rng.integers(0, 2, size=(rows, _encoding_bits(compiled, len(bits))))
-    for r in range(rows):
-        rng = _BitFeeder(feeder[r])
-        out[r] = _round_secret(compiled, bits, rng)
-    return out
-
-
-def _apply_logical_flip(compiled: CompiledCircuit, enc: np.ndarray, y0, y1) -> np.ndarray:
-    b0 = [int(b) & 1 for b in y0]
-    b1 = [int(b) & 1 for b in y1]
-    out = enc.copy()
-    for k, (a, b) in enumerate(zip(b0, b1)):
-        if a != b:
-            for j in (0, 1, 2):  # logical support, 0-based within the block
-                out[:, 7 * k + j] ^= 1
-    return out
+    seeds = np_rng.integers(0, 2, size=(rows, _encoding_bits(compiled, len(secret))))
+    return _secret_rows(compiled, secret, seeds)
 
 
 def _empirical_tv(a: np.ndarray, b: np.ndarray) -> float:
-    ca = Counter(map(bytes, a))
-    cb = Counter(map(bytes, b))
+    """TV between the row distributions of two equally sized samples: each
+    row of either sample is coded by its index among the distinct rows of
+    both, then the two code histograms are compared."""
     n = a.shape[0]
-    return 0.5 * sum(
-        abs(ca.get(k, 0) - cb.get(k, 0)) for k in set(ca) | set(cb)
-    ) / n
+    both = np.ascontiguousarray(np.concatenate([a, b]))
+    rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
+    _, codes = np.unique(rows, return_inverse=True)
+    m = int(codes.max()) + 1
+    diff = np.bincount(codes[:n], minlength=m) - np.bincount(codes[n:], minlength=m)
+    return 0.5 * int(np.abs(diff).sum()) / n
 
 
 # -- marginal distinguishers -------------------------------------------------------
@@ -462,10 +433,12 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
 
 def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,
                    order, chunk, group: int = 512) -> np.ndarray:
-    """Counts per target of the shifted symbol codes over all samples.
+    """Counts per target of each symbol over all samples.
 
-    Targets are processed in groups with one flattened bincount per group
-    per chunk, which keeps memory at chunk*group cells.
+    A symbol is an event value v in {-1, 0, 1} (-1 = skipped), counted in
+    column v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
+    in -1..7.  Targets are processed in groups, which keeps memory at
+    chunk*group int8 cells.
     """
     ncols = 3 if order == 1 else 9
     counts = np.zeros((len(targets), ncols), dtype=np.int64)
@@ -480,16 +453,12 @@ def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,
         else:
             enc = encoded_secret_rows(compiled, secret, rows, np_rng)
             ev = evaluate_batch(circuit, enc, x, tapes)
-        shifted = (ev + 1).astype(np.int64)  # skip=-1 -> 0
         for g0 in range(0, len(targets), group):
             g1 = min(g0 + group, len(targets))
-            if order == 1:
-                codes = shifted[:, first[g0:g1]]
-            else:
-                codes = shifted[:, first[g0:g1]] * 3 + shifted[:, second[g0:g1]]
-            flat = codes + np.arange(g1 - g0, dtype=np.int64) * ncols
-            counts[g0:g1] += np.bincount(
-                flat.ravel(), minlength=(g1 - g0) * ncols
-            ).reshape(g1 - g0, ncols)
+            codes = ev[:, first[g0:g1]]
+            if order == 2:
+                codes = (codes + 1) * 3 + ev[:, second[g0:g1]]
+            for v in range(-1, ncols - 1):
+                counts[g0:g1, v + 1] += np.count_nonzero(codes == v, axis=0)
         done += rows
     return counts

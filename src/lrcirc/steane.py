@@ -23,7 +23,7 @@ H_ROWS: tuple[Word, ...] = (
 
 # logical X and logical Z both act on positions {1, 2, 3}
 LOGICAL_SUPPORT: tuple[int, ...] = (1, 2, 3)
-_LOGICAL_WORD: Word = (1, 1, 1, 0, 0, 0, 0)
+LOGICAL_WORD: Word = (1, 1, 1, 0, 0, 0, 0)
 
 
 def word(text: str) -> Word:
@@ -59,7 +59,7 @@ def encode_codeword(bit: int, seeds: tuple[int, int, int]) -> Word:
         if s & 1:
             w = xor(w, row)
     if bit & 1:
-        w = xor(w, _LOGICAL_WORD)
+        w = xor(w, LOGICAL_WORD)
     return w
 
 
@@ -91,7 +91,7 @@ def _support(row: Word) -> tuple[int, ...]:
 
 def tables() -> SteaneTables:
     even = _span()
-    odd = tuple(sorted(xor(w, _LOGICAL_WORD) for w in even))
+    odd = tuple(sorted(xor(w, LOGICAL_WORD) for w in even))
     gens = tuple(
         [("Z", _support(r)) for r in H_ROWS] + [("X", _support(r)) for r in H_ROWS]
     )

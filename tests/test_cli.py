@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exit codes, determinism, artifact round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrcirc
 from lrcirc.cli import main
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -176,3 +181,18 @@ def test_help_lists_every_subcommand(capsys):
     out = capsys.readouterr().out
     for cmd in ("compile", "run", "analyze", "audit", "noise-equiv", "report"):
         assert cmd in out
+
+
+@pytest.mark.parametrize("module", ["lrcirc.cli", "lrcirc"])
+def test_python_dash_m_runs_the_cli(tmp_path, toffoli_netlist, module):
+    out = tmp_path / "compiled.net"
+    env = dict(os.environ)
+    src = str(Path(lrcirc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "compile", "--in", str(toffoli_netlist),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("in secret a.1\n")

@@ -589,6 +589,25 @@ def test_level2_two_public_inputs():
         assert (outs[:, 0] == want).all()
 
 
+@pytest.mark.parametrize("text", [
+    "in secret a\nout a.3\ngate CNOT a a.3\n",
+    "in secret a\nin public a.1\nout o\ngate CNOT a o\n",
+])
+@pytest.mark.parametrize("level", [1, 2])
+def test_register_names_spelled_like_block_registers(text, level):
+    # `a.3` and `a.1` are also the default names of secret a's block
+    # registers; the block moves to a free base instead of colliding
+    logical = parse_netlist(text)
+    comp = compile_circuit(logical, level=level, ec=True)
+    names = [r.name for r in logical.public_regs + logical.output_regs]
+    assert [r.name for r in comp.circuit.public_regs + comp.circuit.output_regs] == names
+    for k, (a, x) in enumerate(product((0, 1), repeat=2)):
+        pub = [x] * len(logical.public_regs)
+        want = evaluate(logical, [a], pub, RandomTape.of([])).outputs
+        outs = compiled_outputs(comp, [a], pub, 4, seed=70 + k)
+        assert (outs == [want[r.name] for r in logical.output_regs]).all()
+
+
 def test_level2_guard():
     # four EC'd Toffolis put the level-1 result past the expansion guard
     text = (

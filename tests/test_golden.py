@@ -13,7 +13,7 @@ import json
 import pytest
 
 from lrcirc.compiler import compile_circuit, location_report
-from lrcirc.lab import marginal_independence
+from lrcirc.lab import LeakageModel, marginal_independence, mc_advantage, run_rounds
 from lrcirc.netlist import parse_netlist, serialize_netlist
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -81,3 +81,41 @@ def test_pairwise_marginal_report_is_pinned():
                                    samples=2000, seed=5)
     assert report.details["comparisons"] == 1148
     assert _sha(_json(report.to_json_dict())) == MARGINAL_DIGEST
+
+
+# Seeded lab reports and transcripts on the paths that turn seed bits into
+# codewords and tally symbols; pinned before those paths became array code.
+LAB_DIGESTS = {
+    "mc_l1": "abb180cdf871df2b",
+    "marginal_l1": "db3960e86c14fac7",
+    "marginal_l2": "bd58f08af6dcebfc",
+    "run_rounds_l1": "9de22fecfde8965f",
+}
+
+
+@pytest.fixture(scope="module")
+def one_toffoli_level1():
+    return compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
+
+
+def test_level1_mc_report_is_pinned(one_toffoli_level1):
+    report = mc_advantage(one_toffoli_level1, [0, 1], [1, 0], [], LeakageModel(0.01),
+                          samples=1000, seed=11, inner=64)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["mc_l1"]
+
+
+def test_level1_marginal_report_is_pinned(one_toffoli_level1):
+    report = marginal_independence(one_toffoli_level1, [1, 0], [0, 1], [], order=1,
+                                   samples=3000, seed=12)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l1"]
+
+
+def test_level2_marginal_report_is_pinned(one_toffoli_level2):
+    report = marginal_independence(one_toffoli_level2, [0, 0], [1, 0], [], order=1,
+                                   samples=256, seed=13)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l2"]
+
+
+def test_level1_transcripts_are_pinned(one_toffoli_level1):
+    ts = run_rounds(one_toffoli_level1, [1, 0], [[]] * 40, LeakageModel(0.02), seed=14)
+    assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l1"]

@@ -1,15 +1,38 @@
-"""Properties of the level-1 compiler on generated reversible circuits."""
+"""Properties on generated inputs: the level-1 compiler on reversible
+circuits, the array secret encoder, the row tally and the name allocator
+against their loop references, and the size guards."""
 
+import random
+from collections import Counter
+from datetime import timedelta
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lrcirc.circuits import GateKind, RandomTape, batch_outputs, evaluate, evaluate_batch
-from lrcirc.compiler import compile_circuit
-from lrcirc.lab import encoded_secret_rows
+from lrcirc.circuits import (
+    EvalError,
+    GateKind,
+    RandomTape,
+    batch_outputs,
+    evaluate,
+    evaluate_batch,
+    truth_table,
+)
+from lrcirc.compiler import (
+    _LEVEL2_GUARD,
+    CircuitBuilder,
+    CompileError,
+    compile_circuit,
+    encode_secret,
+    encode_seed_rows,
+)
+from lrcirc.lab import LeakageModel, _empirical_tv, encoded_secret_rows, exact_tv_tiny
 from lrcirc.netlist import parse_netlist, serialize_netlist
+from lrcirc.steane import encode_codeword
 
 _LOGICAL = (GateKind.NOT, GateKind.CNOT, GateKind.TOF, GateKind.Z, GateKind.CZ)
 
@@ -67,3 +90,153 @@ def test_level1_netlist_round_trips_and_is_deterministic(text, ec):
     assert serialize_netlist(second.circuit) == net
     assert second.to_json_dict() == first.to_json_dict()
     assert second.circuit.event_listing() == first.circuit.event_listing()
+
+
+# -- array code against its loop references ------------------------------------
+
+
+def encode_by_rows(bits, seeds, level):
+    """Row-by-row composition of encode_codeword, reading three seeds per bit."""
+    out = []
+    for row in seeds:
+        it = iter(row)
+        words = list(bits)
+        for _ in range(level):
+            words = [b for bit in words for b in encode_codeword(bit, (next(it), next(it), next(it)))]
+        out.append(words)
+    return out
+
+
+@st.composite
+def secrets_and_seeds(draw):
+    level = draw(st.sampled_from([1, 2]))
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    width = 3 * len(bits) * (1 if level == 1 else 8)
+    seeds = draw(arrays(np.int8, (draw(st.integers(1, 6)), width), elements=st.integers(0, 1)))
+    return bits, seeds, level
+
+
+@_SETTINGS
+@given(secrets_and_seeds())
+def test_array_encoder_equals_codeword_loop(case):
+    bits, seeds, level = case
+    assert encode_seed_rows(bits, seeds, level).tolist() == encode_by_rows(bits, seeds.tolist(), level)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(0, 1), max_size=4), st.integers(0, 2 ** 32))
+def test_encode_secret_draws_three_seeds_per_bit(bits, seed):
+    rng = random.Random(seed)
+    seeds = [rng.getrandbits(1) for _ in range(3 * len(bits))]
+    want = encode_by_rows(bits, [seeds], 1)[0]
+    enc = encode_secret(bits, random.Random(seed))
+    assert enc.flat_bits() == want
+    assert all(len(w) == 7 for w in enc.blocks)
+
+
+def tv_by_counter(a, b):
+    ca = Counter(map(bytes, a))
+    cb = Counter(map(bytes, b))
+    return 0.5 * sum(abs(ca.get(k, 0) - cb.get(k, 0)) for k in set(ca) | set(cb)) / a.shape[0]
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two equally sized {-1, 0, 1} samples whose rows come from a small pool,
+    so rows repeat within and across the samples at every width."""
+    width = draw(st.integers(1, 64))
+    pool = draw(arrays(np.int8, (draw(st.integers(1, 6)), width), elements=st.integers(-1, 1)))
+    n = draw(st.integers(1, 40))
+    idx = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+    return pool[draw(idx)], pool[draw(idx)]
+
+
+@_SETTINGS
+@given(sample_pairs())
+def test_empirical_tv_equals_counter_reference(pair):
+    a, b = pair
+    assert _empirical_tv(a, b) == tv_by_counter(a, b)
+
+
+def probe(names, prefix):
+    name, k = prefix, 2
+    while name in names:
+        name = f"{prefix}.{k}"
+        k += 1
+    return name
+
+
+_PREFIXES = ["x", "x.2", "xm.r", "y"]
+
+
+@_SETTINGS
+@given(st.lists(st.one_of(
+    st.tuples(st.just("fresh"), st.sampled_from(_PREFIXES), st.booleans()),
+    st.tuples(st.just("direct"), st.sampled_from(_PREFIXES), st.integers(1, 5)),
+), max_size=60))
+def test_fresh_equals_probing_loop(ops):
+    builder = CircuitBuilder()
+    names: set[str] = set()
+    for op, prefix, arg in ops:
+        if op == "fresh":
+            name = builder.fresh(prefix)
+            assert name == probe(names, prefix)
+            register = arg
+        else:
+            name = prefix if arg == 1 else f"{prefix}.{arg}"
+            register = name not in names
+        if register:
+            builder.new_reg(name)
+            names.add(name)
+
+
+# -- size guards -----------------------------------------------------------------
+
+_GUARD_SETTINGS = settings(derandomize=True, max_examples=15, deadline=timedelta(seconds=5),
+                           database=None)
+
+
+@_GUARD_SETTINGS
+@given(st.lists(st.sampled_from([GateKind.NOT, GateKind.CNOT, GateKind.TOF]),
+                min_size=33, max_size=40), st.randoms(use_true_random=False))
+def test_level2_guard_refuses_before_expanding(kinds, rnd):
+    # an EC'd logical gate costs at least 57 level-1 gates, so 33 of them
+    # plus the output's preparation exceed the guard
+    names = ["a", "b", "t", "o"]
+    lines = ["in secret a", "in secret b", "reg t", "out o"]
+    for kind in kinds:
+        lines.append(f"gate {kind.value} {' '.join(rnd.sample(names, kind.arity))}")
+    lines.append("gate CNOT a o")
+    logical = parse_netlist("\n".join(lines) + "\n")
+    with pytest.raises(CompileError, match="level-2 expansion refused") as err:
+        compile_circuit(logical, level=2)
+    assert int(str(err.value).split(" has ")[1].split()[0]) > _LEVEL2_GUARD
+
+
+def rand_cnot_netlist(inputs, tape_bits, cnots):
+    """`inputs` secret bits, `tape_bits` RAND registers and `cnots` CNOTs
+    from the first secret into the output: inputs + 2 * cnots leakable
+    events."""
+    lines = [f"in secret s{i}" for i in range(inputs)]
+    lines += [f"reg r{i}" for i in range(tape_bits)] + ["out o"]
+    lines += [f"gate RAND r{i}" for i in range(tape_bits)]
+    lines += ["gate CNOT s0 o"] * cnots
+    return parse_netlist("\n".join(lines) + "\n")
+
+
+@_GUARD_SETTINGS
+@given(st.tuples(st.integers(1, 4), st.integers(0, 30), st.integers(1, 20)).filter(
+    lambda t: t[1] > 20 or t[0] + 2 * t[2] > 24))
+def test_exact_tv_refuses_oversized_circuits(shape):
+    inputs, tape_bits, cnots = shape
+    circ = rand_cnot_netlist(inputs, tape_bits, cnots)
+    with pytest.raises(EvalError, match="size guard"):
+        exact_tv_tiny(circ, [0] * inputs, [1] * inputs, [], LeakageModel(0.1))
+
+
+@_GUARD_SETTINGS
+@given(st.tuples(st.integers(1, 26), st.integers(0, 26)).filter(lambda t: sum(t) > 20))
+def test_truth_table_refuses_over_2_to_the_20_evaluations(shape):
+    inputs, tape_bits = shape
+    with pytest.raises(EvalError, match="truth_table limited to 20"):
+        truth_table(rand_cnot_netlist(inputs, tape_bits, 1))
