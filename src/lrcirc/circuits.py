@@ -13,10 +13,14 @@ gates execution.  A skipped gate updates no register and records no values;
 its event slots stay empty (no-op markers), so the skipped branch exposes
 nothing to leakage.  A skipped RAND still consumes its tape bit, which keeps
 tape consumption a static property of the circuit.
+
+`evaluate_batch` is the evaluator every library path runs; the scalar
+`evaluate` and `register_file` are the reference the tests check it against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -357,7 +361,10 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> np.nd
 def _input_matrix(bits, width: int, batch: int, label: str) -> np.ndarray:
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
-    arr = np.asarray(bits, dtype=np.int8) & 1
+    try:
+        arr = np.asarray(bits, dtype=np.int8) & 1
+    except ValueError as exc:  # rows of unequal length
+        raise EvalError(f"{label} rows must each have {width} bits") from exc
     if arr.ndim == 1:
         if arr.shape[0] != width:
             raise EvalError(f"expected {width} {label} bits, got {arr.shape[0]}")
@@ -370,76 +377,60 @@ def _input_matrix(bits, width: int, batch: int, label: str) -> np.ndarray:
 def batch_outputs(circuit: Circuit, events: np.ndarray) -> np.ndarray:
     """Final output-register values for an event matrix from evaluate_batch.
 
-    Requires every output register's last touch to be unconditioned (true
-    for parsed netlists ending in plain writes and for compiled circuits,
-    whose outputs end with an unconditional readout cascade).
+    Per row, an output holds the value recorded at its last touch that ran;
+    a skipped conditioned touch records -1 and leaves the value before it.
+    A register no gate ran on keeps its initial value.
     """
-    batch = events.shape[0]
-    out = np.empty((batch, len(circuit.output_regs)), dtype=np.int8)
-    last_event = _last_write_events(circuit)
-    for k, reg in enumerate(circuit.output_regs):
-        ev = last_event[reg.id]
-        if ev is None:
-            out[:, k] = reg.init
-        else:
-            col = events[:, ev]
-            if (col < 0).any():
-                raise EvalError("output register written only by a skipped gate")
-            out[:, k] = col
+    column = {r.id: k for k, r in enumerate(circuit.output_regs)}
+    out = np.empty((events.shape[0], len(column)), dtype=np.int8)
+    out[:] = [r.init for r in circuit.output_regs]
+    for g, eids in zip(circuit.gates, circuit.gate_events):
+        for rid, ev in zip(g.args, eids):
+            if rid in column:
+                np.copyto(out[:, column[rid]], events[:, ev], where=events[:, ev] >= 0)
     return out
 
 
-def _last_write_events(circuit: Circuit):
-    """Map register id -> event id of the last unconditioned touch, or None.
-
-    Only safe for reading registers whose final write is unconditioned; the
-    compiled circuits produced here always end output registers with an
-    unconditional cascade.
-    """
-    last: list[int | None] = [None] * len(circuit.registers)
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        for port, ev in enumerate(eids):
-            if g.cond is None:
-                last[g.args[port]] = ev
-    return last
+def bit_rows(width: int) -> np.ndarray:
+    """All 2^width bit rows in itertools.product order (first column most
+    significant), as an int8 matrix."""
+    index = np.arange(1 << width)
+    rows = np.empty((index.size, width), dtype=np.int8)
+    for j in range(width):
+        rows[:, j] = (index >> (width - 1 - j)) & 1
+    return rows
 
 
-def truth_table(circuit: Circuit, tape_policy: str = "exhaustive",
-                tape: RandomTape | None = None):
+def rows_per_batch(circuit: Circuit) -> int:
+    """Rows per evaluate_batch call for callers that run many rows: about
+    2^24 int8 cells of events and register values per call."""
+    return max(1, (1 << 24) // (circuit.num_events + len(circuit.registers) or 1))
+
+
+def truth_table(circuit: Circuit):
     """Exact output distribution per (secret, public) input, by enumeration.
 
-    With the exhaustive policy every tape of length rand_count is enumerated,
-    giving the exact distribution; with the fixed policy the supplied tape is
-    used and every distribution is a point mass.  Guard rails: at most 20
-    total input bits, and at most 20 input and tape bits together under the
-    exhaustive policy, so at most 2^20 evaluations either way.
+    Every (input, tape) row is evaluated with evaluate_batch, tapes
+    innermost; each input's outputs are listed in order of first
+    appearance.  At most 20 input and tape bits together, so at most 2^20
+    rows.
     """
     ns, npub = len(circuit.secret_regs), len(circuit.public_regs)
-    if ns + npub > 20:
-        raise EvalError("truth_table limited to 20 input bits")
-    if tape_policy == "exhaustive":
-        if ns + npub + circuit.rand_count > 20:
-            raise EvalError(
-                f"truth_table limited to 20 input and tape bits together "
-                f"({ns + npub} input, {circuit.rand_count} tape)"
-            )
-        tapes = [RandomTape.of(bits) for bits in product((0, 1), repeat=circuit.rand_count)]
-    elif tape_policy == "fixed":
-        if tape is None:
-            raise EvalError("fixed tape policy needs a tape")
-        tapes = [tape]
-    else:
-        raise EvalError(f"unknown tape policy {tape_policy!r}")
-
+    if ns + npub + circuit.rand_count > 20:
+        raise EvalError(
+            f"truth_table limited to 20 input bits and tape bits together "
+            f"({ns + npub} input, {circuit.rand_count} tape)"
+        )
+    rows = bit_rows(ns + npub + circuit.rand_count)
+    step = rows_per_batch(circuit)
+    outputs = []
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        events = evaluate_batch(circuit, r[:, :ns], r[:, ns:ns + npub], r[:, ns + npub:])
+        outputs.extend(map(tuple, batch_outputs(circuit, events).tolist()))
+    tapes = 1 << circuit.rand_count
     table = {}
-    for sec in product((0, 1), repeat=ns):
-        for pub in product((0, 1), repeat=npub):
-            counts: dict[tuple[int, ...], int] = {}
-            for t in tapes:
-                tr = evaluate(circuit, sec, pub, t)
-                key = tuple(tr.outputs[r.name] for r in circuit.output_regs)
-                counts[key] = counts.get(key, 0) + 1
-            total = len(tapes)
-            table[(sec, pub)] = {k: v / total for k, v in counts.items()}
+    for i, inputs in enumerate(product((0, 1), repeat=ns + npub)):
+        counts = Counter(outputs[i * tapes:(i + 1) * tapes])
+        table[(inputs[:ns], inputs[ns:])] = {k: v / tapes for k, v in counts.items()}
     return table
-

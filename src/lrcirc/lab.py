@@ -15,25 +15,26 @@ between two secrets at a fixed public input is measured three ways:
 
 All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (compiled targets), the circuit tape, then the leak mask, in
-that order, so identical (config, seed) gives identical results.
+that order, so identical (config, seed) gives identical results.  Every
+path evaluates its rows with circuits.evaluate_batch.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .circuits import (
+from .circuits import (  # noqa: F401 - perfbench/run.py wraps lab.evaluate by name
     Circuit,
     EvalError,
-    RandomTape,
+    batch_outputs,
+    bit_rows,
     evaluate,
     evaluate_batch,
+    rows_per_batch,
 )
 from .compiler import CompiledCircuit, encode_seed_rows, seed_count
 from .steane import LOGICAL_WORD
@@ -137,38 +138,37 @@ def _leakable_events(circuit: Circuit) -> list[int]:
 # -- round sampling ------------------------------------------------------------
 
 
-def run_rounds(target, secret, inputs, model: LeakageModel, seed: int,
-               tape_policy: str = "fresh",
-               tape: RandomTape | None = None) -> list[LeakTranscript]:
+def run_rounds(target, secret, inputs, model: LeakageModel,
+               seed: int) -> list[LeakTranscript]:
     """One transcript per public input: fresh tape, evaluate, sample mask.
 
-    Leak-free events are never eligible for the mask.  Fixed seeds give
-    identical transcripts.  The default policy draws a fresh tape per round;
-    the "fixed" policy replays the supplied tape every round (mask sampling
-    and secret encodings stay seeded).
+    Leak-free events are never eligible for the mask.  Per round the seeded
+    generator draws the encoding seeds, then the tape, then one uniform per
+    leakable event for the mask, so fixed seeds give identical transcripts;
+    the rounds are then evaluated together in chunks.
     """
-    if tape_policy not in ("fresh", "fixed"):
-        raise ValueError(f"unknown tape policy {tape_policy!r}")
-    if tape_policy == "fixed" and tape is None:
-        raise ValueError("fixed tape policy needs a tape")
     circuit, compiled = _unpack(target)
     rng = random.Random(seed)
     leakable = _leakable_events(circuit)
     enc_bits = _encoding_bits(compiled, len(secret))
     out = []
-    for rnd, x in enumerate(inputs):
-        seeds = [[rng.getrandbits(1) for _ in range(enc_bits)]]
-        bits = _secret_rows(compiled, secret, seeds)[0].tolist()
-        if tape_policy == "fresh":
-            round_tape = RandomTape.of(
-                [rng.getrandbits(1) for _ in range(circuit.rand_count)]
-            )
-        else:
-            round_tape = tape
-        trace = evaluate(circuit, bits, x, round_tape)
-        mask = tuple(e for e in leakable if rng.random() < model.p)
-        values = {e: trace.values[e] for e in mask}
-        out.append(LeakTranscript(rnd, mask, values, trace.outputs))
+    inputs, step = list(inputs), rows_per_batch(circuit)
+    for lo in range(0, len(inputs), step):
+        xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
+        seeds = np.empty((len(xs), enc_bits), dtype=np.int8)
+        tapes = np.empty((len(xs), circuit.rand_count), dtype=np.int8)
+        masks = []
+        for i in range(len(xs)):
+            seeds[i] = [rng.getrandbits(1) for _ in range(enc_bits)]
+            tapes[i] = [rng.getrandbits(1) for _ in range(circuit.rand_count)]
+            masks.append(tuple(e for e in leakable if rng.random() < model.p))
+        events = evaluate_batch(circuit, _secret_rows(compiled, secret, seeds), xs, tapes)
+        outputs = batch_outputs(circuit, events).tolist()
+        for i, mask in enumerate(masks):
+            leaked = events[i, list(mask)].tolist()
+            values = {e: None if v < 0 else v for e, v in zip(mask, leaked)}
+            output = {r.name: v for r, v in zip(circuit.output_regs, outputs[i])}
+            out.append(LeakTranscript(lo + i, mask, values, output))
     return out
 
 
@@ -181,6 +181,8 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     The mask distribution is secret-independent, so the transcript TV
     decomposes as the mask-weighted sum of masked-value TVs; tapes (plus
     encoding seeds for compiled targets) and masks are both enumerated.
+    Each secret's seed x tape rows are evaluated in one batch and reduced
+    to distinct leakable-value rows with counts.
     """
     circuit, compiled = _unpack(target)
     leakable = _leakable_events(circuit)
@@ -192,23 +194,19 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     if total_tape > _MAX_EXACT_TAPE:
         raise EvalError(f"size guard exceeded: {total_tape} tape bits (max {_MAX_EXACT_TAPE})")
 
-    seeds = np.array(list(product((0, 1), repeat=enc_bits)), dtype=np.int8)
-    dists = []
-    for secret in (y0, y1):
-        counts: Counter = Counter()
-        for circ_secret in _secret_rows(compiled, secret, seeds).tolist():
-            for tape_bits in product((0, 1), repeat=circuit.rand_count):
-                trace = evaluate(circuit, circ_secret, x, RandomTape.of(tape_bits))
-                key = tuple(
-                    -1 if trace.values[e] is None else trace.values[e] for e in leakable
-                )
-                counts[key] += 1
-        total = 2 ** total_tape
-        dists.append({k: v / total for k, v in counts.items()})
-
-    support = sorted(set(dists[0]) | set(dists[1]))
-    if (2 ** n) * max(1, len(support)) > _MAX_EXACT_WORK:
+    bits = bit_rows(total_tape)  # seed columns, then tape columns
+    rows = len(bits)
+    values = [evaluate_batch(circuit, _secret_rows(compiled, s, bits[:, :enc_bits]), x,
+                             bits[:, enc_bits:])[:, leakable] for s in (y0, y1)]
+    distinct, codes = _row_codes(np.concatenate(values))
+    if (2 ** n) * len(distinct) > _MAX_EXACT_WORK:
         raise EvalError("size guard exceeded: mask enumeration too large")
+    vecs = [tuple(v) for v in distinct.tolist()]
+    dists = []
+    for half in (codes[:rows], codes[rows:]):
+        counts = np.bincount(half, minlength=len(vecs)).tolist()
+        dists.append({vecs[c]: k / rows for c, k in enumerate(counts) if k})
+    support = sorted(vecs)
 
     p = model.p
     tv = 0.0
@@ -318,14 +316,24 @@ def encoded_secret_rows(compiled: CompiledCircuit, secret, rows: int,
     return _secret_rows(compiled, secret, seeds)
 
 
+def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int8 matrix (in byte order) and each row's
+    index among them, from one np.unique over a void view of the rows."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    if width == 0:  # every row is the empty row
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    void = rows.view(np.dtype((np.void, rows.itemsize * width))).reshape(len(rows))
+    distinct, codes = np.unique(void, return_inverse=True)
+    return distinct.view(rows.dtype).reshape(len(distinct), width), codes.reshape(len(rows))
+
+
 def _empirical_tv(a: np.ndarray, b: np.ndarray) -> float:
     """TV between the row distributions of two equally sized samples: each
     row of either sample is coded by its index among the distinct rows of
     both, then the two code histograms are compared."""
     n = a.shape[0]
-    both = np.ascontiguousarray(np.concatenate([a, b]))
-    rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
-    _, codes = np.unique(rows, return_inverse=True)
+    _, codes = _row_codes(np.concatenate([a, b]))
     m = int(codes.max()) + 1
     diff = np.bincount(codes[:n], minlength=m) - np.bincount(codes[n:], minlength=m)
     return 0.5 * int(np.abs(diff).sum()) / n

@@ -14,6 +14,7 @@ from lrcirc.circuits import (
     RandomTape,
     Register,
     Role,
+    batch_outputs,
     evaluate,
     evaluate_batch,
     register_file,
@@ -220,3 +221,12 @@ def test_batch_matches_scalar_reference():
             ref = evaluate(circ, [s], [x], RandomTape.of(tape))
             want = [(-1 if v is None else v) for v in ref.values]
             assert row.tolist() == want
+
+
+def test_batch_outputs_reads_the_last_touch_that_ran():
+    # the output's last touch is conditioned on s, so it runs in the s=1 row only
+    circ = parse_netlist("in secret s\nout o\ngate CNOT s o\ncgate 0 NOT o\n")
+    events = evaluate_batch(circ, [[0], [1]], [], np.zeros((2, 0), dtype=np.int8))
+    want = [[evaluate(circ, [s], [], EMPTY).outputs["o"]] for s in (0, 1)]
+    assert want == [[0], [0]]
+    assert batch_outputs(circ, events).tolist() == want

@@ -1,4 +1,4 @@
-"""Byte-level regression oracle for the compiler and the pair audit.
+"""Byte-level regression oracle for the compiler, the lab and truth tables.
 
 Each digest covers one artifact of a fixed compile: the netlist text, the
 gadget JSON with sorted keys, the wire-event listing and the location
@@ -12,8 +12,15 @@ import json
 
 import pytest
 
+from lrcirc.circuits import truth_table
 from lrcirc.compiler import compile_circuit, location_report
-from lrcirc.lab import LeakageModel, marginal_independence, mc_advantage, run_rounds
+from lrcirc.lab import (
+    LeakageModel,
+    exact_tv_tiny,
+    marginal_independence,
+    mc_advantage,
+    run_rounds,
+)
 from lrcirc.netlist import parse_netlist, serialize_netlist
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -119,3 +126,90 @@ def test_level2_marginal_report_is_pinned(one_toffoli_level2):
 def test_level1_transcripts_are_pinned(one_toffoli_level1):
     ts = run_rounds(one_toffoli_level1, [1, 0], [[]] * 40, LeakageModel(0.02), seed=14)
     assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l1"]
+
+
+# Exact-oracle reports, truth tables and raw-circuit transcripts, pinned
+# while all three still ran the scalar evaluate once per row.  The
+# conditioned fixtures end their outputs on conditioned touches.
+MIXED_3REG = (
+    "in secret s\nin public x\nout o\n"
+    "gate NOT s\ngate CNOT x o\ngate TOF s x o\ngate NOT o\n"
+)
+SECRET_WIRE = "in secret s\n"
+MASKED = "in secret s\nreg a\ngate RAND a\ngate CNOT a s\n"
+CGATE_MIXED = (
+    "in secret s\nin public x\nreg a\nreg b\nout o\n"
+    "gate RAND a\ngate CNOT a s\ngate RAND b\n"
+    "gate TOF s x o\ncgate 2 NOT o\ngate COPY o b\n"
+)
+CGATE_LAST = (
+    "in secret s\nin secret t\nin public x\nreg r\nout o\nout q\n"
+    "gate RAND r\ngate CNOT s o\ngate TOF t x q\n"
+    "cgate 2 NOT o\ncgate 1 CNOT r q\n"
+)
+
+EXACT_CASES = {
+    "wire": (SECRET_WIRE, [0], [1], []),
+    "masked": (MASKED, [0], [1], []),
+    "toffoli": (ONE_TOFFOLI, [0, 1], [1, 0], []),
+    "cgate_x0": (CGATE_MIXED, [0], [1], [0]),
+    "cgate_x1": (CGATE_MIXED, [1], [0], [1]),
+    "cgate_last": (CGATE_LAST, [0, 1], [1, 0], [1]),
+    "rand_only": ("reg a\ngate RAND a\n", [], [], []),
+}
+EXACT_DIGESTS = {
+    "wire": "da0653beae4d514f",
+    "masked": "45713324a88abd28",
+    "toffoli": "f9e6d0d4fd1f57e5",
+    "cgate_x0": "b4c920c728fdedb1",
+    "cgate_x1": "33af672a341cab72",
+    "cgate_last": "bd6a2e5c4c79b230",
+    "rand_only": "213f1acdac528cf5",
+    "compiled_wire": "a03a19620b296724",
+}
+TRUTH_TABLES = {
+    "one": (ONE_TOFFOLI, "450cc06aac76fd5c"),
+    "mixed": (MIXED_3REG, "d732380a570447e0"),
+    "rand_copy": ("reg a\nout o\ngate RAND a\ngate COPY a o\n", "1c05ccdd278bfb58"),
+    "cgate_mixed": (CGATE_MIXED, "df4eb819224727a4"),
+    "cgate_last": (CGATE_LAST, "1820290cd026518c"),
+    "cond_last": ("in secret s\nout o\ngate CNOT s o\ncgate 0 NOT o\n", "7663a39bab64718f"),
+    "wire": (SECRET_WIRE, "6854df38f4a74a67"),
+}
+TRANSCRIPTS = {
+    "masked": (MASKED, [1], 0, "9d15fa5f4f6faf37"),
+    "cgate_mixed": (CGATE_MIXED, [1], 1, "93c31f253f754a86"),
+    "cgate_last": (CGATE_LAST, [1, 1], 1, "8e5ed80270169c80"),
+}
+
+
+def _exact_reports(target, y0, y1, x) -> str:
+    reports = [exact_tv_tiny(target, y0, y1, x, LeakageModel(p)).to_json_dict()
+               for p in (0.01, 0.1, 0.3)]
+    return _sha(_json(reports))
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_exact_reports_are_pinned(name):
+    text, y0, y1, x = EXACT_CASES[name]
+    assert _exact_reports(parse_netlist(text), y0, y1, x) == EXACT_DIGESTS[name]
+
+
+def test_compiled_exact_reports_are_pinned():
+    comp = compile_circuit(parse_netlist(SECRET_WIRE), level=1, ec=True)
+    assert _exact_reports(comp, [0], [1], []) == EXACT_DIGESTS["compiled_wire"]
+
+
+@pytest.mark.parametrize("name", sorted(TRUTH_TABLES))
+def test_truth_table_repr_is_pinned(name):
+    text, digest = TRUTH_TABLES[name]
+    assert _sha(repr(truth_table(parse_netlist(text)))) == digest
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_raw_transcripts_are_pinned(name):
+    # 60 rounds whose public inputs count up in binary
+    text, secret, width, digest = TRANSCRIPTS[name]
+    inputs = [[(r >> k) & 1 for k in range(width)] for r in range(60)]
+    ts = run_rounds(parse_netlist(text), secret, inputs, LeakageModel(0.3), seed=21)
+    assert _sha(_json([t.to_json_dict() for t in ts])) == digest

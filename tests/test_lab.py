@@ -58,19 +58,6 @@ def test_run_rounds_output_decoded_for_compiled():
         assert all(t.output == {"c": a & b} for t in ts)
 
 
-def test_run_rounds_fixed_tape_policy():
-    from lrcirc.circuits import RandomTape
-
-    circ = parse_netlist(MASKED)
-    ts = run_rounds(circ, [1], [[]] * 4, LeakageModel(1.0), seed=8,
-                    tape_policy="fixed", tape=RandomTape.of([1]))
-    # every round replays the same tape, so all leaked values coincide
-    assert len({tuple(sorted(t.values.items())) for t in ts}) == 1
-    with pytest.raises(ValueError, match="needs a tape"):
-        run_rounds(circ, [1], [[]], LeakageModel(0.1), seed=1,
-                   tape_policy="fixed")
-
-
 def test_skipped_events_appear_as_none_values():
     circ = parse_netlist("in secret s\nout o\ncgate 0 NOT o\n")
     ts = run_rounds(circ, [0], [[]] * 20, LeakageModel(1.0), seed=3)

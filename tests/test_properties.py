@@ -1,5 +1,6 @@
 """Properties on generated inputs: the level-1 compiler on reversible
-circuits, the array secret encoder, the row tally and the name allocator
+circuits, the batch evaluator and truth tables against the scalar
+evaluate, the array secret encoder, the row tally and the name allocator
 against their loop references, and the size guards."""
 
 import random
@@ -9,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +19,7 @@ from lrcirc.circuits import (
     GateKind,
     RandomTape,
     batch_outputs,
+    bit_rows,
     evaluate,
     evaluate_batch,
     truth_table,
@@ -90,6 +92,80 @@ def test_level1_netlist_round_trips_and_is_deterministic(text, ec):
     assert serialize_netlist(second.circuit) == net
     assert second.to_json_dict() == first.to_json_dict()
     assert second.circuit.event_listing() == first.circuit.event_listing()
+
+
+# -- the batch evaluator against the scalar reference ----------------------------
+
+
+@st.composite
+def raw_netlists(draw):
+    """Netlist text over every gate kind with 1-2 secret inputs, 0-2 public
+    inputs, 0-2 internal registers (some `init 1`) and 1-2 outputs.  Any
+    gate, including each output's final write, may be conditioned on an
+    earlier event that always runs (an input or an unconditioned gate's
+    port)."""
+    secret = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    public = [f"x{i}" for i in range(draw(st.integers(0, 2)))]
+    inits = draw(st.lists(st.integers(0, 1), max_size=2))
+    outputs = [f"o{i}" for i in range(draw(st.integers(1, 2)))]
+    internal = [f"t{i}" for i in range(len(inits))]
+    names = secret + public + internal + outputs
+    lines = [f"in secret {n}" for n in secret] + [f"in public {n}" for n in public]
+    lines += [f"reg {n} init 1" if init else f"reg {n}" for n, init in zip(internal, inits)]
+    lines += [f"out {n}" for n in outputs]
+    always = list(range(len(secret) + len(public)))
+    events = len(always)
+
+    def add(kind, operands):
+        nonlocal events
+        cond = draw(st.one_of(st.none(), st.sampled_from(always)))
+        if cond is None:
+            lines.append(f"gate {kind.value} {' '.join(operands)}")
+            always.extend(range(events, events + kind.arity))
+        else:
+            lines.append(f"cgate {cond} {kind.value} {' '.join(operands)}")
+        events += kind.arity
+
+    kinds = [k for k in GateKind if k.arity <= len(names)]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        add(kind, draw(st.permutations(names))[:kind.arity])
+    for out in outputs:
+        add(GateKind.CNOT, [draw(st.sampled_from([n for n in names if n != out])), out])
+    return "\n".join(lines) + "\n"
+
+
+def _inputs(circ):
+    return product(product((0, 1), repeat=len(circ.secret_regs)),
+                   product((0, 1), repeat=len(circ.public_regs)))
+
+
+@_SETTINGS
+@given(raw_netlists())
+def test_batch_evaluator_matches_scalar_evaluate(text):
+    circ = parse_netlist(text)
+    tapes = bit_rows(circ.rand_count)
+    for sec, pub in _inputs(circ):
+        events = evaluate_batch(circ, sec, pub, tapes)
+        outputs = batch_outputs(circ, events)
+        for row, out, tape in zip(events.tolist(), outputs.tolist(), tapes):
+            ref = evaluate(circ, sec, pub, RandomTape.of(tape))
+            assert row == [-1 if v is None else v for v in ref.values]
+            assert out == [ref.outputs[r.name] for r in circ.output_regs]
+
+
+@_SETTINGS
+@given(raw_netlists())
+def test_truth_table_matches_scalar_enumeration(text):
+    circ = parse_netlist(text)
+    want = {}
+    for sec, pub in _inputs(circ):
+        counts = Counter(
+            tuple(evaluate(circ, sec, pub, RandomTape.of(t)).outputs[r.name]
+                  for r in circ.output_regs)
+            for t in product((0, 1), repeat=circ.rand_count)
+        )
+        want[(sec, pub)] = {k: v / 2 ** circ.rand_count for k, v in counts.items()}
+    assert repr(truth_table(circ)) == repr(want)
 
 
 # -- array code against its loop references ------------------------------------
@@ -232,6 +308,22 @@ def test_exact_tv_refuses_oversized_circuits(shape):
     circ = rand_cnot_netlist(inputs, tape_bits, cnots)
     with pytest.raises(EvalError, match="size guard"):
         exact_tv_tiny(circ, [0] * inputs, [1] * inputs, [], LeakageModel(0.1))
+
+
+@_GUARD_SETTINGS
+@given(st.integers(8, 11).flatmap(lambda c: st.tuples(st.just(c), st.integers(c, 20))))
+@example((11, 20))
+def test_exact_tv_refuses_large_mask_enumeration_early(shape):
+    # `cnots` CNOTs from tape registers into the output: 1 + 2 * cnots
+    # leakable events and 2^(cnots + 1) distinct value rows over both
+    # secrets, so the mask work 2^(3 * cnots + 2) exceeds 5e7 from 8 on
+    cnots, tape_bits = shape
+    lines = ["in secret s"] + [f"reg r{i}" for i in range(tape_bits)] + ["out o"]
+    lines += [f"gate RAND r{i}" for i in range(tape_bits)]
+    lines += [f"gate CNOT r{i} o" for i in range(cnots)]
+    circ = parse_netlist("\n".join(lines) + "\n")
+    with pytest.raises(EvalError, match="mask enumeration too large"):
+        exact_tv_tiny(circ, [0], [1], [], LeakageModel(0.1))
 
 
 @_GUARD_SETTINGS
