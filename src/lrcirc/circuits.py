@@ -14,8 +14,14 @@ its event slots stay empty (no-op markers), so the skipped branch exposes
 nothing to leakage.  A skipped RAND still consumes its tape bit, which keeps
 tape consumption a static property of the circuit.
 
-`evaluate_batch` is the evaluator every library path runs; the scalar
-`evaluate` and `register_file` are the reference the tests check it against.
+`evaluate_batch` is the evaluator every library path runs.  It is
+bitsliced: each register and each event holds one Python int whose bit r
+is row r, so a gate costs a few big-int operations for the whole batch.  It
+returns an `EventBatch`: a value plane per event, plus a presence plane
+marking the rows where a conditioned gate ran.  Callers count on the planes
+directly or unpack the columns they read with `EventBatch.matrix`, an int8
+matrix with -1 for a skipped event.  The scalar `evaluate` and
+`register_file` are the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -292,73 +298,109 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
     return vals, events
 
 
-def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a batch of tapes.
+class EventBatch:
+    """Wire-event values of a batch of rows, bitsliced: one Python int per
+    event, bit r holding row r.
+
+    `values[e]` has bit r set when event e recorded 1 in row r, and
+    `presence[e]` when e's gate ran in row r; a skipped event's value bit
+    is 0.  Input events and events of unconditioned gates share the
+    all-ones int `full` as their presence.  Consumers read the planes
+    directly (popcounts, masks) or unpack the columns they need with
+    `matrix`.
+    """
+
+    def __init__(self, rows: int, values: list[int], presence: list[int]):
+        self.rows = rows
+        self.full = (1 << rows) - 1
+        self.values = values
+        self.presence = presence
+
+    def matrix(self, cols=None) -> np.ndarray:
+        """C-contiguous int8 matrix of shape (rows, len(cols)) holding the
+        events `cols` (default: every event) with -1 for a skipped event."""
+        cols = range(len(self.values)) if cols is None else [int(c) for c in cols]
+        out = _unpack_planes([self.values[c] for c in cols], self.rows)
+        skipped = [(j, self.full ^ self.presence[c]) for j, c in enumerate(cols)
+                   if self.presence[c] != self.full]
+        if skipped:
+            js, planes = zip(*skipped)
+            out[:, list(js)] -= _unpack_planes(planes, self.rows)
+        return out
+
+
+def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> EventBatch:
+    """Bitsliced evaluation over a batch of tapes.
 
     `tapes` has shape (batch, rand_count).  `secret`/`public` are either one
     bit row shared by the whole batch or (batch, k) arrays of per-row input
-    bits.  Returns an int8 event matrix of shape (batch, num_events) where
-    -1 marks a skipped no-op event.  The scalar `evaluate` is the reference
-    semantics and the two are cross-checked in the tests.
+    bits.  Every register holds one int with a bit per row, so a gate costs
+    a few big-int operations whatever the batch size; a conditioned gate
+    acts on the rows its condition event selects.  The scalar `evaluate`
+    is the reference semantics and the two are cross-checked in the tests.
     """
     tapes = np.asarray(tapes, dtype=np.int8)
     if tapes.ndim != 2 or tapes.shape[1] != circuit.rand_count:
         raise EvalError(f"tape batch must have shape (n, {circuit.rand_count})")
     batch = tapes.shape[0]
-    secret = _input_matrix(secret, len(circuit.secret_regs), batch, "secret")
-    public = _input_matrix(public, len(circuit.public_regs), batch, "public")
+    full = (1 << batch) - 1
+    secret = _input_planes(secret, len(circuit.secret_regs), batch, "secret")
+    public = _input_planes(public, len(circuit.public_regs), batch, "public")
+    fresh = iter(_pack_columns(tapes & 1))
 
-    vals = np.empty((len(circuit.registers), batch), dtype=np.int8)
-    for r in circuit.registers:
-        vals[r.id] = r.init
-    for k, reg in enumerate(circuit.secret_regs):
-        vals[reg.id] = secret[:, k]
-    for k, reg in enumerate(circuit.public_regs):
-        vals[reg.id] = public[:, k]
-
-    events = np.full((circuit.num_events, batch), -1, dtype=np.int8)
+    vals = [full if r.init else 0 for r in circuit.registers]
+    for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
+        vals[reg.id] = plane
+    values = [0] * circuit.num_events
+    presence = [full] * circuit.num_events
     for rid, eid in circuit.input_events.items():
-        events[eid] = vals[rid]
+        values[eid] = vals[rid]
 
-    cursor = 0
+    CNOT, TOF, NOT, RAND, COPY = (GateKind.CNOT, GateKind.TOF, GateKind.NOT,
+                                  GateKind.RAND, GateKind.COPY)
     for g, eids in zip(circuit.gates, circuit.gate_events):
-        if g.kind is GateKind.RAND:
-            fresh = tapes[:, cursor]
-            cursor += 1
+        kind, a, e = g.kind, g.args, eids[0]  # events e, e + 1, .. by operand
+        # unconditioned gates (nearly all of a compiled circuit) skip the
+        # run mask; this branch halves the per-gate cost at 256 rows
         if g.cond is None:
-            run = None
-        else:
-            c = events[g.cond]
-            if (c < 0).any():
-                raise EvalError(f"condition references skipped event {g.cond}")
-            run = c.astype(np.int8)
-        a = g.args
-        if g.kind is GateKind.NOT:
-            vals[a[0]] ^= 1 if run is None else run
-        elif g.kind is GateKind.CNOT:
-            vals[a[1]] ^= vals[a[0]] if run is None else vals[a[0]] & run
-        elif g.kind is GateKind.TOF:
-            t = vals[a[0]] & vals[a[1]]
-            vals[a[2]] ^= t if run is None else t & run
-        elif g.kind is GateKind.RAND:
-            if run is None:
-                vals[a[0]] = fresh
+            if kind is CNOT:
+                values[e] = vals[a[0]]
+                values[e + 1] = vals[a[1]] = vals[a[1]] ^ vals[a[0]]
+            elif kind is RAND:
+                values[e] = vals[a[0]] = next(fresh)
+            elif kind is COPY:
+                values[e] = values[e + 1] = vals[a[1]] = vals[a[0]]
             else:
-                vals[a[0]] = np.where(run == 1, fresh, vals[a[0]])
-        elif g.kind is GateKind.COPY:
-            if run is None:
-                vals[a[1]] = vals[a[0]]
-            else:
-                vals[a[1]] = np.where(run == 1, vals[a[0]], vals[a[1]])
-        for port, ev in enumerate(eids):
-            if run is None:
-                events[ev] = vals[a[port]]
-            else:
-                events[ev] = np.where(run == 1, vals[a[port]], np.int8(-1))
-    return events.T
+                if kind is TOF:
+                    vals[a[2]] ^= vals[a[0]] & vals[a[1]]
+                elif kind is NOT:
+                    vals[a[0]] ^= full
+                # Z and CZ: identity on values
+                for rid, ev in zip(a, eids):
+                    values[ev] = vals[rid]
+            continue
+        if presence[g.cond] != full:
+            raise EvalError(f"condition references skipped event {g.cond}")
+        run = values[g.cond]  # the rows where the gate runs
+        if kind is CNOT:
+            vals[a[1]] ^= vals[a[0]] & run
+        elif kind is TOF:
+            vals[a[2]] ^= vals[a[0]] & vals[a[1]] & run
+        elif kind is NOT:
+            vals[a[0]] ^= run
+        elif kind is RAND:  # a skipped RAND still consumes its bit
+            vals[a[0]] ^= (vals[a[0]] ^ next(fresh)) & run
+        elif kind is COPY:
+            vals[a[1]] ^= (vals[a[1]] ^ vals[a[0]]) & run
+        for rid, ev in zip(a, eids):
+            values[ev] = vals[rid] & run
+            presence[ev] = run
+    return EventBatch(batch, values, presence)
 
 
-def _input_matrix(bits, width: int, batch: int, label: str) -> np.ndarray:
+def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
+    """One bit-plane per input register from a shared row or a per-row
+    (batch, width) matrix."""
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
     try:
@@ -368,27 +410,54 @@ def _input_matrix(bits, width: int, batch: int, label: str) -> np.ndarray:
     if arr.ndim == 1:
         if arr.shape[0] != width:
             raise EvalError(f"expected {width} {label} bits, got {arr.shape[0]}")
-        return np.broadcast_to(arr, (batch, width))
+        full = (1 << batch) - 1
+        return [full if b else 0 for b in arr.tolist()]
     if arr.shape != (batch, width):
         raise EvalError(f"{label} matrix must have shape ({batch}, {width})")
-    return arr
+    return _pack_columns(arr)
 
 
-def batch_outputs(circuit: Circuit, events: np.ndarray) -> np.ndarray:
-    """Final output-register values for an event matrix from evaluate_batch.
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """One int per column of a (rows, k) 0/1 int8 matrix, bit r holding row r."""
+    rows, width = bits.shape
+    nbytes = (rows + 7) // 8
+    packed = np.zeros((nbytes, width), dtype=np.uint8)
+    for k in range(8):  # byte b of a column holds rows 8b .. 8b + 7
+        part = bits[k::8].view(np.uint8)
+        packed[:len(part)] |= part << k
+    buf = packed.T.tobytes()
+    return [int.from_bytes(buf[j * nbytes:(j + 1) * nbytes], "little") for j in range(width)]
+
+
+def _unpack_planes(planes, rows: int) -> np.ndarray:
+    """C-contiguous int8 (rows, len(planes)) matrix of the planes' low
+    `rows` bits, one column per plane.  Only whole bytes are transposed;
+    a numpy transpose of the bit matrix itself thrashes the cache."""
+    nbytes = (rows + 7) // 8
+    buf = b"".join(p.to_bytes(nbytes, "little") for p in planes)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(planes), nbytes).T.copy()
+    out = np.empty((8 * nbytes, len(planes)), dtype=np.uint8)
+    for k in range(8):
+        out[k::8] = (packed >> k) & 1
+    return out[:rows].view(np.int8)
+
+
+def batch_outputs(circuit: Circuit, events: EventBatch) -> np.ndarray:
+    """Final output-register values, as an int8 (rows, outputs) matrix, for
+    an EventBatch from evaluate_batch.
 
     Per row, an output holds the value recorded at its last touch that ran;
-    a skipped conditioned touch records -1 and leaves the value before it.
-    A register no gate ran on keeps its initial value.
+    a skipped conditioned touch leaves the value before it.  A register no
+    gate ran on keeps its initial value.
     """
-    column = {r.id: k for k, r in enumerate(circuit.output_regs)}
-    out = np.empty((events.shape[0], len(column)), dtype=np.int8)
-    out[:] = [r.init for r in circuit.output_regs]
+    full = events.full
+    planes = {r.id: full if r.init else 0 for r in circuit.output_regs}
     for g, eids in zip(circuit.gates, circuit.gate_events):
         for rid, ev in zip(g.args, eids):
-            if rid in column:
-                np.copyto(out[:, column[rid]], events[:, ev], where=events[:, ev] >= 0)
-    return out
+            if rid in planes:
+                kept = planes[rid] & (full ^ events.presence[ev])
+                planes[rid] = kept | events.values[ev]
+    return _unpack_planes([planes[r.id] for r in circuit.output_regs], events.rows)
 
 
 def bit_rows(width: int) -> np.ndarray:
@@ -403,7 +472,8 @@ def bit_rows(width: int) -> np.ndarray:
 
 def rows_per_batch(circuit: Circuit) -> int:
     """Rows per evaluate_batch call for callers that run many rows: about
-    2^24 int8 cells of events and register values per call."""
+    2^24 row cells of events and registers per call, which keeps the bit
+    planes near 2 MB and a full `EventBatch.matrix` near 16 MB."""
     return max(1, (1 << 24) // (circuit.num_events + len(circuit.registers) or 1))
 
 

@@ -16,7 +16,10 @@ between two secrets at a fixed public input is measured three ways:
 All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (compiled targets), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Every
-path evaluates its rows with circuits.evaluate_batch.
+path evaluates its rows with circuits.evaluate_batch and reads the
+resulting EventBatch bit-planes: the marginals count symbols by popcount,
+and run_rounds, exact_tv_tiny and mc_advantage unpack only the event
+columns they read with EventBatch.matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .circuits import (  # noqa: F401 - perfbench/run.py wraps lab.evaluate by name
     Circuit,
     EvalError,
+    EventBatch,
     batch_outputs,
     bit_rows,
     evaluate,
@@ -43,6 +47,7 @@ _METHODS = ("exact-tiny", "mask-decomposed-MC", "per-wire-marginal", "pairwise-m
 _MAX_EXACT_EVENTS = 24
 _MAX_EXACT_TAPE = 20
 _MAX_EXACT_WORK = 5 * 10 ** 7
+_MASK_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,10 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
             masks.append(tuple(e for e in leakable if rng.random() < model.p))
         events = evaluate_batch(circuit, _secret_rows(compiled, secret, seeds), xs, tapes)
         outputs = batch_outputs(circuit, events).tolist()
+        cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
+        masked = events.matrix(cols)
         for i, mask in enumerate(masks):
-            leaked = events[i, list(mask)].tolist()
+            leaked = masked[i, cols.searchsorted(mask)].tolist()
             values = {e: None if v < 0 else v for e, v in zip(mask, leaked)}
             output = {r.name: v for r, v in zip(circuit.output_regs, outputs[i])}
             out.append(LeakTranscript(lo + i, mask, values, output))
@@ -197,40 +204,63 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     bits = bit_rows(total_tape)  # seed columns, then tape columns
     rows = len(bits)
     values = [evaluate_batch(circuit, _secret_rows(compiled, s, bits[:, :enc_bits]), x,
-                             bits[:, enc_bits:])[:, leakable] for s in (y0, y1)]
+                             bits[:, enc_bits:]).matrix(leakable) for s in (y0, y1)]
     distinct, codes = _row_codes(np.concatenate(values))
     if (2 ** n) * len(distinct) > _MAX_EXACT_WORK:
         raise EvalError("size guard exceeded: mask enumeration too large")
-    vecs = [tuple(v) for v in distinct.tolist()]
-    dists = []
-    for half in (codes[:rows], codes[rows:]):
-        counts = np.bincount(half, minlength=len(vecs)).tolist()
-        dists.append({vecs[c]: k / rows for c, k in enumerate(counts) if k})
-    support = sorted(vecs)
+    m = len(distinct)
+    diff = np.bincount(codes[:rows], minlength=m) - np.bincount(codes[rows:], minlength=m)
 
+    # Every projected probability is a multiple of 1/rows with rows = 2^T,
+    # so each mask's inner TV is exact whatever the summation order; only
+    # the weighted sum rounds, and it runs in ascending mask order.
     p = model.p
+    weights = np.array([(p ** k) * ((1 - p) ** (n - k)) for k in range(n + 1)])
     tv = 0.0
-    for mask_bits in range(2 ** n):
-        k = mask_bits.bit_count()
-        weight = (p ** k) * ((1 - p) ** (n - k))
-        if weight == 0.0:
-            continue
-        proj0: dict = {}
-        proj1: dict = {}
-        for vec in support:
-            key = tuple(v for i, v in enumerate(vec) if mask_bits >> i & 1)
-            proj0[key] = proj0.get(key, 0.0) + dists[0].get(vec, 0.0)
-            proj1[key] = proj1.get(key, 0.0) + dists[1].get(vec, 0.0)
-        inner = 0.5 * sum(
-            abs(proj0.get(k2, 0.0) - proj1.get(k2, 0.0))
-            for k2 in set(proj0) | set(proj1)
-        )
-        tv += weight * inner
+    for sizes, groups in _masked_group_sums(distinct, diff):
+        w = weights[sizes]
+        terms = w * (0.5 * (groups / rows))
+        # cumsum adds left to right, as `tv += term` over the masks would
+        tv = float(np.cumsum(np.concatenate(([tv], terms[w != 0.0])))[-1])
     return AdvantageReport(
         estimate=tv, std_error=0.0, bias_bound=0.0, method="exact-tiny",
         samples=2 ** total_tape,
         details={"leakable_events": n, "tape_bits": total_tape, "p": p},
     )
+
+
+def _masked_group_sums(distinct: np.ndarray, diff: np.ndarray):
+    """For every leak mask over the columns of `distinct`, in ascending
+    order: the sum over the mask's projected values of |sum of `diff` over
+    the rows projecting there|.
+
+    Yields (mask sizes, sums) per chunk of at most _MASK_CHUNK_CELLS
+    mask-row cells (a few MB of temporaries), or of one mask.  A row's key
+    under a mask is its masked symbols in base 3; a chunk fixes the high
+    mask bits and takes the low ones from a table of keys, then each
+    mask's groups are found by sorting its keys.
+    """
+    count, n = distinct.shape
+    digits = (distinct.astype(np.int64) + 1) * 3 ** np.arange(n, dtype=np.int64)
+    low = 0
+    while low < n and (2 << low) * count <= _MASK_CHUNK_CELLS:
+        low += 1
+    table = np.zeros((1, count), dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for i in range(low):  # row m: the keys and the size of low mask m
+        table = np.concatenate([table, table + digits[:, i]])
+        sizes = np.concatenate([sizes, sizes + 1])
+    for high in range(1 << (n - low)):
+        high_bits = (high >> np.arange(n - low)) & 1
+        keys = table + digits[:, low:] @ high_bits
+        order = np.argsort(keys, axis=1)
+        sorted_keys = np.take_along_axis(keys, order, axis=1)
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+        starts = np.flatnonzero(starts)
+        groups = np.abs(np.add.reduceat(diff[order].ravel(), starts))
+        sums = np.add.reduceat(groups, np.flatnonzero(starts % count == 0))
+        yield sizes + high.bit_count(), sums
 
 
 # -- Monte-Carlo mask-decomposition estimator -------------------------------------
@@ -250,6 +280,10 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     """
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
+    if inner < 1:
+        raise ValueError("need at least 1 inner tape per mask")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     circuit, compiled = _unpack(target)
     leakable = np.array(_leakable_events(circuit), dtype=np.int64)
     rng = random.Random(seed)
@@ -263,14 +297,17 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
         rows = m * inner
         ev0, ev1 = _paired_event_batches(circuit, compiled, y0, y1, x, rows, np_rng)
         masks = np_rng.random((m, leakable.size)) < model.p
+        leaked = masks.any(axis=0)
+        masks = masks[:, leaked]  # each mask over the chunk's leaked events
+        m0, m1 = ev0.matrix(leakable[leaked]), ev1.matrix(leakable[leaked])
         for i in range(m):
-            cols = leakable[masks[i]]
+            cols = np.flatnonzero(masks[i])
             if cols.size == 0:
                 tvs[pos + i] = 0.0
                 biases[pos + i] = 0.0
                 continue
             lo, hi = i * inner, (i + 1) * inner
-            tvs[pos + i] = _empirical_tv(ev0[lo:hi][:, cols], ev1[lo:hi][:, cols])
+            tvs[pos + i] = _empirical_tv(m0[lo:hi, cols], m1[lo:hi, cols])
             support = min(3.0 ** cols.size, 2.0 * inner)
             biases[pos + i] = min(1.0, math.sqrt(support / inner))
         pos += m
@@ -353,6 +390,10 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if samples < 1:
+        raise ValueError("need at least 1 sample")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     circuit, compiled = _unpack(target)
     rng = random.Random(seed)
     rng0 = np.random.default_rng(rng.getrandbits(64))
@@ -440,18 +481,10 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
 
 
 def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,
-                   order, chunk, group: int = 512) -> np.ndarray:
-    """Counts per target of each symbol over all samples.
-
-    A symbol is an event value v in {-1, 0, 1} (-1 = skipped), counted in
-    column v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
-    in -1..7.  Targets are processed in groups, which keeps memory at
-    chunk*group int8 cells.
-    """
-    ncols = 3 if order == 1 else 9
-    counts = np.zeros((len(targets), ncols), dtype=np.int64)
-    first = np.array([t[0] for t in targets], dtype=np.int64)
-    second = np.array([t[-1] for t in targets], dtype=np.int64)
+                   order, chunk) -> np.ndarray:
+    """Counts per target of each symbol over all samples, evaluated in
+    batches of `chunk` rows (see `_plane_counts`)."""
+    counts = np.zeros((len(targets), 3 if order == 1 else 9), dtype=np.int64)
     done = 0
     while done < samples:
         rows = min(chunk, samples - done)
@@ -461,12 +494,32 @@ def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,
         else:
             enc = encoded_secret_rows(compiled, secret, rows, np_rng)
             ev = evaluate_batch(circuit, enc, x, tapes)
-        for g0 in range(0, len(targets), group):
-            g1 = min(g0 + group, len(targets))
-            codes = ev[:, first[g0:g1]]
-            if order == 2:
-                codes = (codes + 1) * 3 + ev[:, second[g0:g1]]
-            for v in range(-1, ncols - 1):
-                counts[g0:g1, v + 1] += np.count_nonzero(codes == v, axis=0)
+        counts += _plane_counts(ev, targets, order)
         done += rows
     return counts
+
+
+def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
+    """Per target, the number of rows showing each symbol, by popcount.
+
+    A symbol is an event value v in {-1, 0, 1} (-1 = skipped), counted in
+    column v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
+    counted in column (a + 1) * 3 + b + 1.  An event's symbol planes are
+    its skipped rows (full ^ presence), its present zeros and its ones.
+    """
+    full, rows = events.full, events.rows
+    if order == 1:
+        first = [e for (e,) in targets]
+
+        def popcounts(planes):
+            return np.fromiter(map(int.bit_count, map(planes.__getitem__, first)),
+                               dtype=np.int64, count=len(first))
+
+        ones, ran = popcounts(events.values), popcounts(events.presence)
+        return np.stack([rows - ran, ran - ones, ones], axis=1)
+
+    planes = {e: (full ^ events.presence[e], events.presence[e] ^ events.values[e],
+                  events.values[e]) for e in {e for pair in targets for e in pair}}
+    out = [[(sa & sb).bit_count() for sa in planes[a] for sb in planes[b]]
+           for a, b in targets]
+    return np.array(out, dtype=np.int64).reshape(len(targets), 9)

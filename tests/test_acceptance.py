@@ -210,8 +210,7 @@ def test_criterion_07_theta_distribution():
     n = 100_000
     rng = np.random.default_rng(7)
     tapes = rng.integers(0, 2, size=(n, circ.rand_count), dtype=np.int8)
-    events = evaluate_batch(circ, [], [], tapes)
-    triples = events[:, readout_events]
+    triples = evaluate_batch(circ, [], [], tapes).matrix(readout_events)
     codes = triples[:, 0] * 4 + triples[:, 1] * 2 + triples[:, 2]
     counts = np.bincount(codes, minlength=8)
     allowed = [0b000, 0b100, 0b010, 0b111]

@@ -216,11 +216,25 @@ def test_batch_matches_scalar_reference():
     circ = parse_netlist(text)
     tapes = rng.integers(0, 2, size=(64, circ.rand_count), dtype=np.int8)
     for s, x in product((0, 1), repeat=2):
-        ev = evaluate_batch(circ, [s], [x], tapes)
+        ev = evaluate_batch(circ, [s], [x], tapes).matrix()
         for row, tape in zip(ev, tapes):
             ref = evaluate(circ, [s], [x], RandomTape.of(tape))
             want = [(-1 if v is None else v) for v in ref.values]
             assert row.tolist() == want
+
+
+def test_event_matrix_is_c_contiguous_int8():
+    circ = parse_netlist("in secret s\nreg a\nout o\ngate RAND a\ngate CNOT a o\ncgate 0 NOT o\n")
+    tapes = np.random.default_rng(3).integers(0, 2, size=(70, 1), dtype=np.int8)
+    events = evaluate_batch(circ, np.arange(70)[:, None] % 2, [], tapes)
+    for cols, shape in ((None, (70, circ.num_events)), ([4, 0, 2], (70, 3)), ([], (70, 0))):
+        matrix = events.matrix(cols)
+        assert matrix.dtype == np.int8 and matrix.flags.c_contiguous
+        assert matrix.shape == shape
+    full = events.matrix()
+    assert (events.matrix([4, 0, 2]) == full[:, [4, 0, 2]]).all()
+    # event 4 is the NOT conditioned on s: -1 in the rows where s = 0
+    assert (full[:, 4] == np.where(np.arange(70) % 2, full[:, 3] ^ 1, -1)).all()
 
 
 def test_batch_outputs_reads_the_last_touch_that_ran():

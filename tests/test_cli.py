@@ -175,6 +175,16 @@ def test_pairwise_on_raw_circuit_is_an_error(capsys, toffoli_netlist):
     assert "blocks" in err
 
 
+def test_marginal_with_zero_samples_is_an_error(capsys, toffoli_netlist):
+    code, _, err = run_cli(
+        capsys, "analyze", "--circuit", toffoli_netlist, "--mode", "marginal",
+        "--y0", "01", "--y1", "10", "--leak-p", "0.01",
+        "--samples", "0", "--seed", "2",
+    )
+    assert code == 1
+    assert err == "error: need at least 1 sample\n"
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

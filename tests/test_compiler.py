@@ -331,8 +331,7 @@ def test_toffoli_gadget_exhaustive_over_representatives():
     for _ in range(3):
         tape_row = rng.integers(0, 2, size=(1, circ.rand_count), dtype=np.int8)
         tapes = np.broadcast_to(tape_row, (len(rows), circ.rand_count))
-        ev = evaluate_batch(circ, secret, [], tapes)
-        got = ev[:, decode]
+        got = evaluate_batch(circ, secret, [], tapes).matrix(decode)
         assert (got == expect).all()
 
 
@@ -655,7 +654,7 @@ def test_batch_matches_scalar_on_compiled_circuit():
     nprng = np.random.default_rng(78)
     tapes = nprng.integers(0, 2, size=(8, circ.rand_count), dtype=np.int8)
     enc = encode_secret([1, 0], rng).flat_bits()
-    events = evaluate_batch(circ, enc, [], tapes)
+    events = evaluate_batch(circ, enc, [], tapes).matrix()
     for row, tape in zip(events, tapes):
         ref = evaluate(circ, enc, [], RandomTape.of(tape))
         want = [(-1 if v is None else v) for v in ref.values]

@@ -171,6 +171,23 @@ def test_mc_requires_min_samples():
         mc_advantage(circ, [0], [1], [], LeakageModel(0.1), samples=10, seed=0)
 
 
+@pytest.mark.parametrize("estimator, kwargs, message", [
+    (mc_advantage, {"inner": 0}, "inner tape"),
+    (mc_advantage, {"chunk": 0}, "chunk"),
+    (marginal_independence, {"samples": 0}, "at least 1 sample"),
+    (marginal_independence, {"chunk": 0}, "chunk"),
+])
+def test_estimators_refuse_empty_batches_up_front(estimator, kwargs, message):
+    # each of these used to loop forever or divide by zero
+    circ = parse_netlist(SECRET_WIRE)
+    if estimator is mc_advantage:
+        args = dict(model=LeakageModel(0.1), samples=1000, seed=0)
+    else:
+        args = dict(order=1, samples=100, seed=0)
+    with pytest.raises(ValueError, match=message):
+        estimator(circ, [0], [1], [], **{**args, **kwargs})
+
+
 def test_mc_same_secret_consistent_with_zero():
     circ = parse_netlist(MASKED)
     report = mc_advantage(circ, [1], [1], [], LeakageModel(0.1),

@@ -32,7 +32,13 @@ from lrcirc.compiler import (
     encode_secret,
     encode_seed_rows,
 )
-from lrcirc.lab import LeakageModel, _empirical_tv, encoded_secret_rows, exact_tv_tiny
+from lrcirc.lab import (
+    LeakageModel,
+    _empirical_tv,
+    _plane_counts,
+    encoded_secret_rows,
+    exact_tv_tiny,
+)
 from lrcirc.netlist import parse_netlist, serialize_netlist
 from lrcirc.steane import encode_codeword
 
@@ -98,12 +104,13 @@ def test_level1_netlist_round_trips_and_is_deterministic(text, ec):
 
 
 @st.composite
-def raw_netlists(draw):
+def raw_netlists(draw, any_condition=False):
     """Netlist text over every gate kind with 1-2 secret inputs, 0-2 public
     inputs, 0-2 internal registers (some `init 1`) and 1-2 outputs.  Any
     gate, including each output's final write, may be conditioned on an
     earlier event that always runs (an input or an unconditioned gate's
-    port)."""
+    port), or with `any_condition` on any earlier event, so a condition
+    may read an event its own gate's condition skipped."""
     secret = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
     public = [f"x{i}" for i in range(draw(st.integers(0, 2)))]
     inits = draw(st.lists(st.integers(0, 1), max_size=2))
@@ -118,7 +125,8 @@ def raw_netlists(draw):
 
     def add(kind, operands):
         nonlocal events
-        cond = draw(st.one_of(st.none(), st.sampled_from(always)))
+        earlier = range(events) if any_condition else always
+        cond = draw(st.one_of(st.none(), st.sampled_from(earlier)))
         if cond is None:
             lines.append(f"gate {kind.value} {' '.join(operands)}")
             always.extend(range(events, events + kind.arity))
@@ -139,18 +147,100 @@ def _inputs(circ):
                    product((0, 1), repeat=len(circ.public_regs)))
 
 
+# batch sizes around the byte and 64-bit word boundaries of the bit planes
+_ROW_COUNTS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
+
+
+def _row_batches(circ):
+    """Per-row (secret, public, tapes) matrices at each of _ROW_COUNTS rows,
+    drawn from every input and tape combination."""
+    ns, npub = len(circ.secret_regs), len(circ.public_regs)
+    combos = bit_rows(ns + npub + circ.rand_count)
+    rng = np.random.default_rng(len(combos))
+    for n in _ROW_COUNTS:
+        rows = combos[rng.integers(0, len(combos), n)]
+        yield rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
+
+
+def _shared_row_batches(circ):
+    """Each input as one row shared by every tape, with its per-row form."""
+    tapes = bit_rows(circ.rand_count)
+    for sec, pub in _inputs(circ):
+        rows = [np.broadcast_to(np.array(v, dtype=np.int8), (len(tapes), len(v)))
+                for v in (sec, pub)]
+        yield (sec, pub, tapes), (*rows, tapes)
+
+
 @_SETTINGS
 @given(raw_netlists())
 def test_batch_evaluator_matches_scalar_evaluate(text):
     circ = parse_netlist(text)
-    tapes = bit_rows(circ.rand_count)
-    for sec, pub in _inputs(circ):
-        events = evaluate_batch(circ, sec, pub, tapes)
+    cases = [(b, b) for b in _row_batches(circ)] + list(_shared_row_batches(circ))
+    for args, (secs, pubs, tapes) in cases:
+        events = evaluate_batch(circ, *args)
+        matrix = events.matrix()
+        assert matrix.dtype == np.int8 and matrix.flags.c_contiguous
+        assert matrix.shape == (len(tapes), circ.num_events)
         outputs = batch_outputs(circ, events)
-        for row, out, tape in zip(events.tolist(), outputs.tolist(), tapes):
+        for row, out, sec, pub, tape in zip(matrix.tolist(), outputs.tolist(), secs, pubs, tapes):
             ref = evaluate(circ, sec, pub, RandomTape.of(tape))
             assert row == [-1 if v is None else v for v in ref.values]
             assert out == [ref.outputs[r.name] for r in circ.output_regs]
+
+
+def counts_by_matrix(matrix, targets, order):
+    """Symbol counts per target from count_nonzero on the int8 matrix."""
+    codes = matrix[:, [t[0] for t in targets]]
+    if order == 2:
+        codes = (codes + 1) * 3 + matrix[:, [t[1] for t in targets]]
+    symbols = range(-1, 2) if order == 1 else range(-1, 8)
+    return np.stack([np.count_nonzero(codes == v, axis=0) for v in symbols], axis=1)
+
+
+@_SETTINGS
+@given(raw_netlists())
+def test_popcount_symbol_counts_equal_matrix_counts(text):
+    circ = parse_netlist(text)
+    events = range(circ.num_events)
+    singles = [(e,) for e in events]
+    pairs = [(a, b) for a in events for b in events if a < b]
+    for args in _row_batches(circ):
+        batch = evaluate_batch(circ, *args)
+        matrix = batch.matrix()
+        for targets, order in ((singles, 1), (pairs, 2)):
+            got = _plane_counts(batch, targets, order)
+            assert got.tolist() == counts_by_matrix(matrix, targets, order).tolist()
+
+
+def _eval_error(fn, *args):
+    try:
+        fn(*args)
+    except EvalError as exc:
+        return str(exc)
+    return None
+
+
+@_SETTINGS
+@given(raw_netlists(any_condition=True))
+def test_condition_on_a_skipped_event_raises_like_evaluate(text):
+    circ = parse_netlist(text)
+    ns, npub = len(circ.secret_regs), len(circ.public_regs)
+    rows = bit_rows(ns + npub + circ.rand_count)
+    secs, pubs, tapes = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
+    errors = []
+    for i in range(len(rows)):
+        want = _eval_error(evaluate, circ, secs[i], pubs[i], RandomTape.of(tapes[i]))
+        # a one-row batch fails exactly when, and with the message, evaluate does
+        got = _eval_error(evaluate_batch, circ, secs[i:i + 1], pubs[i:i + 1], tapes[i:i + 1])
+        assert got == want
+        errors.append(want)
+    # the whole batch fails when any row does, with one of the rows' errors
+    got = _eval_error(evaluate_batch, circ, secs, pubs, tapes)
+    if any(errors):
+        assert got is not None and got in errors
+        assert got.startswith("condition references skipped event")
+    else:
+        assert got is None
 
 
 @_SETTINGS
