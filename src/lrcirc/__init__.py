@@ -36,9 +36,7 @@ from .circuits import (
 from .compiler import (
     CompiledCircuit,
     CompileError,
-    EncodedSecret,
     compile_circuit,
-    encode_secret,
     location_report,
 )
 from .faults import (
@@ -76,7 +74,6 @@ __all__ = [
     "CliffordCircuit",
     "CompileError",
     "CompiledCircuit",
-    "EncodedSecret",
     "EvalError",
     "Gate",
     "GateKind",
@@ -93,7 +90,6 @@ __all__ = [
     "compile_circuit",
     "dephasing_channel",
     "encode_codeword",
-    "encode_secret",
     "encoded_secret_rows",
     "enumerate_single_faults",
     "equivalence_sweep",

@@ -17,10 +17,11 @@ tape consumption a static property of the circuit.
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
 is row r, so a gate costs a few big-int operations for the whole batch.  It
-returns an `EventBatch`: a value plane per event, plus a presence plane
-marking the rows where a conditioned gate ran.  Callers count on the planes
-directly or unpack the columns they read with `EventBatch.matrix`, an int8
-matrix with -1 for a skipped event.  The scalar `evaluate` and
+returns an `EventBatch`: a value plane per event, a presence plane
+marking the rows where a conditioned gate ran, and each register's final
+plane, from which `batch_outputs` reads the outputs.  Callers count on the
+planes directly or unpack the columns they read with `EventBatch.matrix`,
+an int8 matrix with -1 for a skipped event.  The scalar `evaluate` and
 `register_file` are the reference the tests check it against.
 """
 
@@ -305,16 +306,18 @@ class EventBatch:
     `values[e]` has bit r set when event e recorded 1 in row r, and
     `presence[e]` when e's gate ran in row r; a skipped event's value bit
     is 0.  Input events and events of unconditioned gates share the
-    all-ones int `full` as their presence.  Consumers read the planes
-    directly (popcounts, masks) or unpack the columns they need with
-    `matrix`.
+    all-ones int `full` as their presence.  `registers[i]` is register i's
+    final value plane.  Consumers read the planes directly (popcounts,
+    masks) or unpack the columns they need with `matrix`.
     """
 
-    def __init__(self, rows: int, values: list[int], presence: list[int]):
+    def __init__(self, rows: int, values: list[int], presence: list[int],
+                 registers: list[int]):
         self.rows = rows
         self.full = (1 << rows) - 1
         self.values = values
         self.presence = presence
+        self.registers = registers
 
     def matrix(self, cols=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (rows, len(cols)) holding the
@@ -395,7 +398,7 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> Event
         for rid, ev in zip(a, eids):
             values[ev] = vals[rid] & run
             presence[ev] = run
-    return EventBatch(batch, values, presence)
+    return EventBatch(batch, values, presence, vals)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
@@ -444,20 +447,9 @@ def _unpack_planes(planes, rows: int) -> np.ndarray:
 
 def batch_outputs(circuit: Circuit, events: EventBatch) -> np.ndarray:
     """Final output-register values, as an int8 (rows, outputs) matrix, for
-    an EventBatch from evaluate_batch.
-
-    Per row, an output holds the value recorded at its last touch that ran;
-    a skipped conditioned touch leaves the value before it.  A register no
-    gate ran on keeps its initial value.
-    """
-    full = events.full
-    planes = {r.id: full if r.init else 0 for r in circuit.output_regs}
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        for rid, ev in zip(g.args, eids):
-            if rid in planes:
-                kept = planes[rid] & (full ^ events.presence[ev])
-                planes[rid] = kept | events.values[ev]
-    return _unpack_planes([planes[r.id] for r in circuit.output_regs], events.rows)
+    an EventBatch of `circuit` from evaluate_batch."""
+    return _unpack_planes([events.registers[r.id] for r in circuit.output_regs],
+                          events.rows)
 
 
 def bit_rows(width: int) -> np.ndarray:

@@ -18,14 +18,14 @@ partition the gate list, documented tape costs, and a compile log.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, Register, Role
-from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD, Word
+from .faults import SHOR_DECODE, SHOR_PREP
+from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD
 
 # documented tape cost (RAND bits) per gadget
 TAPE_COST = {
@@ -282,7 +282,8 @@ def prep_plus_gadget(builder: CircuitBuilder, base: str) -> tuple[Block, int]:
 
 
 def shor_prep_gadget(builder: CircuitBuilder, base: str) -> Block:
-    """Even-weight ancilla block via the frozen preparation schedule.
+    """Even-weight ancilla block via the frozen preparation schedule
+    `faults.SHOR_PREP`, the one the fault audit checks.
 
     Plus-wires everywhere except position 4, then the CNOT chain
     (5,4),(3,4),(6,5),(2,3),(7,6),(1,2); classically the output word is
@@ -291,29 +292,32 @@ def shor_prep_gadget(builder: CircuitBuilder, base: str) -> Block:
     """
     builder.begin("shor-prep", base)
     block = builder.new_block(base, code=False)
-    for j in (1, 2, 3, 5, 6, 7):
-        builder.emit(GateKind.RAND, block[j - 1])
-    for c, t in ((5, 4), (3, 4), (6, 5), (2, 3), (7, 6), (1, 2)):
+    for j, state in SHOR_PREP.prep.items():
+        if state == "plus":
+            builder.emit(GateKind.RAND, block[j - 1])
+    for c, t in SHOR_PREP.cnots:
         builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
     builder.end()
     return block
 
 
 def shor_verify_gadget(builder: CircuitBuilder, block: Block, base: str) -> dict:
-    """Post-interaction decoder for the even-weight ancilla.
-
-    The frozen CNOT schedule (1,4),(7,3),(6,2),(2,5),(3,4),(4,5) followed by
-    X-measurements on wires {1,2,3,4,6,7} and a Z-readout of wire 5.
+    """Post-interaction decoder for the even-weight ancilla, from the frozen
+    schedule `faults.SHOR_DECODE`: the CNOTs (1,4),(7,3),(6,2),(2,5),(3,4),
+    (4,5), then X-measurements on wires {1,2,3,4,6,7} and a Z-readout of
+    wire 5.
     """
     builder.begin("shor-verify", base)
-    for c, t in ((1, 4), (7, 3), (6, 2), (2, 5), (3, 4), (4, 5)):
+    for c, t in SHOR_DECODE.cnots:
         builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
     readouts = {}
-    for j in (1, 2, 3, 4, 6, 7):
-        readouts[j] = emit_measure_x(builder, block[j - 1])["readout"]
-    ro = builder.new_reg(builder.fresh(f"{base}.z5"))
-    builder.emit(GateKind.COPY, block[4], ro)
-    readouts[5] = ro
+    for j, basis in SHOR_DECODE.measure.items():
+        if basis == "X":
+            readouts[j] = emit_measure_x(builder, block[j - 1])["readout"]
+    for j, basis in SHOR_DECODE.measure.items():
+        if basis == "Z":
+            readouts[j] = builder.new_reg(builder.fresh(f"{base}.z{j}"))
+            builder.emit(GateKind.COPY, block[j - 1], readouts[j])
     builder.end()
     return readouts
 
@@ -402,25 +406,15 @@ def steane_ec_gadget(builder: CircuitBuilder, block: Block, base: str) -> None:
 # -- whole-circuit compilation -------------------------------------------------
 
 
-@dataclass
-class EncodedSecret:
-    """Per-bit codewords produced outside the circuit with leak-free
-    randomness; entering the circuit they become ordinary input events."""
-
-    blocks: tuple[Word, ...]
-
-    def flat_bits(self) -> list[int]:
-        return [b for w in self.blocks for b in w]
-
-
 _H = np.array(H_ROWS, dtype=np.int8)
 _LOGICAL = np.array(LOGICAL_WORD, dtype=np.int8)
 
 
 def seed_count(bits: int, level: int) -> int:
     """Leak-free seed bits one encoding of `bits` logical bits consumes:
-    3 per bit per pass, and a level-2 pass re-encodes the 7x wider word."""
-    return 3 * bits * (1 if level == 1 else 8)
+    3 per bit per pass, where pass i re-encodes the 7^i times wider word,
+    so 0, 3k and 24k bits at levels 0, 1 and 2."""
+    return bits * (7 ** level - 1) // 2
 
 
 def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
@@ -429,8 +423,9 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
     A pass turns each bit b into the 7-bit block s @ H_ROWS ^ b * LOGICAL_WORD
     (steane.encode_codeword), where s is the bit's next three seed columns;
     a pass over k bits reads 3k columns, bit by bit.  Level 2 is a second
-    pass over the 7k level-1 bits.  Returns the int8 (rows, k * 7**level)
-    matrix of circuit secret bits.
+    pass over the 7k level-1 bits, and level 0 (a raw circuit) returns the
+    bits themselves.  Returns the int8 (rows, k * 7**level) matrix of
+    circuit secret bits.
     """
     seeds = np.asarray(seeds, dtype=np.int8)
     rows = seeds.shape[0]
@@ -447,13 +442,6 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
         words = ((combos ^ flips) & 1).reshape(rows, 7 * k)
         used += 3 * k
     return words
-
-
-def encode_secret(bits, rng: random.Random) -> EncodedSecret:
-    """One level-1 encoding, drawing three seed bits per secret bit."""
-    seeds = np.array([[rng.getrandbits(1) for _ in range(3 * len(bits))]], dtype=np.int8)
-    flat = encode_seed_rows(bits, seeds, level=1)[0].tolist()
-    return EncodedSecret(tuple(tuple(flat[i:i + 7]) for i in range(0, len(flat), 7)))
 
 
 @dataclass

@@ -13,8 +13,13 @@ between two secrets at a fixed public input is measured three ways:
   pair) distinguisher, which is where the codeword pair-uniformity does
   its work.
 
+A target is a raw circuit or a CompiledCircuit, and every estimator runs
+one path for both: a raw circuit is an encoding of level 0, whose secret
+rows are the secret itself and which draws no seed bits.  Each estimator
+checks the width of its secrets once, up front.
+
 All randomness flows from one seed: per round/sample the generator supplies
-encoding seeds (compiled targets), the circuit tape, then the leak mask, in
+encoding seeds (none at level 0), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Every
 path evaluates its rows with circuits.evaluate_batch and reads the
 resulting EventBatch bit-planes: the marginals count symbols by popcount,
@@ -41,13 +46,15 @@ from .circuits import (  # noqa: F401 - perfbench/run.py wraps lab.evaluate by n
     rows_per_batch,
 )
 from .compiler import CompiledCircuit, encode_seed_rows, seed_count
-from .steane import LOGICAL_WORD
 
 _METHODS = ("exact-tiny", "mask-decomposed-MC", "per-wire-marginal", "pairwise-marginal")
 _MAX_EXACT_EVENTS = 24
 _MAX_EXACT_TAPE = 20
 _MAX_EXACT_WORK = 5 * 10 ** 7
 _MASK_CHUNK_CELLS = 1 << 16
+_MC_CHUNK_MASKS = 64  # masks per mc_advantage evaluation batch
+_MARGINAL_CHUNK_ROWS = 1 << 14  # rows per marginal evaluation batch
+_ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,12 +94,15 @@ class AdvantageReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # only impossible values are refused: a TV outside [0, 1] (beyond
+        # the rounding of exact_tv_tiny's weighted sum, which can pass 1 by
+        # about 1e-13), or a negative or non-finite error term
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        lo = self.estimate - 3 * self.std_error
-        hi = self.estimate + 3 * self.std_error
-        if lo < -0.01 or hi > 1.01:
-            raise ValueError("estimate out of the admissible band")
+        if not -_ROUNDING_SLACK <= self.estimate <= 1.0 + _ROUNDING_SLACK:
+            raise ValueError(f"estimate {self.estimate} is not in [0, 1]")
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.std_error, self.bias_bound)):
+            raise ValueError("std_error and bias_bound must be finite and >= 0")
 
     def consistent_with_zero(self) -> bool:
         return self.estimate <= 3 * self.std_error + self.bias_bound
@@ -112,28 +122,19 @@ class AdvantageReport:
 # -- target handling ---------------------------------------------------------
 
 
-def _unpack(target) -> tuple[Circuit, CompiledCircuit | None]:
+def _unpack(target, *secrets) -> tuple[Circuit, CompiledCircuit | None, int]:
+    """(circuit, compiled or None, encoding level) of a target, a raw
+    circuit being level 0; each of `secrets` must hold one bit per logical
+    secret register."""
     if isinstance(target, CompiledCircuit):
-        return target.circuit, target
-    return target, None
-
-
-def _secret_rows(compiled: CompiledCircuit | None, secret, seeds: np.ndarray) -> np.ndarray:
-    """Circuit-level secret bits, one row per row of leak-free encoding
-    seeds; a compiled target gets a fresh encoding of the logical secret
-    per row, a raw circuit the secret itself."""
-    if compiled is None:
-        bits = np.array([int(b) & 1 for b in secret], dtype=np.int8)
-        return np.broadcast_to(bits, (len(seeds), bits.size))
-    rows = encode_seed_rows(secret, seeds, compiled.level)
-    if rows.shape[1] != len(compiled.circuit.secret_regs):
-        raise EvalError("secret width does not match the compiled circuit")
-    return rows
-
-
-def _encoding_bits(compiled: CompiledCircuit | None, logical_bits: int) -> int:
-    """Leak-free seed bits consumed per round by the secret encoding."""
-    return 0 if compiled is None else seed_count(logical_bits, compiled.level)
+        circuit, compiled, level = target.circuit, target, target.level
+    else:
+        circuit, compiled, level = target, None, 0
+    width = len(circuit.secret_regs) // 7 ** level
+    for secret in secrets:
+        if len(secret) != width:
+            raise EvalError(f"expected {width} secret bits, got {len(secret)}")
+    return circuit, compiled, level
 
 
 def _leakable_events(circuit: Circuit) -> list[int]:
@@ -152,10 +153,10 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     leakable event for the mask, so fixed seeds give identical transcripts;
     the rounds are then evaluated together in chunks.
     """
-    circuit, compiled = _unpack(target)
+    circuit, _, level = _unpack(target, secret)
     rng = random.Random(seed)
     leakable = _leakable_events(circuit)
-    enc_bits = _encoding_bits(compiled, len(secret))
+    enc_bits = seed_count(len(secret), level)
     out = []
     inputs, step = list(inputs), rows_per_batch(circuit)
     for lo in range(0, len(inputs), step):
@@ -167,7 +168,7 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
             seeds[i] = [rng.getrandbits(1) for _ in range(enc_bits)]
             tapes[i] = [rng.getrandbits(1) for _ in range(circuit.rand_count)]
             masks.append(tuple(e for e in leakable if rng.random() < model.p))
-        events = evaluate_batch(circuit, _secret_rows(compiled, secret, seeds), xs, tapes)
+        events = evaluate_batch(circuit, encode_seed_rows(secret, seeds, level), xs, tapes)
         outputs = batch_outputs(circuit, events).tolist()
         cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
         masked = events.matrix(cols)
@@ -186,15 +187,15 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     """Exact transcript TV between two secrets at fixed x, tiny circuits only.
 
     The mask distribution is secret-independent, so the transcript TV
-    decomposes as the mask-weighted sum of masked-value TVs; tapes (plus
-    encoding seeds for compiled targets) and masks are both enumerated.
+    decomposes as the mask-weighted sum of masked-value TVs; the seed x
+    tape rows (no seeds for a raw circuit) and the masks are both enumerated.
     Each secret's seed x tape rows are evaluated in one batch and reduced
     to distinct leakable-value rows with counts.
     """
-    circuit, compiled = _unpack(target)
+    circuit, _, level = _unpack(target, y0, y1)
     leakable = _leakable_events(circuit)
     n = len(leakable)
-    enc_bits = _encoding_bits(compiled, len(list(y0)))
+    enc_bits = seed_count(len(y0), level)
     total_tape = circuit.rand_count + enc_bits
     if n > _MAX_EXACT_EVENTS:
         raise EvalError(f"size guard exceeded: {n} leakable events (max {_MAX_EXACT_EVENTS})")
@@ -203,7 +204,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
 
     bits = bit_rows(total_tape)  # seed columns, then tape columns
     rows = len(bits)
-    values = [evaluate_batch(circuit, _secret_rows(compiled, s, bits[:, :enc_bits]), x,
+    values = [evaluate_batch(circuit, encode_seed_rows(s, bits[:, :enc_bits], level), x,
                              bits[:, enc_bits:]).matrix(leakable) for s in (y0, y1)]
     distinct, codes = _row_codes(np.concatenate(values))
     if (2 ** n) * len(distinct) > _MAX_EXACT_WORK:
@@ -267,7 +268,7 @@ def _masked_group_sums(distinct: np.ndarray, diff: np.ndarray):
 
 
 def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int,
-                 inner: int = 256, chunk: int = 64) -> AdvantageReport:
+                 inner: int = 256) -> AdvantageReport:
     """Sampled-mask estimator of the transcript TV.
 
     Masks are drawn from the secret-independent leak distribution; for each
@@ -282,9 +283,7 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
         raise ValueError("need at least 1000 samples")
     if inner < 1:
         raise ValueError("need at least 1 inner tape per mask")
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
-    circuit, compiled = _unpack(target)
+    circuit, _, level = _unpack(target, y0, y1)
     leakable = np.array(_leakable_events(circuit), dtype=np.int64)
     rng = random.Random(seed)
     np_rng = np.random.default_rng(rng.getrandbits(64))
@@ -293,9 +292,9 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     biases = np.zeros(samples)
     pos = 0
     while pos < samples:
-        m = min(chunk, samples - pos)
+        m = min(_MC_CHUNK_MASKS, samples - pos)
         rows = m * inner
-        ev0, ev1 = _paired_event_batches(circuit, compiled, y0, y1, x, rows, np_rng)
+        ev0, ev1 = _paired_event_batches(target, y0, y1, x, rows, np_rng)
         masks = np_rng.random((m, leakable.size)) < model.p
         leaked = masks.any(axis=0)
         masks = masks[:, leaked]  # each mask over the chunk's leaked events
@@ -325,32 +324,30 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     )
 
 
-def _paired_event_batches(circuit, compiled, y0, y1, x, rows, np_rng):
-    """Event matrices for both secrets from one tape/seed batch (CRN)."""
+def _paired_event_batches(target, y0, y1, x, rows, np_rng):
+    """Event batches for both secrets from one tape/seed batch (CRN)."""
+    circuit, _, level = _unpack(target)
     tapes = np_rng.integers(0, 2, size=(rows, circuit.rand_count), dtype=np.int8)
-    if compiled is None:
-        ev0 = evaluate_batch(circuit, y0, x, tapes)
-        ev1 = evaluate_batch(circuit, y1, x, tapes)
-        return ev0, ev1
-    enc0 = encoded_secret_rows(compiled, y0, rows, np_rng)
-    if compiled.level == 1:
-        # same seed stream, other secret: encode(b, s) differs from
-        # encode(b^1, s) exactly by the logical word on that bit's block
-        diff = np.array([(int(a) ^ int(b)) & 1 for a, b in zip(y0, y1)], dtype=np.int8)
-        enc1 = enc0 ^ np.kron(diff, np.array(LOGICAL_WORD, dtype=np.int8))
+    enc0 = encoded_secret_rows(target, y0, rows, np_rng)
+    if level < 2:
+        # same seed rows, other secret: below level 2 the encoding is
+        # enc(y, s) = enc(0, s) ^ enc(y, 0), so y1 adds enc(y0 ^ y1, 0)
+        diff = [(int(a) ^ int(b)) & 1 for a, b in zip(y0, y1)]
+        zeros = np.zeros((1, seed_count(len(diff), level)), dtype=np.int8)
+        enc1 = enc0 ^ encode_seed_rows(diff, zeros, level)
     else:
-        enc1 = encoded_secret_rows(compiled, y1, rows, np_rng)
-    ev0 = evaluate_batch(circuit, enc0, x, tapes)
-    ev1 = evaluate_batch(circuit, enc1, x, tapes)
-    return ev0, ev1
+        enc1 = encoded_secret_rows(target, y1, rows, np_rng)
+    return evaluate_batch(circuit, enc0, x, tapes), evaluate_batch(circuit, enc1, x, tapes)
 
 
-def encoded_secret_rows(compiled: CompiledCircuit, secret, rows: int,
-                        np_rng) -> np.ndarray:
-    """Fresh per-row codeword encodings of the logical secret, ready to be
-    passed to evaluate_batch as the per-row secret matrix."""
-    seeds = np_rng.integers(0, 2, size=(rows, _encoding_bits(compiled, len(secret))))
-    return _secret_rows(compiled, secret, seeds)
+def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
+    """Fresh per-row encodings of the secret at the target's level, ready
+    to be passed to evaluate_batch as the per-row secret matrix.  A raw
+    circuit (level 0) gets the secret itself and draws no seed bits, which
+    leaves `np_rng` untouched."""
+    level = _unpack(target)[2]
+    seeds = np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level)))
+    return encode_seed_rows(secret, seeds, level)
 
 
 def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +377,7 @@ def _empirical_tv(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def marginal_independence(target, y0, y1, x, order: int, samples: int,
-                          seed: int, chunk: int = 1 << 14) -> AdvantageReport:
+                          seed: int) -> AdvantageReport:
     """Best single-event (order 1) or within-block pair (order 2) TV.
 
     Counts are exact per cell over `samples` independently drawn tapes per
@@ -392,9 +389,7 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         raise ValueError("order must be 1 or 2")
     if samples < 1:
         raise ValueError("need at least 1 sample")
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
-    circuit, compiled = _unpack(target)
+    circuit, compiled, _ = _unpack(target, y0, y1)
     rng = random.Random(seed)
     rng0 = np.random.default_rng(rng.getrandbits(64))
     rng1 = np.random.default_rng(rng.getrandbits(64))
@@ -406,8 +401,8 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         targets = _within_block_pairs(circuit, compiled)
         symbols = 9
 
-    counts0 = _symbol_counts(circuit, compiled, y0, x, samples, rng0, targets, order, chunk)
-    counts1 = _symbol_counts(circuit, compiled, y1, x, samples, rng1, targets, order, chunk)
+    counts0 = _symbol_counts(target, y0, x, samples, rng0, targets, order)
+    counts1 = _symbol_counts(target, y1, x, samples, rng1, targets, order)
     tv = 0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples
     worst = int(np.argmax(tv)) if len(targets) else 0
 
@@ -480,21 +475,17 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
     return pairs
 
 
-def _symbol_counts(circuit, compiled, secret, x, samples, np_rng, targets,
-                   order, chunk) -> np.ndarray:
+def _symbol_counts(target, secret, x, samples, np_rng, targets, order) -> np.ndarray:
     """Counts per target of each symbol over all samples, evaluated in
-    batches of `chunk` rows (see `_plane_counts`)."""
+    batches of _MARGINAL_CHUNK_ROWS rows (see `_plane_counts`)."""
+    circuit = _unpack(target)[0]
     counts = np.zeros((len(targets), 3 if order == 1 else 9), dtype=np.int64)
     done = 0
     while done < samples:
-        rows = min(chunk, samples - done)
+        rows = min(_MARGINAL_CHUNK_ROWS, samples - done)
         tapes = np_rng.integers(0, 2, size=(rows, circuit.rand_count), dtype=np.int8)
-        if compiled is None:
-            ev = evaluate_batch(circuit, secret, x, tapes)
-        else:
-            enc = encoded_secret_rows(compiled, secret, rows, np_rng)
-            ev = evaluate_batch(circuit, enc, x, tapes)
-        counts += _plane_counts(ev, targets, order)
+        enc = encoded_secret_rows(target, secret, rows, np_rng)
+        counts += _plane_counts(evaluate_batch(circuit, enc, x, tapes), targets, order)
         done += rows
     return counts
 

@@ -21,7 +21,6 @@ from lrcirc.compiler import (
     CompileError,
     compile_circuit,
     emit_measure_x,
-    encode_secret,
     location_report,
     prep_plus_gadget,
     prep_zero_gadget,
@@ -31,7 +30,8 @@ from lrcirc.compiler import (
     toffoli_ancilla_gadget,
     toffoli_gadget,
 )
-from lrcirc.faults import transversality_audit
+from lrcirc.faults import SHOR_DECODE, SHOR_PREP, transversality_audit
+from lrcirc.lab import encoded_secret_rows
 from lrcirc.netlist import parse_netlist, serialize_netlist
 from lrcirc.steane import logical_value, tables, word_str
 
@@ -206,6 +206,27 @@ def test_shor_verify_z_readout_and_tape():
         # equal its value at measurement time (post decode schedule)
         assert vals[ros[5]] == vals[block[4]]
     assert circ.rand_count == 6 + TAPE_COST["shor-verify"]
+
+
+def test_shor_gadgets_emit_the_audited_schedules():
+    # the compiler emits the very schedules the fault audit checks
+    b = CircuitBuilder()
+    block = shor_prep_gadget(b, "s")
+    shor_verify_gadget(b, block, "s")
+    pos = {rid: j for j, rid in enumerate(block, start=1)}
+
+    def on_block(kind):
+        return [tuple(pos[a] for a in g.args) for g in b.gates
+                if g.kind is kind and all(a in pos for a in g.args)]
+
+    assert on_block(GateKind.CNOT) == list(SHOR_PREP.cnots + SHOR_DECODE.cnots)
+    assert on_block(GateKind.RAND) == [(w,) for w, s in SHOR_PREP.prep.items() if s == "plus"]
+    # X-measured wires are randomized from a scratch register, Z-read ones copied out
+    randomized = [pos[g.args[1]] for g in b.gates if g.kind is GateKind.CNOT
+                  and g.args[0] not in pos and g.args[1] in pos]
+    copied = [pos[g.args[0]] for g in b.gates if g.kind is GateKind.COPY and g.args[0] in pos]
+    assert randomized == [w for w, m in SHOR_DECODE.measure.items() if m == "X"]
+    assert copied == [w for w, m in SHOR_DECODE.measure.items() if m == "Z"]
 
 
 # -- Toffoli machinery ---------------------------------------------------------------
@@ -389,8 +410,6 @@ def compiled_outputs(compiled, secret, public, n_tapes, seed):
     rng = np.random.default_rng(seed)
     circ = compiled.circuit
     tapes = rng.integers(0, 2, size=(n_tapes, circ.rand_count), dtype=np.int8)
-    from lrcirc.lab import encoded_secret_rows
-
     enc = encoded_secret_rows(compiled, secret, n_tapes, rng)
     events = evaluate_batch(circ, enc, public, tapes)
     return batch_outputs(circ, events)
@@ -494,11 +513,12 @@ def test_compiled_blocks_hold_codewords():
     # every live (final block map) block holds a codeword at circuit end
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
     rng = random.Random(9)
+    nprng = np.random.default_rng(9)
     circ = comp.circuit
     for _ in range(20):
-        enc = encode_secret([rng.getrandbits(1), rng.getrandbits(1)], rng)
+        enc = encoded_secret_rows(comp, [rng.getrandbits(1), rng.getrandbits(1)], 1, nprng)
         tape = RandomTape.of([rng.getrandbits(1) for _ in range(circ.rand_count)])
-        vals = register_file(circ, enc.flat_bits(), [], tape)
+        vals = register_file(circ, enc[0].tolist(), [], tape)
         for _name, blk in comp.block_map.items():
             assert "".join(str(vals[r]) for r in blk) in ALL_CODEWORDS
 
@@ -531,13 +551,13 @@ def test_rand_accounting_whole_circuit():
 
 
 def test_encode_secret_uniform_and_eventless():
-    rng = random.Random(1)
-    seen = set()
-    for _ in range(300):
-        enc = encode_secret([1], rng)
-        assert logical_value(enc.blocks[0]) == 1
-        seen.add(enc.blocks[0])
-    assert len(seen) == 8
+    # the encoding happens outside the circuit: the compiled secret block is
+    # seven input events, fed a fresh codeword of the logical bit per row
+    comp = compile_circuit(parse_netlist("in secret s\n"), ec=True)
+    assert comp.circuit.num_events == 7 and not comp.circuit.gates
+    enc = encoded_secret_rows(comp, [1], 300, np.random.default_rng(1))
+    assert all(logical_value(row) == 1 for row in enc.tolist())
+    assert len({tuple(row) for row in enc.tolist()}) == 8
 
 
 def test_empty_circuit_compiles_to_inputs_only():
@@ -650,10 +670,9 @@ def test_batch_matches_scalar_on_compiled_circuit():
     # real compiled artifact, conditioned corrections included
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
     circ = comp.circuit
-    rng = random.Random(77)
     nprng = np.random.default_rng(78)
     tapes = nprng.integers(0, 2, size=(8, circ.rand_count), dtype=np.int8)
-    enc = encode_secret([1, 0], rng).flat_bits()
+    enc = encoded_secret_rows(comp, [1, 0], 1, np.random.default_rng(77))[0].tolist()
     events = evaluate_batch(circ, enc, [], tapes).matrix()
     for row, tape in zip(events, tapes):
         ref = evaluate(circ, enc, [], RandomTape.of(tape))

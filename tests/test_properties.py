@@ -29,7 +29,6 @@ from lrcirc.compiler import (
     CircuitBuilder,
     CompileError,
     compile_circuit,
-    encode_secret,
     encode_seed_rows,
 )
 from lrcirc.lab import (
@@ -275,9 +274,9 @@ def encode_by_rows(bits, seeds, level):
 
 @st.composite
 def secrets_and_seeds(draw):
-    level = draw(st.sampled_from([1, 2]))
+    level = draw(st.sampled_from([0, 1, 2]))
     bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
-    width = 3 * len(bits) * (1 if level == 1 else 8)
+    width = len(bits) * {0: 0, 1: 3, 2: 24}[level]
     seeds = draw(arrays(np.int8, (draw(st.integers(1, 6)), width), elements=st.integers(0, 1)))
     return bits, seeds, level
 
@@ -290,14 +289,17 @@ def test_array_encoder_equals_codeword_loop(case):
 
 
 @_SETTINGS
-@given(st.lists(st.integers(0, 1), max_size=4), st.integers(0, 2 ** 32))
-def test_encode_secret_draws_three_seeds_per_bit(bits, seed):
-    rng = random.Random(seed)
-    seeds = [rng.getrandbits(1) for _ in range(3 * len(bits))]
-    want = encode_by_rows(bits, [seeds], 1)[0]
-    enc = encode_secret(bits, random.Random(seed))
-    assert enc.flat_bits() == want
-    assert all(len(w) == 7 for w in enc.blocks)
+@given(st.lists(st.integers(0, 1), max_size=4), st.integers(0, 2 ** 32), st.integers(0, 5))
+def test_encode_secret_draws_three_seeds_per_bit(bits, seed, rows):
+    # a level-1 target reads one (rows, 3k) seed draw from the generator
+    comp = compile_circuit(parse_netlist("".join(f"in secret s{i}\n" for i in range(len(bits)))))
+    ref = np.random.default_rng(seed)
+    want = encode_by_rows(bits, ref.integers(0, 2, size=(rows, 3 * len(bits))).tolist(), 1)
+    rng = np.random.default_rng(seed)
+    enc = encoded_secret_rows(comp, bits, rows, rng)
+    assert enc.shape == (rows, 7 * len(bits))
+    assert enc.tolist() == want
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def tv_by_counter(a, b):
