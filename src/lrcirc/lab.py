@@ -23,8 +23,9 @@ encoding seeds (none at level 0), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Every
 path evaluates its rows with circuits.evaluate_batch and reads the
 resulting EventBatch bit-planes: the marginals count symbols by popcount,
-and run_rounds, exact_tv_tiny and mc_advantage unpack only the event
-columns they read with EventBatch.matrix.
+run_rounds and exact_tv_tiny unpack only the event columns they read with
+EventBatch.matrix, and mc_advantage gathers each mask's own events over
+its own rows with EventBatch.windows and tallies a chunk of masks at once.
 """
 
 from __future__ import annotations
@@ -94,9 +95,8 @@ class AdvantageReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # only impossible values are refused: a TV outside [0, 1] (beyond
-        # the rounding of exact_tv_tiny's weighted sum, which can pass 1 by
-        # about 1e-13), or a negative or non-finite error term
+        # only impossible values are refused: a TV outside [0, 1] beyond a
+        # float-rounding slack, or a negative or non-finite error term
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not -_ROUNDING_SLACK <= self.estimate <= 1.0 + _ROUNDING_SLACK:
@@ -223,6 +223,9 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
         terms = w * (0.5 * (groups / rows))
         # cumsum adds left to right, as `tv += term` over the masks would
         tv = float(np.cumsum(np.concatenate(([tv], terms[w != 0.0])))[-1])
+    # the mask weights sum to 1, so a sum past 1 is rounding (up to ~2e-13
+    # when every leaking mask has TV 1)
+    tv = min(tv, 1.0)
     return AdvantageReport(
         estimate=tv, std_error=0.0, bias_bound=0.0, method="exact-tiny",
         samples=2 ** total_tape,
@@ -278,6 +281,12 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     by at most ~sqrt(support/inner); the reported bias bound is the mean of
     the per-mask bounds min(1, sqrt(min(3^|w|, 2*inner)/inner)), and the
     std-error is a 200-resample bootstrap over the per-mask estimates.
+
+    Masks are evaluated _MC_CHUNK_MASKS at a time, mask j of a chunk on
+    rows j*inner .. (j+1)*inner - 1.  Only each non-empty mask's own cells
+    are cut from the bit-planes, into one (masks, inner, max |w|) stack per
+    secret, and one _empirical_tv call tallies the chunk; an empty mask
+    leaks nothing and scores 0 with bound 0.
     """
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
@@ -289,26 +298,30 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     np_rng = np.random.default_rng(rng.getrandbits(64))
 
     tvs = np.zeros(samples)
-    biases = np.zeros(samples)
+    biases = np.zeros(samples)  # empty masks leak nothing: TV and bound stay 0
     pos = 0
     while pos < samples:
         m = min(_MC_CHUNK_MASKS, samples - pos)
-        rows = m * inner
-        ev0, ev1 = _paired_event_batches(target, y0, y1, x, rows, np_rng)
+        ev0, ev1 = _paired_event_batches(target, y0, y1, x, m * inner, np_rng)
         masks = np_rng.random((m, leakable.size)) < model.p
-        leaked = masks.any(axis=0)
-        masks = masks[:, leaked]  # each mask over the chunk's leaked events
-        m0, m1 = ev0.matrix(leakable[leaked]), ev1.matrix(leakable[leaked])
-        for i in range(m):
-            cols = np.flatnonzero(masks[i])
-            if cols.size == 0:
-                tvs[pos + i] = 0.0
-                biases[pos + i] = 0.0
-                continue
-            lo, hi = i * inner, (i + 1) * inner
-            tvs[pos + i] = _empirical_tv(m0[lo:hi, cols], m1[lo:hi, cols])
-            support = min(3.0 ** cols.size, 2.0 * inner)
-            biases[pos + i] = min(1.0, math.sqrt(support / inner))
+        widths = masks.sum(axis=1)
+        used = np.flatnonzero(widths)
+        if used.size:
+            # cell j is event col[j] of the owner[j]-th used mask, which is
+            # column slot[j] of that mask's stack entry and reads its rows
+            owner, col = np.nonzero(masks[used])
+            sizes = widths[used]
+            slot = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            events, starts = leakable[col], used[owner] * inner
+            # a narrower mask's spare columns hold 0 in all its rows, which
+            # changes none of its row groups
+            a, b = np.zeros((2, used.size, inner, int(sizes.max())), dtype=np.int8)
+            a[owner, :, slot] = ev0.windows(events, starts, inner)
+            b[owner, :, slot] = ev1.windows(events, starts, inner)
+            tvs[pos + used] = _empirical_tv(a, b)
+            # an int 3 ** w: the float 3.0 ** w overflows past 646 events
+            biases[pos + used] = [min(1.0, math.sqrt(min(3 ** w, 2 * inner) / inner))
+                                  for w in sizes.tolist()]
         pos += m
 
     estimate = float(tvs.mean())
@@ -362,15 +375,30 @@ def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(rows.dtype).reshape(len(distinct), width), codes.reshape(len(rows))
 
 
-def _empirical_tv(a: np.ndarray, b: np.ndarray) -> float:
-    """TV between the row distributions of two equally sized samples: each
-    row of either sample is coded by its index among the distinct rows of
-    both, then the two code histograms are compared."""
-    n = a.shape[0]
-    _, codes = _row_codes(np.concatenate([a, b]))
+def _empirical_tv(a: np.ndarray, b: np.ndarray):
+    """TV between the row distributions of two equally sized samples, for
+    one (rows, w) pair (a float) or for each mask of two (masks, rows, w)
+    stacks (an array).  One _row_codes call codes every row, keyed by its
+    mask's index, and each mask's TV is half the sum of |count_a - count_b|
+    over its codes, divided by rows."""
+    pair = a.ndim == 2
+    if pair:
+        a, b = a[None], b[None]
+    k, n, w = a.shape
+    digits = max(1, ((k - 1).bit_length() + 7) // 8)  # bytes of the mask index
+    keyed = np.empty((k, 2 * n, digits + w), dtype=np.int8)
+    keyed[:, :n, digits:], keyed[:, n:, digits:] = a, b
+    index = np.arange(k)[:, None] >> (8 * np.arange(digits))
+    keyed[:, :, :digits] = index.astype(np.uint8).view(np.int8)[:, None, :]
+    _, codes = _row_codes(keyed.reshape(k * 2 * n, digits + w))
+    codes = codes.reshape(k, 2 * n)
     m = int(codes.max()) + 1
-    diff = np.bincount(codes[:n], minlength=m) - np.bincount(codes[n:], minlength=m)
-    return 0.5 * int(np.abs(diff).sum()) / n
+    diff = np.bincount(codes[:, :n].ravel(), minlength=m) - np.bincount(
+        codes[:, n:].ravel(), minlength=m)
+    owner = np.empty(m, dtype=np.intp)
+    owner[codes] = np.arange(k)[:, None]
+    tv = 0.5 * np.bincount(owner, weights=np.abs(diff), minlength=k) / n
+    return float(tv[0]) if pair else tv
 
 
 # -- marginal distinguishers -------------------------------------------------------

@@ -34,3 +34,23 @@ def test_instrument_wraps_existing_names_and_unpatch_restores_them(bench):
         t.unpatch()
     for module, attr, fn, _ in patched:
         assert getattr(module, attr) is fn
+
+
+def test_tally_is_a_traced_layer_of_mc(bench):
+    # the tally runs once per chunk of masks; it must stay its own layer
+    run, tracer = bench
+    from lrcirc import lab
+    from lrcirc.netlist import parse_netlist
+
+    circ = parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n")
+    t = tracer.Tracer()
+    try:
+        run.instrument(t)
+        t.begin_op("mc")
+        lab.mc_advantage(circ, [0, 1], [1, 0], [], lab.LeakageModel(0.1),
+                         samples=1000, seed=0)
+        t.end_op()
+    finally:
+        t.unpatch()
+    assert t.counts["lab.tally.calls"] >= 1
+    assert t.self_s["lab.tally"] > 0

@@ -237,6 +237,22 @@ def test_event_matrix_is_c_contiguous_int8():
     assert (full[:, 4] == np.where(np.arange(70) % 2, full[:, 3] ^ 1, -1)).all()
 
 
+def test_event_windows_are_slices_of_the_event_matrix():
+    circ = parse_netlist("in secret s\nreg a\nout o\ngate RAND a\ngate CNOT a o\ncgate 0 NOT o\n")
+    tapes = np.random.default_rng(4).integers(0, 2, size=(70, 1), dtype=np.int8)
+    events = evaluate_batch(circ, np.arange(70)[:, None] % 3 % 2, [], tapes)
+    full = events.matrix()
+    # repeated events, every bit offset, the last row, and the skipped event 4
+    cols, first = [4, 0, 4, 2, 3, 4, 1, 0, 4], [0, 69, 5, 62, 8, 17, 42, 3, 60]
+    for count in (1, 7, 10):
+        starts = [min(s, 70 - count) for s in first]
+        got = events.windows(cols, starts, count)
+        assert got.dtype == np.int8 and got.shape == (len(cols), count)
+        want = [full[s:s + count, c].tolist() for c, s in zip(cols, starts)]
+        assert got.tolist() == want
+    assert events.windows([], [], 5).shape == (0, 5)
+
+
 def test_batch_outputs_reads_the_last_touch_that_ran():
     # the output's last touch is conditioned on s, so it runs in the s=1 row only
     circ = parse_netlist("in secret s\nout o\ngate CNOT s o\ncgate 0 NOT o\n")

@@ -97,6 +97,7 @@ LAB_DIGESTS = {
     "marginal_l1": "db3960e86c14fac7",
     "marginal_l2": "bd58f08af6dcebfc",
     "run_rounds_l1": "9de22fecfde8965f",
+    "mc_l2": "1fb90449c24f37c0",
 }
 
 
@@ -109,6 +110,14 @@ def test_level1_mc_report_is_pinned(one_toffoli_level1):
     report = mc_advantage(one_toffoli_level1, [0, 1], [1, 0], [], LeakageModel(0.01),
                           samples=1000, seed=11, inner=64)
     assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["mc_l1"]
+
+
+def test_level2_mc_report_is_pinned(one_toffoli_level2):
+    # a level-2 mask holds about 428 events, far past where base-3 int64
+    # row keys overflow (39 events)
+    report = mc_advantage(one_toffoli_level2, [0, 1], [1, 0], [], LeakageModel(0.01),
+                          samples=1000, seed=33, inner=8)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["mc_l2"]
 
 
 def test_level1_marginal_report_is_pinned(one_toffoli_level1):
@@ -181,6 +190,13 @@ TRANSCRIPTS = {
     "cgate_mixed": (CGATE_MIXED, [1], 1, "93c31f253f754a86"),
     "cgate_last": (CGATE_LAST, [1, 1], 1, "8e5ed80270169c80"),
 }
+# Raw-circuit MC reports, pinned while the tally still unpacked the
+# chunk's masked-column union: the default inner size, and an inner size
+# off the byte boundary with conditioned events that tally -1 symbols.
+RAW_MC = {
+    "toffoli": (ONE_TOFFOLI, [0, 1], [1, 0], [], 0.1, 31, 256, "2f045f5f86fafffd"),
+    "cgate_mixed": (CGATE_MIXED, [0], [1], [1], 0.3, 32, 21, "fb1e55f55fde13e3"),
+}
 
 
 def _exact_reports(target, y0, y1, x) -> str:
@@ -204,6 +220,14 @@ def test_compiled_exact_reports_are_pinned():
 def test_truth_table_repr_is_pinned(name):
     text, digest = TRUTH_TABLES[name]
     assert _sha(repr(truth_table(parse_netlist(text)))) == digest
+
+
+@pytest.mark.parametrize("name", sorted(RAW_MC))
+def test_raw_mc_reports_are_pinned(name):
+    text, y0, y1, x, p, seed, inner, digest = RAW_MC[name]
+    report = mc_advantage(parse_netlist(text), y0, y1, x, LeakageModel(p),
+                          samples=1000, seed=seed, inner=inner)
+    assert _sha(_json(report.to_json_dict())) == digest
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))

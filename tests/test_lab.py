@@ -120,6 +120,23 @@ def test_exact_tv_raw_toffoli_matches_event_count_formula():
     assert report.estimate == pytest.approx(1 - (1 - p) ** 4, abs=1e-12)
 
 
+# every event carries the secret, so each leaking mask has TV 1 and the
+# exact TV is 1 - (1 - p)^17; unclamped, the weighted sum passed 1 by
+# rounding at 55 of 106 evenly spaced values of p in [0.9, 1], and at 13
+# of the 27 tested here
+CNOT_CHAIN = ("in secret s\n" + "".join(f"reg a{i}\n" for i in range(8))
+              + "gate CNOT s a0\n" + "".join(f"gate CNOT a{i} a{i + 1}\n" for i in range(7)))
+
+
+def test_exact_tv_never_exceeds_one():
+    circ = parse_netlist(CNOT_CHAIN)
+    assert circ.num_events == 17 and not circ.leak_free
+    for p in np.linspace(0.9, 1.0, 106)[::4].tolist():
+        estimate = exact_tv_tiny(circ, [0], [1], [], LeakageModel(p)).estimate
+        assert estimate <= 1.0
+        assert estimate == pytest.approx(1 - (1 - p) ** 17, abs=1e-12)
+
+
 def _brute_force_transcript_tv(circ, y0, y1, p):
     """Independent oracle: enumerate full (mask, values) transcripts.
 
@@ -185,6 +202,15 @@ def test_estimators_refuse_empty_batches_up_front(estimator, kwargs, message):
         args = dict(order=1, samples=100, seed=0)
     with pytest.raises(ValueError, match=message):
         estimator(circ, [0], [1], [], **{**args, **kwargs})
+
+
+def test_mc_bias_bound_of_masks_over_646_events():
+    # every mask holds all 701 events; the bound used 3.0 ** |w|, which
+    # overflows a float from 647 events on
+    circ = parse_netlist("in secret s\nreg a\n" + "gate CNOT s a\n" * 350)
+    report = mc_advantage(circ, [0], [1], [], LeakageModel(1.0), samples=1000,
+                          seed=0, inner=1)
+    assert (report.estimate, report.bias_bound) == (1.0, 1.0)
 
 
 def test_mc_same_secret_consistent_with_zero():

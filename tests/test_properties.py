@@ -1,8 +1,11 @@
 """Properties on generated inputs: the level-1 compiler on reversible
 circuits, the batch evaluator and truth tables against the scalar
-evaluate, the array secret encoder, the row tally and the name allocator
-against their loop references, and the size guards."""
+evaluate, the array secret encoder, the row tally, the Monte-Carlo
+estimator and the name allocator against their loop references, and the
+size guards."""
 
+import json
+import math
 import random
 from collections import Counter
 from datetime import timedelta
@@ -32,11 +35,14 @@ from lrcirc.compiler import (
     encode_seed_rows,
 )
 from lrcirc.lab import (
+    AdvantageReport,
     LeakageModel,
     _empirical_tv,
+    _paired_event_batches,
     _plane_counts,
     encoded_secret_rows,
     exact_tv_tiny,
+    mc_advantage,
 )
 from lrcirc.netlist import parse_netlist, serialize_netlist
 from lrcirc.steane import encode_codeword
@@ -324,6 +330,81 @@ def sample_pairs(draw):
 def test_empirical_tv_equals_counter_reference(pair):
     a, b = pair
     assert _empirical_tv(a, b) == tv_by_counter(a, b)
+
+
+# inner sizes around the byte and 64-bit word boundaries of the planes
+_INNER = (1, 7, 8, 9, 63, 64, 65)
+
+
+@st.composite
+def mask_stacks(draw):
+    """Per mask, two {-1, 0, 1} samples of one inner size whose rows come
+    from a small pool; widths run from 0 (an empty mask) to 64, past the
+    39 columns where base-3 int64 row keys overflow."""
+    inner = draw(st.sampled_from(_INNER))
+    pairs = []
+    for width in draw(st.lists(st.integers(0, 64), min_size=1, max_size=5)):
+        pool = draw(arrays(np.int8, (draw(st.integers(1, 6)), width),
+                           elements=st.integers(-1, 1)))
+        idx = st.lists(st.integers(0, len(pool) - 1), min_size=inner, max_size=inner)
+        pairs.append((pool[draw(idx)], pool[draw(idx)]))
+    return pairs
+
+
+@_SETTINGS
+@given(mask_stacks())
+def test_stacked_empirical_tv_equals_one_mask_calls(pairs):
+    # each mask's unused columns hold 0, as mc_advantage pads them
+    inner, width = len(pairs[0][0]), max(a.shape[1] for a, _ in pairs)
+    stacks = np.zeros((2, len(pairs), inner, width), dtype=np.int8)
+    for j, (a, b) in enumerate(pairs):
+        stacks[0, j, :, :a.shape[1]], stacks[1, j, :, :b.shape[1]] = a, b
+    got = _empirical_tv(*stacks)
+    assert got.shape == (len(pairs),)
+    for tv, (a, b) in zip(got.tolist(), pairs):
+        assert tv == _empirical_tv(a, b) == tv_by_counter(a, b)
+
+
+def mc_by_mask_loop(circ, y0, y1, x, model, samples, seed, inner):
+    """mc_advantage on a raw circuit as it was before its tally read the
+    bit-planes: same draws, the chunk's masked-column union unpacked with
+    EventBatch.matrix, then each mask tallied on its own rows by Counter."""
+    leakable = np.array([e for e in range(circ.num_events) if e not in circ.leak_free],
+                        dtype=np.int64)
+    np_rng = np.random.default_rng(random.Random(seed).getrandbits(64))
+    tvs, biases = np.zeros(samples), np.zeros(samples)
+    for pos in range(0, samples, 64):
+        m = min(64, samples - pos)
+        ev0, ev1 = _paired_event_batches(circ, y0, y1, x, m * inner, np_rng)
+        masks = np_rng.random((m, leakable.size)) < model.p
+        leaked = masks.any(axis=0)
+        masks = masks[:, leaked]
+        m0, m1 = ev0.matrix(leakable[leaked]), ev1.matrix(leakable[leaked])
+        for i in range(m):
+            cols = np.flatnonzero(masks[i])
+            if cols.size:
+                lo, hi = i * inner, (i + 1) * inner
+                tvs[pos + i] = tv_by_counter(m0[lo:hi, cols], m1[lo:hi, cols])
+                biases[pos + i] = min(1.0, math.sqrt(min(3.0 ** cols.size, 2.0 * inner) / inner))
+    boot = np_rng.choice(tvs, size=(200, samples), replace=True).mean(axis=1)
+    return AdvantageReport(
+        estimate=float(tvs.mean()), std_error=float(boot.std(ddof=1)),
+        bias_bound=float(biases.mean()), method="mask-decomposed-MC", samples=samples,
+        details={"inner_tapes": inner, "p": model.p, "leakable_events": int(leakable.size),
+                 "mean_mask_size": model.p * leakable.size, "bootstrap_resamples": 200},
+    )
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(raw_netlists(), st.sampled_from(_INNER), st.sampled_from([0.05, 0.3, 0.9]),
+       st.integers(0, 2 ** 32), st.data())
+def test_mc_advantage_equals_per_mask_loop(text, inner, p, seed, data):
+    circ = parse_netlist(text)
+    y0, y1, x = (data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                 for n in (len(circ.secret_regs),) * 2 + (len(circ.public_regs),))
+    args = (circ, y0, y1, x, LeakageModel(p), 1000, seed, inner)
+    got, want = mc_advantage(*args), mc_by_mask_loop(*args)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def probe(names, prefix):
