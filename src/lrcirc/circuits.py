@@ -20,9 +20,9 @@ is row r, so a gate costs a few big-int operations for the whole batch.  It
 returns an `EventBatch`: a value plane per event, a presence plane
 marking the rows where a conditioned gate ran, and each register's final
 plane, from which `batch_outputs` reads the outputs.  Callers count on the
-planes directly or unpack the columns they read with `EventBatch.matrix`,
-an int8 matrix with -1 for a skipped event, or just chosen row windows of
-chosen events with `EventBatch.windows`.  The scalar `evaluate` and
+planes directly or unpack what they read with `EventBatch.matrix`: an int8
+matrix of chosen events, each over all rows or over its own window of
+rows, with -1 for a skipped event.  The scalar `evaluate` and
 `register_file` are the reference the tests check it against.
 """
 
@@ -309,8 +309,8 @@ class EventBatch:
     is 0.  Input events and events of unconditioned gates share the
     all-ones int `full` as their presence.  `registers[i]` is register i's
     final value plane.  Consumers read the planes directly (popcounts,
-    masks) or unpack the columns they need with `matrix`, or the row
-    windows they need with `windows`.
+    masks) or unpack the events they need, over all rows or one row window
+    per event, with `matrix`.
     """
 
     def __init__(self, rows: int, values: list[int], presence: list[int],
@@ -321,34 +321,24 @@ class EventBatch:
         self.presence = presence
         self.registers = registers
 
-    def matrix(self, cols=None) -> np.ndarray:
-        """C-contiguous int8 matrix of shape (rows, len(cols)) holding the
-        events `cols` (default: every event) with -1 for a skipped event."""
+    def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
+        """C-contiguous int8 matrix of shape (count, len(cols)) whose column
+        j holds event cols[j] (default: every event) in rows starts[j] ..
+        starts[j] + count - 1 (default: every row), with -1 for a skipped
+        event.  Each column is cut from the event's planes by a shift and a
+        mask, and only the cut bits are unpacked."""
         cols = range(len(self.values)) if cols is None else [int(c) for c in cols]
-        out = _unpack_planes([self.values[c] for c in cols], self.rows)
-        skipped = [(j, self.full ^ self.presence[c]) for j, c in enumerate(cols)
+        starts = [0] * len(cols) if starts is None else [int(s) for s in starts]
+        count = self.rows if count is None else count
+        window = (1 << count) - 1
+        out = _unpack_planes([(self.values[c] >> s) & window
+                              for c, s in zip(cols, starts)], count)
+        skipped = [(j, ((self.full ^ self.presence[c]) >> s) & window)
+                   for j, (c, s) in enumerate(zip(cols, starts))
                    if self.presence[c] != self.full]
         if skipped:
             js, planes = zip(*skipped)
-            out[:, list(js)] -= _unpack_planes(planes, self.rows)
-        return out
-
-    def windows(self, cols, starts, count: int) -> np.ndarray:
-        """int8 matrix of shape (len(cols), count) whose row j holds event
-        cols[j] in rows starts[j] .. starts[j] + count - 1, with -1 for a
-        skipped event.  Each distinct event's planes are converted to bytes
-        once and only the windows' bytes are unpacked."""
-        cols = np.asarray(cols, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
-        events, where = np.unique(cols, return_inverse=True)
-        events = events.tolist()
-        out = _window_bits([self.values[e] for e in events], where, starts, count, self.rows)
-        skipped = [j for j, e in enumerate(events) if self.presence[e] != self.full]
-        if skipped:
-            hit = np.isin(where, skipped)
-            planes = [self.full ^ self.presence[events[j]] for j in skipped]
-            out[hit] -= _window_bits(planes, np.searchsorted(skipped, where[hit]),
-                                     starts[hit], count, self.rows)
+            out[:, list(js)] -= _unpack_planes(planes, count)
         return out
 
 
@@ -463,25 +453,6 @@ def _unpack_planes(planes, rows: int) -> np.ndarray:
     for k in range(8):
         out[k::8] = (packed >> k) & 1
     return out[:rows].view(np.int8)
-
-
-def _window_bits(planes, where, starts, count: int, rows: int) -> np.ndarray:
-    """int8 (len(where), count) matrix whose row j holds bits starts[j] ..
-    starts[j] + count - 1 of planes[where[j]].  A window is cut from the
-    `span` bytes that hold it, whatever its bit offset in the first one;
-    the planes carry one spare byte so the last window stays in bounds."""
-    nbytes = (rows + 7) // 8 + 1
-    span = (count + 14) // 8
-    buf = b"".join(p.to_bytes(nbytes, "little") for p in planes)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(planes), nbytes)
-    cut = packed[where[:, None], (starts // 8)[:, None] + np.arange(span)]
-    bits = np.unpackbits(cut, axis=1, bitorder="little")
-    out = np.empty((len(where), count), dtype=np.uint8)
-    offsets = starts % 8
-    for k in np.unique(offsets).tolist():  # one slice per bit offset
-        hit = np.flatnonzero(offsets == k)
-        out[hit] = bits[hit, k:k + count]
-    return out.view(np.int8)
 
 
 def batch_outputs(circuit: Circuit, events: EventBatch) -> np.ndarray:

@@ -139,6 +139,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "run":
+        if args.rounds < 1:
+            raise UsageError("--rounds must be at least 1")
         target = _load_target(args.circuit, args.gadgets)
         transcripts = lab.run_rounds(
             target, _bits(args.secret), [_bits(args.public)] * args.rounds,

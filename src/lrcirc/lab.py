@@ -22,10 +22,11 @@ All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (none at level 0), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Every
 path evaluates its rows with circuits.evaluate_batch and reads the
-resulting EventBatch bit-planes: the marginals count symbols by popcount,
-run_rounds and exact_tv_tiny unpack only the event columns they read with
-EventBatch.matrix, and mc_advantage gathers each mask's own events over
-its own rows with EventBatch.windows and tallies a chunk of masks at once.
+resulting EventBatch bit-planes.  The marginals count symbols by popcount;
+every other path unpacks only what it reads with EventBatch.matrix:
+run_rounds the masked event columns, exact_tv_tiny the leakable columns,
+keyed into one int per row, and mc_advantage each mask's own events over
+that mask's own rows, tallying a chunk of masks at once.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     The mask distribution is secret-independent, so the transcript TV
     decomposes as the mask-weighted sum of masked-value TVs; the seed x
     tape rows (no seeds for a raw circuit) and the masks are both enumerated.
-    Each secret's seed x tape rows are evaluated in one batch and reduced
-    to distinct leakable-value rows with counts.
+    Each secret's seed x tape rows are evaluated in one batch, each row is
+    keyed by one int over its leakable events, and the distinct keys are
+    counted.
     """
     circuit, _, level = _unpack(target, y0, y1)
     leakable = _leakable_events(circuit)
@@ -204,9 +206,14 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
 
     bits = bit_rows(total_tape)  # seed columns, then tape columns
     rows = len(bits)
-    values = [evaluate_batch(circuit, encode_seed_rows(s, bits[:, :enc_bits], level), x,
-                             bits[:, enc_bits:]).matrix(leakable) for s in (y0, y1)]
-    distinct, codes = _row_codes(np.concatenate(values))
+    # bit j of a row's key is event j's value and bit n + j says it ran
+    place = np.int64(1) << np.arange(2 * n, dtype=np.int64)
+    keys = []
+    for s in (y0, y1):
+        values = evaluate_batch(circuit, encode_seed_rows(s, bits[:, :enc_bits], level), x,
+                                bits[:, enc_bits:]).matrix(leakable)
+        keys.append(np.concatenate([values > 0, values >= 0], axis=1) @ place)
+    distinct, codes = np.unique(np.concatenate(keys), return_inverse=True)
     if (2 ** n) * len(distinct) > _MAX_EXACT_WORK:
         raise EvalError("size guard exceeded: mask enumeration too large")
     m = len(distinct)
@@ -218,7 +225,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     p = model.p
     weights = np.array([(p ** k) * ((1 - p) ** (n - k)) for k in range(n + 1)])
     tv = 0.0
-    for sizes, groups in _masked_group_sums(distinct, diff):
+    for sizes, groups in _masked_group_sums(distinct, n, diff):
         w = weights[sizes]
         terms = w * (0.5 * (groups / rows))
         # cumsum adds left to right, as `tv += term` over the masks would
@@ -233,38 +240,30 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     )
 
 
-def _masked_group_sums(distinct: np.ndarray, diff: np.ndarray):
-    """For every leak mask over the columns of `distinct`, in ascending
-    order: the sum over the mask's projected values of |sum of `diff` over
-    the rows projecting there|.
+def _masked_group_sums(keys: np.ndarray, n: int, diff: np.ndarray):
+    """For every leak mask over n events, in ascending order: the sum over
+    the mask's projected keys of |sum of `diff` over the rows projecting
+    there|.
 
+    A row key holds event j's value in bit j and whether it ran in bit
+    n + j, so a row's projection under mask M is key & (M | M << n).
     Yields (mask sizes, sums) per chunk of at most _MASK_CHUNK_CELLS
-    mask-row cells (a few MB of temporaries), or of one mask.  A row's key
-    under a mask is its masked symbols in base 3; a chunk fixes the high
-    mask bits and takes the low ones from a table of keys, then each
-    mask's groups are found by sorting its keys.
+    mask-row cells (a few MB of temporaries), or of one mask; each mask's
+    groups are found by sorting its projected keys.
     """
-    count, n = distinct.shape
-    digits = (distinct.astype(np.int64) + 1) * 3 ** np.arange(n, dtype=np.int64)
-    low = 0
-    while low < n and (2 << low) * count <= _MASK_CHUNK_CELLS:
-        low += 1
-    table = np.zeros((1, count), dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    for i in range(low):  # row m: the keys and the size of low mask m
-        table = np.concatenate([table, table + digits[:, i]])
-        sizes = np.concatenate([sizes, sizes + 1])
-    for high in range(1 << (n - low)):
-        high_bits = (high >> np.arange(n - low)) & 1
-        keys = table + digits[:, low:] @ high_bits
-        order = np.argsort(keys, axis=1)
-        sorted_keys = np.take_along_axis(keys, order, axis=1)
-        starts = np.ones(keys.shape, dtype=bool)
+    count = len(keys)
+    step = max(1, _MASK_CHUNK_CELLS // count)
+    for lo in range(0, 1 << n, step):
+        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
+        projected = keys & (masks | masks << n)[:, None]
+        order = np.argsort(projected, axis=1)
+        sorted_keys = np.take_along_axis(projected, order, axis=1)
+        starts = np.ones(projected.shape, dtype=bool)
         starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
         starts = np.flatnonzero(starts)
         groups = np.abs(np.add.reduceat(diff[order].ravel(), starts))
         sums = np.add.reduceat(groups, np.flatnonzero(starts % count == 0))
-        yield sizes + high.bit_count(), sums
+        yield np.bitwise_count(masks), sums
 
 
 # -- Monte-Carlo mask-decomposition estimator -------------------------------------
@@ -283,10 +282,11 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     std-error is a 200-resample bootstrap over the per-mask estimates.
 
     Masks are evaluated _MC_CHUNK_MASKS at a time, mask j of a chunk on
-    rows j*inner .. (j+1)*inner - 1.  Only each non-empty mask's own cells
-    are cut from the bit-planes, into one (masks, inner, max |w|) stack per
-    secret, and one _empirical_tv call tallies the chunk; an empty mask
-    leaks nothing and scores 0 with bound 0.
+    rows j*inner .. (j+1)*inner - 1.  One EventBatch.matrix call per secret
+    cuts each non-empty mask's events over that mask's rows from the
+    bit-planes, into one (masks, inner, max |w|) stack, and one
+    _empirical_tv call tallies the chunk; an empty mask leaks nothing and
+    scores 0 with bound 0.
     """
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
@@ -316,8 +316,8 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
             # a narrower mask's spare columns hold 0 in all its rows, which
             # changes none of its row groups
             a, b = np.zeros((2, used.size, inner, int(sizes.max())), dtype=np.int8)
-            a[owner, :, slot] = ev0.windows(events, starts, inner)
-            b[owner, :, slot] = ev1.windows(events, starts, inner)
+            a[owner, :, slot] = ev0.matrix(events, starts, inner).T
+            b[owner, :, slot] = ev1.matrix(events, starts, inner).T
             tvs[pos + used] = _empirical_tv(a, b)
             # an int 3 ** w: the float 3.0 ** w overflows past 646 events
             biases[pos + used] = [min(1.0, math.sqrt(min(3 ** w, 2 * inner) / inner))
@@ -363,24 +363,12 @@ def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
     return encode_seed_rows(secret, seeds, level)
 
 
-def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an int8 matrix (in byte order) and each row's
-    index among them, from one np.unique over a void view of the rows."""
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1]
-    if width == 0:  # every row is the empty row
-        return rows[:1], np.zeros(len(rows), dtype=np.intp)
-    void = rows.view(np.dtype((np.void, rows.itemsize * width))).reshape(len(rows))
-    distinct, codes = np.unique(void, return_inverse=True)
-    return distinct.view(rows.dtype).reshape(len(distinct), width), codes.reshape(len(rows))
-
-
 def _empirical_tv(a: np.ndarray, b: np.ndarray):
     """TV between the row distributions of two equally sized samples, for
     one (rows, w) pair (a float) or for each mask of two (masks, rows, w)
-    stacks (an array).  One _row_codes call codes every row, keyed by its
-    mask's index, and each mask's TV is half the sum of |count_a - count_b|
-    over its codes, divided by rows."""
+    stacks (an array).  One np.unique over a void view of the rows codes
+    every row, keyed by its mask's index, and each mask's TV is half the
+    sum of |count_a - count_b| over its codes, divided by rows."""
     pair = a.ndim == 2
     if pair:
         a, b = a[None], b[None]
@@ -390,8 +378,8 @@ def _empirical_tv(a: np.ndarray, b: np.ndarray):
     keyed[:, :n, digits:], keyed[:, n:, digits:] = a, b
     index = np.arange(k)[:, None] >> (8 * np.arange(digits))
     keyed[:, :, :digits] = index.astype(np.uint8).view(np.int8)[:, None, :]
-    _, codes = _row_codes(keyed.reshape(k * 2 * n, digits + w))
-    codes = codes.reshape(k, 2 * n)
+    void = keyed.view(np.dtype((np.void, digits + w))).reshape(k * 2 * n)
+    codes = np.unique(void, return_inverse=True)[1].reshape(k, 2 * n)
     m = int(codes.max()) + 1
     diff = np.bincount(codes[:, :n].ravel(), minlength=m) - np.bincount(
         codes[:, n:].ravel(), minlength=m)

@@ -244,13 +244,16 @@ def test_event_windows_are_slices_of_the_event_matrix():
     full = events.matrix()
     # repeated events, every bit offset, the last row, and the skipped event 4
     cols, first = [4, 0, 4, 2, 3, 4, 1, 0, 4], [0, 69, 5, 62, 8, 17, 42, 3, 60]
-    for count in (1, 7, 10):
+    # 64 rows are one full machine word; 70 rows from row 0 are the whole batch
+    for count in (1, 7, 10, 64, 70):
         starts = [min(s, 70 - count) for s in first]
-        got = events.windows(cols, starts, count)
-        assert got.dtype == np.int8 and got.shape == (len(cols), count)
+        got = events.matrix(cols, starts, count)
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        assert got.shape == (count, len(cols))
         want = [full[s:s + count, c].tolist() for c, s in zip(cols, starts)]
-        assert got.tolist() == want
-    assert events.windows([], [], 5).shape == (0, 5)
+        assert got.T.tolist() == want
+    assert (events.matrix(cols, [0] * len(cols), 70) == events.matrix(cols)).all()
+    assert events.matrix([], [], 5).shape == (5, 0)
 
 
 def test_batch_outputs_reads_the_last_touch_that_ran():

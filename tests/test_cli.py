@@ -185,6 +185,19 @@ def test_marginal_with_zero_samples_is_an_error(capsys, toffoli_netlist):
     assert err == "error: need at least 1 sample\n"
 
 
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_run_without_rounds_is_an_error(capsys, tmp_path, toffoli_netlist, rounds):
+    # both used to exit 0 and write one blank line, which is no JSONL record
+    out = tmp_path / "rounds.jsonl"
+    code, _, err = run_cli(
+        capsys, "run", "--circuit", toffoli_netlist, "--secret", "10",
+        "--rounds", rounds, "--leak-p", "0.3", "--seed", "1", "--out", out,
+    )
+    assert code == 1
+    assert err == "usage error: --rounds must be at least 1\n"
+    assert not out.exists()
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -23,6 +23,9 @@ SECRET_WIRE = "in secret s\n"
 # the secret is masked in place; the raw input event still leaks
 MASKED = "in secret s\nreg a\ngate RAND a\ngate CNOT a s\n"
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
+# the secret conditions a CZ: under s = 0 both its events are skipped, under
+# s = 1 its port on the never-written b reads 0
+CONDITIONED = "in secret s\nreg a\nreg b\ngate RAND a\ncgate 0 CZ a b\n"
 
 
 def test_leakage_model_bounds():
@@ -169,6 +172,7 @@ def _brute_force_transcript_tv(circ, y0, y1, p):
     (MASKED, [0], [1]),
     (ONE_TOFFOLI, [0, 1], [1, 0]),
     (ONE_TOFFOLI, [0, 0], [1, 1]),
+    (CONDITIONED, [0], [1]),
 ])
 def test_exact_tv_matches_full_transcript_enumeration(text, y0, y1):
     # dual route: the mask-decomposed oracle equals the direct transcript
