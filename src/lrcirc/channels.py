@@ -208,8 +208,12 @@ def equivalence_sweep(max_exhaustive_wires: int = 2, alphabet: int = 4,
 
     Exhausts every function on up to `max_exhaustive_wires` wires with
     values below `alphabet`, then adds seeded random functions on
-    `random_wires` wires.  Returns the worst distances observed.
+    `random_wires` wires (1 to 4).  Returns the worst distances observed.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if not 1 <= random_wires <= 4:
+        raise ValueError(f"random_wires must be 1 to 4, got {random_wires}")
     worst = 0.0
     count = 0
     for n in range(1, max_exhaustive_wires + 1):

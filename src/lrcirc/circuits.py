@@ -148,11 +148,12 @@ class Circuit:
             if reg.role in (Role.SECRET, Role.PUBLIC):
                 self.input_events[reg.id] = eid
                 eid += 1
-        self.gate_events: tuple[tuple[int, ...], ...] = tuple(
-            tuple(range(e, e + len(g.args)))
-            for g, e in zip(self.gates, _running(eid, self.gates))
-        )
-        self.num_events = eid + sum(len(g.args) for g in self.gates)
+        gate_events = []
+        for g in self.gates:
+            gate_events.append(tuple(range(eid, eid + len(g.args))))
+            eid += len(g.args)
+        self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
+        self.num_events = eid
         self.leak_free: frozenset[int] = frozenset(
             ev[0] for g, ev in zip(self.gates, self.gate_events) if g.kind is GateKind.RAND
         )
@@ -213,15 +214,6 @@ class Circuit:
             for a in g.args:
                 level[a] = d
         return max(level, default=0)
-
-
-def _running(start: int, gates) -> list[int]:
-    out = []
-    e = start
-    for g in gates:
-        out.append(e)
-        e += len(g.args)
-    return out
 
 
 # -- evaluation ------------------------------------------------------------

@@ -41,12 +41,15 @@ def _load_circuit(path: str):
         return parse_netlist(fh.read())
 
 
+def _load_gadgets(path: str, circuit) -> CompiledCircuit:
+    """The gadget index in `path`, checked against `circuit` unless None."""
+    with open(path, encoding="utf-8") as fh:
+        return CompiledCircuit.from_json_dict(circuit, json.load(fh))
+
+
 def _load_target(circuit_path: str, gadgets_path: str | None):
     circuit = _load_circuit(circuit_path)
-    if gadgets_path is None:
-        return circuit
-    with open(gadgets_path, encoding="utf-8") as fh:
-        return CompiledCircuit.from_json_dict(circuit, json.load(fh))
+    return circuit if gadgets_path is None else _load_gadgets(gadgets_path, circuit)
 
 
 def _bits(text: str) -> list[int]:
@@ -187,11 +190,8 @@ def _dispatch(args) -> int:
         return 0 if ok else 2
 
     if args.cmd == "report":
-        with open(args.gadgets, encoding="utf-8") as fh:
-            d = json.load(fh)
         circuit = _load_circuit(args.circuit) if args.circuit else None
-        compiled = CompiledCircuit.from_json_dict(circuit, d)
-        _dump(location_report(compiled), args.outfile)
+        _dump(location_report(_load_gadgets(args.gadgets, circuit)), args.outfile)
         return 0
 
     raise UsageError(f"unknown command {args.cmd!r}")

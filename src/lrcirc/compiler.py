@@ -12,12 +12,14 @@ X-basis measurement is a fresh random readout plus randomization of the
 measured wire (two tape bits per wire).
 
 The emitted circuit is an ordinary netlist circuit; the CompiledCircuit
-wrapper carries block structure, a gadget index whose top-level spans
-partition the gate list, documented tape costs, and a compile log.
+wrapper carries block structure, a gadget index whose ordered, disjoint
+top-level spans cover every gate but level 2's condition readouts,
+documented tape costs, and a compile log.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from math import comb
 
@@ -70,9 +72,8 @@ class CircuitBuilder:
         self._next_suffix: dict[str, int] = {}
         self._event = 0
         self._tape = 0
-        self._gate_started = False
+        self._depth = 0
         self.gadgets: list[dict] = []
-        self._open: list[dict] = []
         self.blocks: list[tuple[str, Block]] = []
         # 7-wire groups that are not codeword-bearing (the even-weight
         # verification ancilla); excluded from the transversality contract
@@ -96,14 +97,12 @@ class CircuitBuilder:
         if name in self._names:
             raise CompileError(f"register name collision: {name}")
         if role in (Role.SECRET, Role.PUBLIC):
-            if self._gate_started:
+            if self.gates:
                 raise CompileError("inputs must be declared before gates")
             self._event += 1
         self._names.add(name)
         rid = len(self.regs)
         self.regs.append(Register(rid, name, role, init))
-        if self._open:
-            self._open[-1]["regs_created"] += 1
         return rid
 
     def new_block(self, base: str, role: Role = Role.INTERNAL,
@@ -124,7 +123,6 @@ class CircuitBuilder:
     # -- gates ----------------------------------------------------------
 
     def emit(self, kind: GateKind, *args: int, cond: int | None = None) -> tuple[int, ...]:
-        self._gate_started = True
         gate = Gate(kind, tuple(args), cond=cond)
         self.gates.append(gate)
         events = tuple(range(self._event, self._event + len(args)))
@@ -135,30 +133,26 @@ class CircuitBuilder:
 
     # -- gadget spans -----------------------------------------------------
 
-    def begin(self, kind: str, source: str) -> None:
-        self._open.append({
+    @contextmanager
+    def gadget(self, kind: str, source: str):
+        """Record what the body emits as one span: half-open gate, event and
+        tape ranges plus the registers it created.  Spans are listed as they
+        close, so a nested span precedes its parent."""
+        gates, events, tape, regs = len(self.gates), self._event, self._tape, len(self.regs)
+        self._depth += 1
+        yield
+        self._depth -= 1
+        self.gadgets.append({
             "kind": kind,
             "source": source,
-            "depth": len(self._open),
-            "gates": [len(self.gates), None],
-            "events": [self._event, None],
-            "tape": [self._tape, None],
-            "regs_created": 0,
+            "depth": self._depth,
+            "gates": [gates, len(self.gates)],
+            "events": [events, self._event],
+            "tape": [tape, self._tape],
+            "regs_created": len(self.regs) - regs,
         })
 
-    def end(self) -> dict:
-        span = self._open.pop()
-        span["gates"][1] = len(self.gates)
-        span["events"][1] = self._event
-        span["tape"][1] = self._tape
-        if self._open:
-            self._open[-1]["regs_created"] += span["regs_created"]
-        self.gadgets.append(span)
-        return span
-
     def build(self) -> Circuit:
-        if self._open:
-            raise CompileError("unbalanced gadget spans")
         circuit = Circuit(self.regs, self.gates)
         assert circuit.num_events == self._event, "event accounting drifted"
         return circuit
@@ -167,8 +161,8 @@ class CircuitBuilder:
 # -- measurement and readout -------------------------------------------------
 
 
-def emit_measure_x(builder: CircuitBuilder, wire: int) -> dict:
-    """X-basis measurement of one wire: random readout, randomized post-state.
+def emit_measure_x(builder: CircuitBuilder, wire: int) -> int:
+    """X-basis measurement: returns a random readout register, randomizes `wire`.
 
     The readout travels through an ordinary COPY so the outcome is a leaky
     wire like any other measurement record; only the two RAND source events
@@ -177,11 +171,11 @@ def emit_measure_x(builder: CircuitBuilder, wire: int) -> dict:
     src = builder.new_reg(builder.fresh("xm.r"))
     builder.emit(GateKind.RAND, src)
     ro = builder.new_reg(builder.fresh("xm.ro"))
-    ro_events = builder.emit(GateKind.COPY, src, ro)
+    builder.emit(GateKind.COPY, src, ro)
     scr = builder.new_reg(builder.fresh("xm.s"))
     builder.emit(GateKind.RAND, scr)
     builder.emit(GateKind.CNOT, scr, wire)
-    return {"readout": ro, "readout_event": ro_events[1], "tape": 2}
+    return ro
 
 
 def emit_parity_cascade(builder: CircuitBuilder, block: Block, ro: int,
@@ -244,10 +238,9 @@ def emit_bare_plus(builder: CircuitBuilder, base: str) -> Block:
     Used where the consumer decodes the block itself right afterwards (the
     error-correction ancilla): its own X-measurements are the verification.
     """
-    builder.begin("bare-plus", base)
-    block, _ = emit_codeword_ancilla(builder, base)
-    emit_logical_flip(builder, block, base)
-    builder.end()
+    with builder.gadget("bare-plus", base):
+        block, _ = emit_codeword_ancilla(builder, base)
+        emit_logical_flip(builder, block, base)
     return block
 
 
@@ -258,26 +251,24 @@ def prep_zero_gadget(builder: CircuitBuilder, base: str) -> Block:
     verification-decoded via X-measurements; those readouts are recorded but
     never act on the data, which classically already holds the codeword.
     """
-    builder.begin("prep-zero", base)
-    data = builder.new_block(base)
-    anc, _ = emit_codeword_ancilla(builder, f"{base}.anc")
-    for a, d in zip(anc, data):
-        builder.emit(GateKind.CNOT, a, d)
-    for j, a in enumerate(anc, start=1):
-        ro = builder.new_reg(builder.fresh(f"{base}.anc.ro{j}"))
-        builder.emit(GateKind.COPY, a, ro)
-    for a in anc:
-        emit_measure_x(builder, a)
-    builder.end()
+    with builder.gadget("prep-zero", base):
+        data = builder.new_block(base)
+        anc, _ = emit_codeword_ancilla(builder, f"{base}.anc")
+        for a, d in zip(anc, data):
+            builder.emit(GateKind.CNOT, a, d)
+        for j, a in enumerate(anc, start=1):
+            ro = builder.new_reg(builder.fresh(f"{base}.anc.ro{j}"))
+            builder.emit(GateKind.COPY, a, ro)
+        for a in anc:
+            emit_measure_x(builder, a)
     return data
 
 
 def prep_plus_gadget(builder: CircuitBuilder, base: str) -> tuple[Block, int]:
     """Uniform data block over all 16 codewords; logical value = the flip bit."""
-    builder.begin("prep-plus", base)
-    data = prep_zero_gadget(builder, base)
-    flip = emit_logical_flip(builder, data, base)
-    builder.end()
+    with builder.gadget("prep-plus", base):
+        data = prep_zero_gadget(builder, base)
+        flip = emit_logical_flip(builder, data, base)
     return data, flip
 
 
@@ -290,14 +281,13 @@ def shor_prep_gadget(builder: CircuitBuilder, base: str) -> Block:
     (r1, r1^r2, r2^r3, r3^r5, r5^r6, r6^r7, r7), always of even weight and
     uniform over the 64 even words.
     """
-    builder.begin("shor-prep", base)
-    block = builder.new_block(base, code=False)
-    for j, state in SHOR_PREP.prep.items():
-        if state == "plus":
-            builder.emit(GateKind.RAND, block[j - 1])
-    for c, t in SHOR_PREP.cnots:
-        builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
-    builder.end()
+    with builder.gadget("shor-prep", base):
+        block = builder.new_block(base, code=False)
+        for j, state in SHOR_PREP.prep.items():
+            if state == "plus":
+                builder.emit(GateKind.RAND, block[j - 1])
+        for c, t in SHOR_PREP.cnots:
+            builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
     return block
 
 
@@ -307,18 +297,17 @@ def shor_verify_gadget(builder: CircuitBuilder, block: Block, base: str) -> dict
     (4,5), then X-measurements on wires {1,2,3,4,6,7} and a Z-readout of
     wire 5.
     """
-    builder.begin("shor-verify", base)
-    for c, t in SHOR_DECODE.cnots:
-        builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
-    readouts = {}
-    for j, basis in SHOR_DECODE.measure.items():
-        if basis == "X":
-            readouts[j] = emit_measure_x(builder, block[j - 1])["readout"]
-    for j, basis in SHOR_DECODE.measure.items():
-        if basis == "Z":
-            readouts[j] = builder.new_reg(builder.fresh(f"{base}.z{j}"))
-            builder.emit(GateKind.COPY, block[j - 1], readouts[j])
-    builder.end()
+    with builder.gadget("shor-verify", base):
+        for c, t in SHOR_DECODE.cnots:
+            builder.emit(GateKind.CNOT, block[c - 1], block[t - 1])
+        readouts = {}
+        for j, basis in SHOR_DECODE.measure.items():
+            if basis == "X":
+                readouts[j] = emit_measure_x(builder, block[j - 1])
+        for j, basis in SHOR_DECODE.measure.items():
+            if basis == "Z":
+                readouts[j] = builder.new_reg(builder.fresh(f"{base}.z{j}"))
+                builder.emit(GateKind.COPY, block[j - 1], readouts[j])
     return readouts
 
 
@@ -330,20 +319,19 @@ def toffoli_ancilla_gadget(builder: CircuitBuilder, base: str) -> tuple[Block, B
     exactly with each other, its parity is c XOR ab, and the conditioned
     flip on the third block turns its logical value into ab.
     """
-    builder.begin("toffoli-ancilla", base)
-    a1, _ = prep_plus_gadget(builder, f"{base}.a1")
-    a2, _ = prep_plus_gadget(builder, f"{base}.a2")
-    shor = shor_prep_gadget(builder, f"{base}.s")
-    a3, _ = prep_plus_gadget(builder, f"{base}.a3")
-    for x, s in zip(a3, shor):
-        builder.emit(GateKind.CNOT, x, s)
-    for x, y, s in zip(a1, a2, shor):
-        builder.emit(GateKind.TOF, x, y, s)
-    _, m_event = emit_parity_readout(builder, shor, builder.fresh(f"{base}.m"))
-    for j in LOGICAL_SUPPORT:
-        builder.emit(GateKind.NOT, a3[j - 1], cond=m_event)
-    shor_verify_gadget(builder, shor, f"{base}.s")
-    builder.end()
+    with builder.gadget("toffoli-ancilla", base):
+        a1, _ = prep_plus_gadget(builder, f"{base}.a1")
+        a2, _ = prep_plus_gadget(builder, f"{base}.a2")
+        shor = shor_prep_gadget(builder, f"{base}.s")
+        a3, _ = prep_plus_gadget(builder, f"{base}.a3")
+        for x, s in zip(a3, shor):
+            builder.emit(GateKind.CNOT, x, s)
+        for x, y, s in zip(a1, a2, shor):
+            builder.emit(GateKind.TOF, x, y, s)
+        _, m_event = emit_parity_readout(builder, shor, builder.fresh(f"{base}.m"))
+        for j in LOGICAL_SUPPORT:
+            builder.emit(GateKind.NOT, a3[j - 1], cond=m_event)
+        shor_verify_gadget(builder, shor, f"{base}.s")
     return a1, a2, a3
 
 
@@ -361,32 +349,31 @@ def toffoli_gadget(builder: CircuitBuilder, d1: Block, d2: Block, d3: Block,
     already corrected.  The X-measurement of the third data block yields a
     random record m3 whose phase-type correction drops out on values.
     """
-    builder.begin("toffoli", base)
-    a1, a2, a3 = toffoli_ancilla_gadget(builder, f"{base}.anc")
-    for s, t in zip(a1, d1):
-        builder.emit(GateKind.CNOT, s, t)
-    for s, t in zip(a2, d2):
-        builder.emit(GateKind.CNOT, s, t)
-    for s, t in zip(d3, a3):
-        builder.emit(GateKind.CNOT, s, t)
+    with builder.gadget("toffoli", base):
+        a1, a2, a3 = toffoli_ancilla_gadget(builder, f"{base}.anc")
+        for s, t in zip(a1, d1):
+            builder.emit(GateKind.CNOT, s, t)
+        for s, t in zip(a2, d2):
+            builder.emit(GateKind.CNOT, s, t)
+        for s, t in zip(d3, a3):
+            builder.emit(GateKind.CNOT, s, t)
 
-    xro = [emit_measure_x(builder, w)["readout"] for w in d3]
-    m3 = builder.new_reg(builder.fresh(f"{base}.m3"))
-    for j in LOGICAL_SUPPORT:
-        builder.emit(GateKind.CNOT, xro[j - 1], m3)
+        xro = [emit_measure_x(builder, w) for w in d3]
+        m3 = builder.new_reg(builder.fresh(f"{base}.m3"))
+        for j in LOGICAL_SUPPORT:
+            builder.emit(GateKind.CNOT, xro[j - 1], m3)
 
-    _, m2 = emit_parity_readout(builder, d2, builder.fresh(f"{base}.m2"))
-    for j in LOGICAL_SUPPORT:
-        builder.emit(GateKind.NOT, a2[j - 1], cond=m2)
-    for s, t in zip(a1, a3):
-        builder.emit(GateKind.CNOT, s, t, cond=m2)
+        _, m2 = emit_parity_readout(builder, d2, builder.fresh(f"{base}.m2"))
+        for j in LOGICAL_SUPPORT:
+            builder.emit(GateKind.NOT, a2[j - 1], cond=m2)
+        for s, t in zip(a1, a3):
+            builder.emit(GateKind.CNOT, s, t, cond=m2)
 
-    _, m1 = emit_parity_readout(builder, d1, builder.fresh(f"{base}.m1"))
-    for j in LOGICAL_SUPPORT:
-        builder.emit(GateKind.NOT, a1[j - 1], cond=m1)
-    for s, t in zip(a2, a3):
-        builder.emit(GateKind.CNOT, s, t, cond=m1)
-    builder.end()
+        _, m1 = emit_parity_readout(builder, d1, builder.fresh(f"{base}.m1"))
+        for j in LOGICAL_SUPPORT:
+            builder.emit(GateKind.NOT, a1[j - 1], cond=m1)
+        for s, t in zip(a2, a3):
+            builder.emit(GateKind.CNOT, s, t, cond=m1)
     return a1, a2, a3
 
 
@@ -394,13 +381,12 @@ def steane_ec_gadget(builder: CircuitBuilder, block: Block, base: str) -> None:
     """Syndrome extraction only: a bare plus-ancilla absorbs the data
     transversally and is X-measured wire by wire.  The data block is never
     written; recovery would be phase-type and vanishes on values."""
-    builder.begin("error-correction", base)
-    anc = emit_bare_plus(builder, f"{base}.anc")
-    for d, a in zip(block, anc):
-        builder.emit(GateKind.CNOT, d, a)
-    for a in anc:
-        emit_measure_x(builder, a)
-    builder.end()
+    with builder.gadget("error-correction", base):
+        anc = emit_bare_plus(builder, f"{base}.anc")
+        for d, a in zip(block, anc):
+            builder.emit(GateKind.CNOT, d, a)
+        for a in anc:
+            emit_measure_x(builder, a)
 
 
 # -- whole-circuit compilation -------------------------------------------------
@@ -444,6 +430,10 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
     return words
 
 
+_JSON_KEYS = {"level", "ec", "block_map", "blocks", "secret_blocks", "gadgets",
+              "readout_gates", "log"}
+
+
 @dataclass
 class CompiledCircuit:
     circuit: Circuit
@@ -482,8 +472,13 @@ class CompiledCircuit:
         }
 
     @classmethod
-    def from_json_dict(cls, circuit: Circuit, d: dict) -> CompiledCircuit:
-        return cls(
+    def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
+        """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
+        key and, given the circuit, on an index that does not fit it."""
+        missing = sorted(_JSON_KEYS - d.keys()) if isinstance(d, dict) else sorted(_JSON_KEYS)
+        if missing:
+            raise ValueError(f"gadget index lacks {', '.join(missing)}")
+        compiled = cls(
             circuit=circuit,
             level=d["level"],
             ec=d["ec"],
@@ -496,6 +491,17 @@ class CompiledCircuit:
             logical_stats=d.get("logical", {}),
             aux_groups=[(name, tuple(regs)) for name, regs in d.get("aux_groups", [])],
         )
+        if circuit is not None:
+            n = len(circuit.registers)
+            groups = [*compiled.blocks, *compiled.aux_groups, *compiled.block_map.items()]
+            if any(not 0 <= r < n for _, regs in groups for r in regs):
+                raise ValueError(f"gadget index names a register beyond the circuit's {n}")
+            if any(not 0 <= gi < len(circuit.gates) for gi in compiled.readout_gates):
+                raise ValueError("gadget index names a readout gate outside the circuit")
+            secret = [r for b in compiled.secret_blocks for r in b]
+            if secret != [r.id for r in circuit.secret_regs]:
+                raise ValueError("gadget index secret blocks differ from the circuit's secrets")
+        return compiled
 
 
 _LOGICAL_KINDS = {GateKind.NOT, GateKind.CNOT, GateKind.TOF, GateKind.Z, GateKind.CZ}
@@ -591,17 +597,16 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
         if reg.role is Role.SECRET:
             continue
         if reg.role is Role.PUBLIC:
-            b.begin("encode-public", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.enc")
-            for j in LOGICAL_SUPPORT:
-                b.emit(GateKind.CNOT, public_raw[reg.id], block[j - 1])
-        else:
-            b.begin("prep-block", reg.name)
-            block = prep_zero_gadget(b, f"{reg.name}.blk")
-            if reg.init:
+            with b.gadget("encode-public", reg.name):
+                block = prep_zero_gadget(b, f"{reg.name}.enc")
                 for j in LOGICAL_SUPPORT:
-                    b.emit(GateKind.NOT, block[j - 1])
-        b.end()
+                    b.emit(GateKind.CNOT, public_raw[reg.id], block[j - 1])
+        else:
+            with b.gadget("prep-block", reg.name):
+                block = prep_zero_gadget(b, f"{reg.name}.blk")
+                if reg.init:
+                    for j in LOGICAL_SUPPORT:
+                        b.emit(GateKind.NOT, block[j - 1])
         block_map[reg.id] = block
 
     # the register each wire event was recorded on, to decode conditions
@@ -630,29 +635,26 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
             outs = toffoli_gadget(b, *blocks, base=f"{prefix}{gi}")
             block_map.update(zip(g.args, outs))
         else:
-            if level == 1:
-                b.begin(_GATE_GADGETS[g.kind], f"gate#{gi} {g.kind.value} {' '.join(names)}")
-            else:
-                b.begin(_GATE_GADGETS[g.kind], f"phys#{gi} {g.kind.value}")
-            if g.kind is GateKind.NOT:
-                for j in LOGICAL_SUPPORT:
-                    b.emit(GateKind.NOT, blocks[0][j - 1], cond=cond)
-            elif g.kind is GateKind.RAND:
-                fresh = emit_bare_plus(b, f"{prefix}{gi}.rand")
-                for s, t in zip(fresh, blocks[0]):
-                    b.emit(GateKind.COPY, s, t, cond=cond)
-            else:  # CNOT and COPY act position-wise
-                for s, t in zip(*blocks):
-                    b.emit(g.kind, s, t, cond=cond)
-            b.end()
+            label = (f"gate#{gi} {g.kind.value} {' '.join(names)}" if level == 1
+                     else f"phys#{gi} {g.kind.value}")
+            with b.gadget(_GATE_GADGETS[g.kind], label):
+                if g.kind is GateKind.NOT:
+                    for j in LOGICAL_SUPPORT:
+                        b.emit(GateKind.NOT, blocks[0][j - 1], cond=cond)
+                elif g.kind is GateKind.RAND:
+                    fresh = emit_bare_plus(b, f"{prefix}{gi}.rand")
+                    for s, t in zip(fresh, blocks[0]):
+                        b.emit(GateKind.COPY, s, t, cond=cond)
+                else:  # CNOT and COPY act position-wise
+                    for s, t in zip(*blocks):
+                        b.emit(g.kind, s, t, cond=cond)
         if ec:
             for a, name in zip(g.args, names):
                 steane_ec_gadget(b, block_map[a], f"{prefix}{gi}.ec.{name}")
 
     for reg in source.output_regs:
-        b.begin("output-readout", reg.name)
-        emit_parity_cascade(b, block_map[reg.id], out_regs[reg.id], whitelist=True)
-        b.end()
+        with b.gadget("output-readout", reg.name):
+            emit_parity_cascade(b, block_map[reg.id], out_regs[reg.id], whitelist=True)
 
     return CompiledCircuit(
         circuit=b.build(), level=level, ec=ec,

@@ -343,8 +343,9 @@ def _paired_event_batches(target, y0, y1, x, rows, np_rng):
     tapes = np_rng.integers(0, 2, size=(rows, circuit.rand_count), dtype=np.int8)
     enc0 = encoded_secret_rows(target, y0, rows, np_rng)
     if level < 2:
-        # same seed rows, other secret: below level 2 the encoding is
-        # enc(y, s) = enc(0, s) ^ enc(y, 0), so y1 adds enc(y0 ^ y1, 0)
+        # same seed rows, other secret: enc(y, s) = enc(0, s) ^ enc(y, 0) at
+        # every level, so y1 adds enc(y0 ^ y1, 0); level 2 draws y1's own
+        # seeds only so that its seeded MC reports stay byte-identical
         diff = [(int(a) ^ int(b)) & 1 for a, b in zip(y0, y1)]
         zeros = np.zeros((1, seed_count(len(diff), level)), dtype=np.int8)
         enc1 = enc0 ^ encode_seed_rows(diff, zeros, level)

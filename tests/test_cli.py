@@ -140,6 +140,71 @@ def test_noise_equiv_subcommand(capsys):
     assert report["exhaustive_max_distance"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [["--trials", "-1"], ["--wires", "9", "--trials", "0"],
+                                  ["--wires", "0"], ["--wires", "5"]],
+                         ids=["trials-1", "wires9-trials0", "wires0", "wires5"])
+def test_noise_equiv_refuses_bad_sizes(capsys, argv):
+    # the first two used to exit 0 and report -1 functions or 9 random wires
+    code, out, err = run_cli(capsys, "noise-equiv", *argv, "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be" in err
+
+
+@pytest.fixture(scope="module")
+def compiled_files(tmp_path_factory):
+    """The one-Toffoli netlist, its level-1 and level-2 compiles and indexes."""
+    tmp = tmp_path_factory.mktemp("compiled")
+    files = {"raw": tmp / "one.net"}
+    files["raw"].write_text(ONE_TOFFOLI)
+    for level in (1, 2):
+        files[f"l{level}"], files[f"l{level}.json"] = tmp / f"l{level}.net", tmp / f"l{level}.json"
+        assert main(["compile", "--in", str(files["raw"]), "--out", str(files[f"l{level}"]),
+                     "--level", str(level), "--dump-gadgets", str(files[f"l{level}.json"])]) == 0
+    index = json.loads(files["l1.json"].read_text())
+    for name, edit in [("empty", lambda d: {}), ("list", lambda d: [1, 2]),
+                       ("no-blocks", lambda d: {k: v for k, v in d.items() if k != "blocks"}),
+                       ("far-readout", lambda d: {**d, "readout_gates": [10 ** 6]}),
+                       ("far-block", lambda d: {**d, "block_map": {"c": [0, 1, 2, 3, 4, 5, 10 ** 6]}}),
+                       ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]})]:
+        files[name] = tmp / f"{name}.json"
+        files[name].write_text(json.dumps(edit(index)))
+    return files
+
+
+_AUDIT = ["audit", "transversality", "--circuit"]
+_RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--gadgets", "empty"],
+    ["report", "--gadgets", "no-blocks", "--circuit", "l1"],
+    ["run", "--circuit", "l1", "--gadgets", "list", *_RUN],
+    [*_AUDIT, "raw", "--gadgets", "l1.json"],
+    [*_AUDIT, "l2", "--gadgets", "l1.json"],
+    [*_AUDIT, "l1", "--gadgets", "l2.json"],
+    [*_AUDIT, "l1", "--gadgets", "far-readout"],
+    ["run", "--circuit", "l1", "--gadgets", "far-block", *_RUN],
+    ["analyze", "--circuit", "l1", "--gadgets", "swapped-secrets", "--mode", "marginal",
+     "--y0", "01", "--y1", "10", "--leak-p", "0.01", "--samples", "10", "--seed", "1"],
+], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
+        "level2-index", "readout-gate", "block-register", "secret-order"])
+def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
+    # these raised KeyError or TypeError, or (raw one.net with a level-1
+    # index) made the transversality audit exit 2 with two bogus flags
+    code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gadget index ") and "Traceback" not in err
+
+
+def test_good_gadget_indexes_still_load(capsys, compiled_files):
+    for level in (1, 2):
+        net, index = compiled_files[f"l{level}"], compiled_files[f"l{level}.json"]
+        assert run_cli(capsys, *_AUDIT, net, "--gadgets", index)[0] == 0
+        assert run_cli(capsys, "report", "--gadgets", index, "--circuit", net)[0] == 0
+
+
 def test_bad_netlist_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text("in secret s\ngate CNOT s s\n")

@@ -1,5 +1,6 @@
 """Gadget-by-gadget checks and whole-circuit compilation."""
 
+import json
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,7 @@ from lrcirc.circuits import (
 from lrcirc.compiler import (
     TAPE_COST,
     CircuitBuilder,
+    CompiledCircuit,
     CompileError,
     compile_circuit,
     emit_measure_x,
@@ -64,10 +66,10 @@ def test_translate_measure_x_readout_uniform_and_independent():
     for data, t1, t2 in product((0, 1), repeat=3):
         b = CircuitBuilder()
         wire = b.new_reg("w", Role.SECRET)
-        info = emit_measure_x(b, wire)
+        readout = emit_measure_x(b, wire)
         circ = b.build()
         vals = register_file(circ, [data], [], RandomTape.of([t1, t2]))
-        outcomes[data].append(vals[info["readout"]])
+        outcomes[data].append(vals[readout])
     # readout marginal uniform and identical for both data values
     for data in (0, 1):
         assert sorted(outcomes[data]) == [0, 0, 1, 1]
@@ -427,14 +429,29 @@ def test_compile_one_cnot_ec_off_structure():
     assert ro_span["gates"][1] - ro_span["gates"][0] == 7
 
 
-def test_compile_top_level_spans_partition_gates():
-    comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
-    spans = sorted(g["gates"] for g in comp.gadget_index if g["depth"] == 0)
-    pos = 0
-    for a, bnd in spans:
-        assert a == pos
+def _top_level_gaps(comp):
+    """Gates outside every top-level span; the spans must be listed in gate
+    order and never overlap."""
+    gaps, pos = [], 0
+    for a, bnd in (g["gates"] for g in comp.gadget_index if g["depth"] == 0):
+        assert pos <= a < bnd
+        gaps.extend(range(pos, a))
         pos = bnd
-    assert pos == len(comp.circuit.gates)
+    return gaps + list(range(pos, len(comp.circuit.gates)))
+
+
+def test_compile_top_level_spans_partition_gates():
+    # at level 1 the top-level spans tile the gate list; at level 2 the only
+    # gates between them are the whitelisted 7-CNOT parity readouts that
+    # decode each of the level-1 circuit's gate conditions
+    level1 = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
+    assert _top_level_gaps(level1) == []
+    level2 = compile_circuit(parse_netlist(ONE_TOFFOLI), level=2, ec=True)
+    gaps = _top_level_gaps(level2)
+    conditioned = sum(g.cond is not None for g in level1.circuit.gates)
+    assert (conditioned, len(gaps), len(level2.circuit.gates)) == (23, 7 * 23, 28_219)
+    assert set(gaps) <= set(level2.readout_gates)
+    assert all(level2.circuit.gates[gi].kind is GateKind.CNOT for gi in gaps)
 
 
 def test_compile_only_primitive_kinds_remain():
@@ -507,6 +524,23 @@ def test_compiled_functional_equivalence_with_public_and_not():
         want = next(iter(table[((s,), (x,))]))[0]
         outs = compiled_outputs(comp, [s], [x], 100, seed=17 + s * 2 + x)
         assert (outs[:, 0] == want).all()
+
+
+@pytest.mark.parametrize("text", [
+    ONE_TOFFOLI,
+    "in secret a\nin secret b\nreg t\nout o\ngate TOF a b t\ngate TOF a t o\n",
+    "in secret s\nin public x\nout o\ngate NOT s\ngate CNOT x o\ngate TOF s x o\ngate NOT o\n",
+], ids=["one-toffoli", "two-toffoli", "public-not"])
+@pytest.mark.parametrize("level, ec", [(1, True), (1, False), (2, True), (2, False)])
+def test_gadget_index_fits_its_circuit(text, level, ec):
+    # the index read back against its own circuit passes every from_json_dict
+    # check, among them: the secret blocks concatenate to the secret registers
+    comp = compile_circuit(parse_netlist(text), level=level, ec=ec)
+    index = json.loads(json.dumps(comp.to_json_dict()))
+    again = CompiledCircuit.from_json_dict(comp.circuit, index)
+    assert again.to_json_dict() == comp.to_json_dict()
+    assert [r for b in again.secret_blocks for r in b] == [
+        r.id for r in again.circuit.secret_regs]
 
 
 def test_compiled_blocks_hold_codewords():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrcirc.circuits import EvalError
-from lrcirc.compiler import compile_circuit, encode_seed_rows
+from lrcirc.compiler import compile_circuit, encode_seed_rows, seed_count
 from lrcirc.lab import (
     AdvantageReport,
     LeakageModel,
@@ -384,13 +384,14 @@ def test_raw_target_encoding_is_the_secret_and_draws_nothing():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("level", [0, 1, 2])
 def test_paired_encoding_is_linear_in_the_secret(level):
     # one seed batch serves both secrets: enc(y1) = enc(y0) ^ enc(y0 ^ y1, 0)
-    seeds = np.random.default_rng(4).integers(0, 2, size=(64, 3 * level * 2))
+    width = seed_count(2, level)
+    seeds = np.random.default_rng(4).integers(0, 2, size=(64, width))
     for y0, y1 in product(product((0, 1), repeat=2), repeat=2):
         enc0, enc1 = (encode_seed_rows(y, seeds, level) for y in (y0, y1))
-        diff = encode_seed_rows([a ^ b for a, b in zip(y0, y1)], np.zeros((1, 3 * level * 2)), level)
+        diff = encode_seed_rows([a ^ b for a, b in zip(y0, y1)], np.zeros((1, width)), level)
         assert ((enc0 ^ diff) == enc1).all()
 
 
