@@ -434,6 +434,49 @@ _JSON_KEYS = {"level", "ec", "block_map", "blocks", "secret_blocks", "gadgets",
               "readout_gates", "log"}
 
 
+# JSON values are compared by exact type, which also keeps a bool (an int
+# subclass) out of the int fields
+def _int_list(v) -> bool:
+    return type(v) is list and set(map(type, v)) <= {int}
+
+
+def _named_groups(v) -> bool:
+    return type(v) is list and all(
+        type(g) is list and len(g) == 2 and type(g[0]) is str and _int_list(g[1]) for g in v)
+
+
+def _span(v) -> bool:
+    return type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int and v[0] <= v[1]
+
+
+_GADGET_FIELDS = {"kind": str, "source": str, "depth": int, "regs_created": int}
+
+
+def _gadget(g) -> bool:
+    return (type(g) is dict and all(type(g.get(k)) is t for k, t in _GADGET_FIELDS.items())
+            and _span(g.get("gates")) and _span(g.get("events")) and _span(g.get("tape")))
+
+
+# the value shape each gadget-index key must have ("logical" and
+# "aux_groups" may be absent); location_report divides the "logical" counts
+_STAT_COUNTS = ("gates", "depth", "compiled_gates", "compiled_depth", "compiled_events",
+                "tape_bits", "level1_gates")
+_JSON_SHAPES = {
+    "level": lambda v: type(v) is int and v in (1, 2),
+    "ec": lambda v: type(v) is bool,
+    "block_map": lambda v: type(v) is dict and all(
+        type(k) is str and _int_list(regs) for k, regs in v.items()),
+    "blocks": _named_groups,
+    "aux_groups": _named_groups,
+    "secret_blocks": lambda v: type(v) is list and all(map(_int_list, v)),
+    "gadgets": lambda v: type(v) is list and all(map(_gadget, v)),
+    "readout_gates": _int_list,
+    "log": lambda v: type(v) is list,
+    "logical": lambda v: type(v) is dict and all(
+        type(v[k]) is int for k in _STAT_COUNTS if k in v),
+}
+
+
 @dataclass
 class CompiledCircuit:
     circuit: Circuit
@@ -474,10 +517,14 @@ class CompiledCircuit:
     @classmethod
     def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
         """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
-        key and, given the circuit, on an index that does not fit it."""
+        key, on a value of the wrong shape (see _JSON_SHAPES) and, given the
+        circuit, on an index that does not fit it."""
         missing = sorted(_JSON_KEYS - d.keys()) if isinstance(d, dict) else sorted(_JSON_KEYS)
         if missing:
             raise ValueError(f"gadget index lacks {', '.join(missing)}")
+        malformed = [k for k, ok in _JSON_SHAPES.items() if k in d and not ok(d[k])]
+        if malformed:
+            raise ValueError(f"gadget index has malformed {', '.join(malformed)}")
         compiled = cls(
             circuit=circuit,
             level=d["level"],

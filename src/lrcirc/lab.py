@@ -20,7 +20,12 @@ checks the width of its secrets once, up front.
 
 All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (none at level 0), the circuit tape, then the leak mask, in
-that order, so identical (config, seed) gives identical results.  Every
+that order, so identical (config, seed) gives identical results.
+run_rounds' generator is the one Mersenne Twister stream of
+random.Random(seed), replayed by NumPy's MT19937 in blocks of words and
+decoded as random.Random decodes them, so each transcript is the one that
+one getrandbits(1) per seed and tape bit and one random() per leakable
+event would give.  Every
 path evaluates its rows with circuits.evaluate_batch and reads the
 resulting EventBatch bit-planes.  The marginals count symbols by popcount;
 every other path unpacks only what it reads with EventBatch.matrix:
@@ -57,6 +62,7 @@ _MASK_CHUNK_CELLS = 1 << 16
 _MC_CHUNK_MASKS = 64  # masks per mc_advantage evaluation batch
 _MARGINAL_CHUNK_ROWS = 1 << 14  # rows per marginal evaluation batch
 _ROUNDING_SLACK = 1e-9
+_DRAW_BLOCK_WORDS = 1 << 16  # 32-bit generator words per run_rounds draw block
 
 
 @dataclass(frozen=True)
@@ -152,33 +158,79 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     Leak-free events are never eligible for the mask.  Per round the seeded
     generator draws the encoding seeds, then the tape, then one uniform per
     leakable event for the mask, so fixed seeds give identical transcripts;
-    the rounds are then evaluated together in chunks.
+    the rounds are then evaluated together in chunks.  The generator is
+    random.Random(seed)'s Mersenne Twister stream, replayed by a NumPy
+    MT19937 and drawn in blocks of at most _DRAW_BLOCK_WORDS words (or one
+    round), so every transcript equals one drawn bit by bit with
+    getrandbits(1) and random().
     """
     circuit, _, level = _unpack(target, secret)
-    rng = random.Random(seed)
-    leakable = _leakable_events(circuit)
+    gen = _python_mt(seed)
+    leakable = np.array(_leakable_events(circuit), dtype=np.int64)
     enc_bits = seed_count(len(secret), level)
     out = []
     inputs, step = list(inputs), rows_per_batch(circuit)
     for lo in range(0, len(inputs), step):
         xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
-        seeds = np.empty((len(xs), enc_bits), dtype=np.int8)
-        tapes = np.empty((len(xs), circuit.rand_count), dtype=np.int8)
-        masks = []
-        for i in range(len(xs)):
-            seeds[i] = [rng.getrandbits(1) for _ in range(enc_bits)]
-            tapes[i] = [rng.getrandbits(1) for _ in range(circuit.rand_count)]
-            masks.append(tuple(e for e in leakable if rng.random() < model.p))
-        events = evaluate_batch(circuit, encode_seed_rows(secret, seeds, level), xs, tapes)
+        bits, rows, cols = _draw_rounds(gen, len(xs), enc_bits + circuit.rand_count,
+                                        leakable.size, model.p)
+        events = evaluate_batch(circuit, encode_seed_rows(secret, bits[:, :enc_bits], level),
+                                xs, bits[:, enc_bits:])
         outputs = batch_outputs(circuit, events).tolist()
-        cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
-        masked = events.matrix(cols)
-        for i, mask in enumerate(masks):
-            leaked = masked[i, cols.searchsorted(mask)].tolist()
-            values = {e: None if v < 0 else v for e, v in zip(mask, leaked)}
+        # hit j leaks event leakable[cols[j]] in round rows[j]; the hits come
+        # row by row, each row's in ascending event order
+        used, slot = np.unique(cols, return_inverse=True)
+        leaked = events.matrix(leakable[used])[rows, slot].tolist()
+        hits = leakable[cols].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()
+        for i, (start, end) in enumerate(zip([0] + ends, ends)):
+            mask = tuple(hits[start:end])
+            values = {e: None if v < 0 else v for e, v in zip(mask, leaked[start:end])}
             output = {r.name: v for r, v in zip(circuit.output_regs, outputs[i])}
             out.append(LeakTranscript(lo + i, mask, values, output))
     return out
+
+
+def _python_mt(seed) -> np.random.MT19937:
+    """A NumPy MT19937 in the exact state of random.Random(seed): its
+    624-word key and position, so random_raw yields the 32-bit words that
+    the Random would consume next, for every seed Random accepts."""
+    state = random.Random(seed).getstate()[1]
+    gen = np.random.MT19937(0)
+    gen.state = {"bit_generator": "MT19937",
+                 "state": {"key": np.array(state[:624], dtype=np.uint32), "pos": state[624]}}
+    return gen
+
+
+def _draw_rounds(gen: np.random.MT19937, rows: int, nbits: int, nuni: int, p: float):
+    """Per round, `nbits` random bits then `nuni` uniforms u, each tested
+    u < p; returns the (rows, nbits) int8 bits and the (round, uniform)
+    index pairs of the hits, in row-major order.
+
+    The words are decoded as random.Random decodes them: getrandbits(1) is
+    a word's top bit and random() is k / 2**53 for the integer
+    k = (a >> 5) * 2**26 + (b >> 6) of two consecutive words a, b.  So
+    u < p exactly when k < ceil(p * 2**53), and since k's top 27 bits are
+    a >> 5, only a word a below `near` can start a hit: k is built for
+    those alone.  Rounds are drawn _DRAW_BLOCK_WORDS words at a time, or
+    one round when a round is wider, so the draw memory does not grow with
+    `rows`.
+    """
+    width = nbits + 2 * nuni
+    per_block = max(1, _DRAW_BLOCK_WORDS // max(1, width))
+    limit = math.ceil(p * 2.0 ** 53)  # p * 2**53 is exact: a power-of-two scaling
+    near = ((limit >> 26) + 1) << 5
+    bits = np.empty((rows, nbits), dtype=np.int8)
+    hit_rows, hit_cols = [], []
+    for lo in range(0, rows, per_block):
+        raw = gen.random_raw((min(per_block, rows - lo), width))
+        bits[lo:lo + len(raw)] = raw[:, :nbits] >> 31
+        a, b = raw[:, nbits::2], raw[:, nbits + 1::2]
+        r, c = np.nonzero(a < near)
+        hit = (a[r, c] >> 5) * 67108864 + (b[r, c] >> 6) < limit
+        hit_rows.append(r[hit] + lo)
+        hit_cols.append(c[hit])
+    return bits, np.concatenate(hit_rows), np.concatenate(hit_cols)
 
 
 # -- exact tiny oracle -----------------------------------------------------------

@@ -151,6 +151,23 @@ def test_noise_equiv_refuses_bad_sizes(capsys, argv):
     assert err.startswith("error: ") and "must be" in err
 
 
+# gadget indexes with every key present but one value of the wrong shape
+_MALFORMED = {
+    "empty-gadget": lambda d: {**d, "gadgets": [{}]},
+    "int-blocks": lambda d: {**d, "blocks": 5},
+    "list-block-map": lambda d: {**d, "block_map": [1]},
+    "str-readout": lambda d: {**d, "readout_gates": "ab"},
+    "level3": lambda d: {**d, "level": 3},
+    "str-ec": lambda d: {**d, "ec": "on"},
+    "int-log": lambda d: {**d, "log": 5},
+    "str-secret-reg": lambda d: {**d, "secret_blocks": [["0"]]},
+    "unnamed-aux": lambda d: {**d, "aux_groups": [[1, [0]]]},
+    "reversed-span": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "gates": [5, 2]}]},
+    "float-depth": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "depth": 1.5}]},
+    "str-logical-gates": lambda d: {**d, "logical": {**d["logical"], "gates": "x"}},
+}
+
+
 @pytest.fixture(scope="module")
 def compiled_files(tmp_path_factory):
     """The one-Toffoli netlist, its level-1 and level-2 compiles and indexes."""
@@ -166,7 +183,8 @@ def compiled_files(tmp_path_factory):
                        ("no-blocks", lambda d: {k: v for k, v in d.items() if k != "blocks"}),
                        ("far-readout", lambda d: {**d, "readout_gates": [10 ** 6]}),
                        ("far-block", lambda d: {**d, "block_map": {"c": [0, 1, 2, 3, 4, 5, 10 ** 6]}}),
-                       ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]})]:
+                       ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]}),
+                       *_MALFORMED.items()]:
         files[name] = tmp / f"{name}.json"
         files[name].write_text(json.dumps(edit(index)))
     return files
@@ -187,11 +205,15 @@ _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
     ["run", "--circuit", "l1", "--gadgets", "far-block", *_RUN],
     ["analyze", "--circuit", "l1", "--gadgets", "swapped-secrets", "--mode", "marginal",
      "--y0", "01", "--y1", "10", "--leak-p", "0.01", "--samples", "10", "--seed", "1"],
+    *(["report", "--gadgets", name] for name in _MALFORMED),
+    *(["run", "--circuit", "l1", "--gadgets", name, *_RUN] for name in _MALFORMED),
 ], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
-        "level2-index", "readout-gate", "block-register", "secret-order"])
+        "level2-index", "readout-gate", "block-register", "secret-order",
+        *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED)])
 def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
-    # these raised KeyError or TypeError, or (raw one.net with a level-1
-    # index) made the transversality audit exit 2 with two bogus flags
+    # these raised KeyError, TypeError or AttributeError, exited 0 (`run`
+    # never reads the gadget spans), or (raw one.net with a level-1 index)
+    # made the transversality audit exit 2 with two bogus flags
     code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
     assert code == 1
     assert out == ""

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from lrcirc.circuits import truth_table
+from lrcirc.circuits import rows_per_batch, truth_table
 from lrcirc.compiler import compile_circuit, location_report
 from lrcirc.lab import (
     LeakageModel,
@@ -98,6 +98,7 @@ LAB_DIGESTS = {
     "marginal_l2": "bd58f08af6dcebfc",
     "run_rounds_l1": "9de22fecfde8965f",
     "mc_l2": "1fb90449c24f37c0",
+    "run_rounds_l2": "10e32b4b2ef06e79",
 }
 
 
@@ -135,6 +136,15 @@ def test_level2_marginal_report_is_pinned(one_toffoli_level2):
 def test_level1_transcripts_are_pinned(one_toffoli_level1):
     ts = run_rounds(one_toffoli_level1, [1, 0], [[]] * 40, LeakageModel(0.02), seed=14)
     assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l1"]
+
+
+def test_level2_transcripts_are_pinned(one_toffoli_level2):
+    # 260 rounds cross the 247-row evaluation chunk, so the generator
+    # stream must carry on unbroken from one chunk to the next; pinned
+    # while each round's bits and uniforms were drawn one call at a time
+    assert rows_per_batch(one_toffoli_level2.circuit) == 247
+    ts = run_rounds(one_toffoli_level2, [1, 0], [[]] * 260, LeakageModel(0.02), seed=15)
+    assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l2"]
 
 
 # Exact-oracle reports, truth tables and raw-circuit transcripts, pinned

@@ -1,8 +1,8 @@
 """Properties on generated inputs: the level-1 compiler on reversible
 circuits, the batch evaluator and truth tables against the scalar
 evaluate, the array secret encoder, the row tally, the Monte-Carlo
-estimator and the name allocator against their loop references, and the
-size guards."""
+estimator, the transcript sampler and the name allocator against their
+loop references, and the size guards."""
 
 import json
 import math
@@ -25,6 +25,7 @@ from lrcirc.circuits import (
     bit_rows,
     evaluate,
     evaluate_batch,
+    rows_per_batch,
     truth_table,
 )
 from lrcirc.compiler import (
@@ -33,16 +34,22 @@ from lrcirc.compiler import (
     CompileError,
     compile_circuit,
     encode_seed_rows,
+    seed_count,
 )
+from lrcirc import lab
 from lrcirc.lab import (
     AdvantageReport,
     LeakageModel,
+    LeakTranscript,
     _empirical_tv,
     _paired_event_batches,
     _plane_counts,
+    _python_mt,
+    _unpack,
     encoded_secret_rows,
     exact_tv_tiny,
     mc_advantage,
+    run_rounds,
 )
 from lrcirc.netlist import parse_netlist, serialize_netlist
 from lrcirc.steane import encode_codeword
@@ -405,6 +412,116 @@ def test_mc_advantage_equals_per_mask_loop(text, inner, p, seed, data):
     args = (circ, y0, y1, x, LeakageModel(p), 1000, seed, inner)
     got, want = mc_advantage(*args), mc_by_mask_loop(*args)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+# -- the transcript sampler against its random.Random loop ----------------------
+
+
+def rounds_by_random_loop(target, secret, inputs, model, seed):
+    """run_rounds as it was before it drew from NumPy: per round one
+    random.Random call per seed bit, tape bit and leakable event, and each
+    round's mask cut from the chunk's masked-column union by searchsorted."""
+    circuit, _, level = _unpack(target, secret)
+    rng = random.Random(seed)
+    leakable = [e for e in range(circuit.num_events) if e not in circuit.leak_free]
+    enc_bits = seed_count(len(secret), level)
+    out = []
+    inputs, step = list(inputs), rows_per_batch(circuit)
+    for lo in range(0, len(inputs), step):
+        xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
+        seeds = np.empty((len(xs), enc_bits), dtype=np.int8)
+        tapes = np.empty((len(xs), circuit.rand_count), dtype=np.int8)
+        masks = []
+        for i in range(len(xs)):
+            seeds[i] = [rng.getrandbits(1) for _ in range(enc_bits)]
+            tapes[i] = [rng.getrandbits(1) for _ in range(circuit.rand_count)]
+            masks.append(tuple(e for e in leakable if rng.random() < model.p))
+        events = evaluate_batch(circuit, encode_seed_rows(secret, seeds, level), xs, tapes)
+        outputs = batch_outputs(circuit, events).tolist()
+        cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
+        masked = events.matrix(cols)
+        for i, mask in enumerate(masks):
+            leaked = masked[i, cols.searchsorted(mask)].tolist()
+            values = {e: None if v < 0 else v for e, v in zip(mask, leaked)}
+            output = {r.name: v for r, v in zip(circuit.output_regs, outputs[i])}
+            out.append(LeakTranscript(lo + i, mask, values, output))
+    return out
+
+
+def _transcript_json(ts) -> str:
+    return json.dumps([t.to_json_dict() for t in ts])
+
+
+# seeds random.Random takes by other routes than a small int: the absolute
+# value of a negative int, all of an int past 64 bits, a str's sha512
+_ODD_SEEDS = (-3, 2 ** 64 + 5, -(2 ** 70) - 1, "abc", "")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(raw_netlists(), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2 ** 32),
+       st.integers(0, 9), st.data())
+def test_run_rounds_equals_random_loop(text, p, seed, rounds, data):
+    circ = parse_netlist(text)
+    secret = data.draw(st.lists(st.integers(0, 1), min_size=len(circ.secret_regs),
+                                max_size=len(circ.secret_regs)))
+    width = len(circ.public_regs)
+    inputs = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                                min_size=rounds, max_size=rounds))
+    # the words one round draws: a tape bit each, two per leakable event
+    words = circ.rand_count + 2 * (circ.num_events - len(circ.leak_free))
+    for s in (seed, *_ODD_SEEDS):
+        want = _transcript_json(rounds_by_random_loop(circ, secret, inputs, LeakageModel(p), s))
+        for block in (lab._DRAW_BLOCK_WORDS, 1, words - 1, words, words + 1, 3 * words):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lab, "_DRAW_BLOCK_WORDS", block)
+                got = run_rounds(circ, secret, inputs, LeakageModel(p), s)
+            assert _transcript_json(got) == want, (s, block)
+
+
+def test_compiled_run_rounds_equals_random_loop():
+    # each round's seed bits come before its tape
+    comp = compile_circuit(parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n"))
+    for seed in (7, "abc"):
+        args = (comp, [0, 1], [[]] * 5, LeakageModel(0.05), seed)
+        assert _transcript_json(run_rounds(*args)) == _transcript_json(rounds_by_random_loop(*args))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.one_of(st.integers(-(2 ** 80), 2 ** 80), st.text(max_size=5),
+                 st.sampled_from(_ODD_SEEDS)),
+       st.lists(st.tuples(st.booleans(), st.integers(1, 400)), max_size=8))
+def test_python_mt_replays_random_random(seed, runs):
+    # runs of getrandbits(1) (True) and random() (False) calls, up to 3,200
+    # in all, so the interleaving crosses the twister's 624-word refills;
+    # this relies on CPython's random internals and must fail, not drift,
+    # on an interpreter where they differ
+    rng, gen = random.Random(seed), _python_mt(seed)
+    for bit, count in runs:
+        if bit:
+            want = [rng.getrandbits(1) for _ in range(count)]
+            got = (gen.random_raw(count) >> 31).tolist()
+        else:
+            want = [rng.random() for _ in range(count)]
+            pairs = gen.random_raw((count, 2)).tolist()
+            got = [((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992 for a, b in pairs]
+        assert got == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(-(2 ** 40), 2 ** 40), st.integers(0, 3), st.integers(1, 40),
+       st.integers(0, 10 ** 6), st.sampled_from([-1.0, 2.0, None]))
+def test_draw_rounds_equals_random_calls(seed, nbits, nuni, pick, toward):
+    # p is one of the stream's own uniforms or a float next to it, so that
+    # uniform's first word ties with p's top 27 bits and its second decides
+    rows, ref = 3, random.Random(seed)
+    draws = [([ref.getrandbits(1) for _ in range(nbits)], [ref.random() for _ in range(nuni)])
+             for _ in range(rows)]
+    u = draws[pick % rows][1][pick % nuni]
+    p = u if toward is None else math.nextafter(u, toward)
+    bits, hit_rows, hit_cols = lab._draw_rounds(_python_mt(seed), rows, nbits, nuni, p)
+    assert bits.tolist() == [b for b, _ in draws]
+    hits = [(r, c) for r, (_, us) in enumerate(draws) for c, v in enumerate(us) if v < p]
+    assert list(zip(hit_rows.tolist(), hit_cols.tolist())) == hits
 
 
 def probe(names, prefix):
