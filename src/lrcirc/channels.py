@@ -2,20 +2,21 @@
 
 Leaking the value of n wires through a function l is, on the quantum side,
 an isometry |s>|0> -> |s>|l(s)> followed by discarding the receiver.  The
-surviving state keeps coherence exactly within the level sets of l, i.e. it
-is the projector sum over those level sets.  The same channel is produced by
-a uniform mixture of diagonal phase operators F^k = diag(w^{k l(s)}) with w
-a primitive d-th root of unity, d the number of distinct values l takes.
-This module builds both forms and certifies their equality on an input
-basis spanning operator space, which is the footing for treating leakage as
-phase noise.
+surviving state keeps coherence exactly within the level sets of l: it is
+the Schur (entrywise) product M * rho with M_ij = [l(i) = l(j)].  The same
+channel is produced by a uniform mixture of diagonal phase operators
+F^k = diag(w^{k l(s)}) with w a primitive d-th root of unity, d the number
+of distinct values l takes.  Every channel here has diagonal Kraus
+operators, so each is held as its multiplier M and two channels are
+compared entrywise on their multipliers, which is the footing for treating
+leakage as phase noise.
 
 Dimensions are capped at 2^4; everything is dense numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -82,28 +83,32 @@ class LeakageFunction:
 
 @dataclass(frozen=True)
 class Channel:
-    """Operator-sum map rho -> sum_k weight_k E_k rho E_k^dag."""
+    """Map rho -> sum_k weight_k D_k rho D_k^dag with diagonal D_k = diag(d_k).
+
+    That is the Schur product rho -> M * rho with multiplier
+    M = sum_k weight_k d_k d_k^*, stored as `multiplier`.  A term that is not
+    diagonal is refused; trace preservation is diag(M) = 1.
+    """
 
     terms: tuple[tuple[float, np.ndarray], ...]
     dim: int
+    multiplier: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, op in self.terms:
+        for _, op in self.terms:
             if op.shape != (self.dim, self.dim):
                 raise DimensionError("operator shape does not match channel dim")
-            total += w * (op.conj().T @ op)
-        if np.abs(total - np.eye(self.dim)).max() > _COMPLETENESS_TOL:
+            if np.count_nonzero(op - np.diag(np.diag(op))):
+                raise ValueError("operator-sum terms must be diagonal")
+        diags = np.array([np.diag(op) for _, op in self.terms], dtype=complex).reshape(-1, self.dim)
+        weights = np.array([w for w, _ in self.terms], dtype=float)
+        m = (weights[:, None] * diags).T @ diags.conj()
+        if np.abs(np.diag(m) - 1.0).max() > _COMPLETENESS_TOL:
             raise ValueError("operator-sum terms are not trace preserving")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho, dtype=complex)
-        for w, op in self.terms:
-            out += w * (op @ rho @ op.conj().T)
-        return out
+        object.__setattr__(self, "multiplier", m)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply(rho)
+        return self.multiplier * rho
 
 
 def leakage_channel(l: LeakageFunction) -> Channel:
@@ -148,39 +153,18 @@ def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:
     return Channel(tuple(terms), dim)
 
 
-def _probe_states(dim: int) -> list[np.ndarray]:
-    """Pure-state inputs spanning operator space (dim^2 matrix units).
-
-    |i><i| recovers the diagonal units; (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2
-    recover the real and imaginary parts of the off-diagonal units.
-    """
-    states = []
-    for i in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        states.append(np.outer(v, v.conj()))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for phase in (1.0, 1j):
-                v = np.zeros(dim, dtype=complex)
-                v[i] = 1 / np.sqrt(2)
-                v[j] = phase / np.sqrt(2)
-                states.append(np.outer(v, v.conj()))
-    return states
-
-
 def channel_distance(c1: Channel, c2: Channel) -> float:
     """Max entrywise output difference over the spanning probe basis.
 
-    Zero exactly when the channels agree on every probe; since the probes
-    span operator space and both maps are linear, zero implies equality.
+    The probes are the pure states |i>, (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2
+    (i < j), which span operator space.  On Schur multipliers the maximum
+    over them is closed form: max(max_i |dM_ii|, max_{i!=j} |dM_ij| / 2) for
+    dM = M1 - M2.  Zero exactly when the channels are equal.
     """
     if c1.dim != c2.dim:
         raise DimensionError("channels act on different dimensions")
-    return max(
-        float(np.abs(c1.apply(rho) - c2.apply(rho)).max())
-        for rho in _probe_states(c1.dim)
-    )
+    delta = np.abs(c1.multiplier - c2.multiplier)
+    return float(max(np.diag(delta).max(), delta.max() / 2))
 
 
 # -- density-matrix utilities ------------------------------------------------

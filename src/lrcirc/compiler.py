@@ -446,7 +446,7 @@ def _named_groups(v) -> bool:
 
 
 def _span(v) -> bool:
-    return type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int and v[0] <= v[1]
+    return type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int and 0 <= v[0] <= v[1]
 
 
 _GADGET_FIELDS = {"kind": str, "source": str, "depth": int, "regs_created": int}
@@ -518,7 +518,8 @@ class CompiledCircuit:
     def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
         """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
         key, on a value of the wrong shape (see _JSON_SHAPES) and, given the
-        circuit, on an index that does not fit it."""
+        circuit, on an index that does not fit it: a register, readout gate
+        or gate/event/tape span past its end, or secrets out of order."""
         missing = sorted(_JSON_KEYS - d.keys()) if isinstance(d, dict) else sorted(_JSON_KEYS)
         if missing:
             raise ValueError(f"gadget index lacks {', '.join(missing)}")
@@ -545,6 +546,10 @@ class CompiledCircuit:
                 raise ValueError(f"gadget index names a register beyond the circuit's {n}")
             if any(not 0 <= gi < len(circuit.gates) for gi in compiled.readout_gates):
                 raise ValueError("gadget index names a readout gate outside the circuit")
+            ends = {"gates": len(circuit.gates), "events": circuit.num_events,
+                    "tape": circuit.rand_count}
+            if any(g[k][1] > end for g in compiled.gadget_index for k, end in ends.items()):
+                raise ValueError("gadget index has a span past the end of the circuit")
             secret = [r for b in compiled.secret_blocks for r in b]
             if secret != [r.id for r in circuit.secret_regs]:
                 raise ValueError("gadget index secret blocks differ from the circuit's secrets")

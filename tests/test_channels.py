@@ -20,6 +20,44 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
+def apply_by_terms(ch: Channel, rho: np.ndarray) -> np.ndarray:
+    """Reference: the operator sum, term by term."""
+    out = np.zeros_like(rho, dtype=complex)
+    for w, op in ch.terms:
+        out += w * (op @ rho @ op.conj().T)
+    return out
+
+
+def distance_by_probes(c1: Channel, c2: Channel) -> float:
+    """Reference: max entrywise output gap over the probe states |i>,
+    (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2, applied through `apply_by_terms`."""
+    dim = c1.dim
+    vectors = list(np.eye(dim, dtype=complex))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for phase in (1.0, 1j):
+                v = np.zeros(dim, dtype=complex)
+                v[i], v[j] = 1 / np.sqrt(2), phase / np.sqrt(2)
+                vectors.append(v)
+    return max(
+        float(np.abs(apply_by_terms(c1, rho) - apply_by_terms(c2, rho)).max())
+        for rho in (np.outer(v, v.conj()) for v in vectors)
+    )
+
+
+def _random_diagonal_channel(dim: int, terms: int, rng) -> Channel:
+    weights = rng.dirichlet(np.ones(terms))
+    ops = [np.diag(np.exp(2j * np.pi * rng.random(dim))) for _ in range(terms)]
+    return Channel(tuple(zip(weights, ops)), dim)
+
+
+def _channels_on(n: int, rng) -> list[Channel]:
+    ls = [LeakageFunction.random(n, int(rng.integers(1, 2 ** n + 1)), rng) for _ in range(3)]
+    probs = rng.dirichlet(np.ones(3))
+    return [*map(leakage_channel, ls), *map(dephasing_channel, ls),
+            mixture_channel(list(zip(ls, probs)))]
+
+
 def test_constant_function_gives_identity_channel():
     l = LeakageFunction.constant(2)
     ch = leakage_channel(l)
@@ -160,6 +198,51 @@ def test_completeness_enforced():
         Channel(((1.0, bad),), 2)
 
 
+def test_non_diagonal_terms_are_refused():
+    # H^dag H = I, so the completeness check alone accepts the Hadamard
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    with pytest.raises(ValueError, match="diagonal"):
+        Channel(((1.0, h),), 2)
+
+
+def test_schur_multiplier_matches_operator_sum_on_random_diagonal_channels():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 4, 8, 16):
+        chans = [_random_diagonal_channel(dim, int(rng.integers(1, 6)), rng) for _ in range(4)]
+        for ch in chans:
+            rho = random_density_matrix(dim, rng)
+            assert np.abs(ch(rho) - apply_by_terms(ch, rho)).max() < 1e-14
+        for a in chans:
+            for b in chans:
+                assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schur_multiplier_matches_operator_sum_on_leakage_channels(n):
+    rng = np.random.default_rng(13 + n)
+    chans = _channels_on(n, rng)
+    for ch in chans:
+        for _ in range(3):
+            rho = random_density_matrix(2 ** n, rng)
+            assert np.abs(ch(rho) - apply_by_terms(ch, rho)).max() < 1e-14
+    # each leakage channel against its phase form, then neighbours in the list
+    for a, b in [*zip(chans[:3], chans[3:6]), *zip(chans, chans[1:] + chans[:1])]:
+        assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+
+
+def test_closed_form_distance_on_unequal_channels():
+    ident = Channel(((1.0, np.eye(2, dtype=complex)),), 2)
+    deph = dephasing_channel(LeakageFunction.identity(1))
+    assert distance_by_probes(ident, deph) == pytest.approx(0.5, abs=1e-14)
+    assert abs(channel_distance(ident, deph) - distance_by_probes(ident, deph)) < 1e-14
+    parity, identity = LeakageFunction.parity(3), LeakageFunction.identity(3)
+    pairs = [(leakage_channel(parity), leakage_channel(identity)),
+             (dephasing_channel(parity), mixture_channel([(identity, 0.25), (parity, 0.75)]))]
+    for a, b in pairs:
+        assert channel_distance(a, b) > 0.1
+        assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+
+
 def test_dimension_guard():
     with pytest.raises(DimensionError):
         LeakageFunction(5, tuple(range(32)))
@@ -171,6 +254,12 @@ def test_equivalence_sweep_small():
     assert report["exhaustive_max_distance"] <= 1e-10
     assert report["random_max_distance"] <= 1e-10
     assert report["exhaustive_functions"] == 9
+
+
+def test_equivalence_sweep_three_wires_exhaustive():
+    report = equivalence_sweep(max_exhaustive_wires=3, alphabet=3, trials=0)
+    assert report["exhaustive_functions"] == 3 ** 2 + 3 ** 4 + 3 ** 8 == 6651
+    assert report["exhaustive_max_distance"] <= 1e-10
 
 
 def test_random_density_matrix_valid():

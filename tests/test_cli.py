@@ -163,9 +163,13 @@ _MALFORMED = {
     "str-secret-reg": lambda d: {**d, "secret_blocks": [["0"]]},
     "unnamed-aux": lambda d: {**d, "aux_groups": [[1, [0]]]},
     "reversed-span": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "gates": [5, 2]}]},
+    "negative-span": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "tape": [-1, 2]}]},
     "float-depth": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "depth": 1.5}]},
     "str-logical-gates": lambda d: {**d, "logical": {**d["logical"], "gates": "x"}},
 }
+
+
+_SPANS = ("gates", "events", "tape")
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +188,9 @@ def compiled_files(tmp_path_factory):
                        ("far-readout", lambda d: {**d, "readout_gates": [10 ** 6]}),
                        ("far-block", lambda d: {**d, "block_map": {"c": [0, 1, 2, 3, 4, 5, 10 ** 6]}}),
                        ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]}),
+                       *((f"far-{k}-span", lambda d, k=k: {**d, "gadgets": [
+                           {**d["gadgets"][0], k: [0, 10 ** 9]}, *d["gadgets"][1:]]})
+                         for k in _SPANS),
                        *_MALFORMED.items()]:
         files[name] = tmp / f"{name}.json"
         files[name].write_text(json.dumps(edit(index)))
@@ -207,12 +214,18 @@ _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
      "--y0", "01", "--y1", "10", "--leak-p", "0.01", "--samples", "10", "--seed", "1"],
     *(["report", "--gadgets", name] for name in _MALFORMED),
     *(["run", "--circuit", "l1", "--gadgets", name, *_RUN] for name in _MALFORMED),
+    *(["report", "--gadgets", f"far-{k}-span", "--circuit", "l1"] for k in _SPANS),
+    *(["run", "--circuit", "l1", "--gadgets", f"far-{k}-span", *_RUN] for k in _SPANS),
+    [*_AUDIT, "l1", "--gadgets", "far-gates-span"],
 ], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
         "level2-index", "readout-gate", "block-register", "secret-order",
-        *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED)])
+        *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED),
+        *(f"{cmd}-far-{k}-span" for cmd in ("report", "run") for k in _SPANS),
+        "audit-far-gates-span"])
 def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # these raised KeyError, TypeError or AttributeError, exited 0 (`run`
-    # never reads the gadget spans), or (raw one.net with a level-1 index)
+    # never reads the gadget spans; a span past the circuit's end gave
+    # `report` a 10^9-gate gadget), or (raw one.net with a level-1 index)
     # made the transversality audit exit 2 with two bogus flags
     code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
     assert code == 1
