@@ -148,8 +148,17 @@ class Circuit:
             if reg.role in (Role.SECRET, Role.PUBLIC):
                 self.input_events[reg.id] = eid
                 eid += 1
+        nregs = len(self.registers)
         gate_events = []
-        for g in self.gates:
+        for gi, g in enumerate(self.gates):
+            for a in g.args:
+                if not 0 <= a < nregs:
+                    raise CircuitError(f"gate references undeclared register {a}", gate=gi)
+            if g.cond is not None and not 0 <= g.cond < eid:
+                raise CircuitError(
+                    f"condition event {g.cond} does not precede the gate it controls",
+                    gate=gi,
+                )
             gate_events.append(tuple(range(eid, eid + len(g.args))))
             eid += len(g.args)
         self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
@@ -157,8 +166,13 @@ class Circuit:
         self.leak_free: frozenset[int] = frozenset(
             ev[0] for g, ev in zip(self.gates, self.gate_events) if g.kind is GateKind.RAND
         )
-        self.rand_count = sum(1 for g in self.gates if g.kind is GateKind.RAND)
-        self._validate_gates()
+        self.rand_count = len(self.leak_free)
+        written = {g.args[g.kind.write_port] for g in self.gates
+                   if g.kind.write_port is not None}
+        for reg in self.output_regs:
+            if reg.id not in written:
+                raise CircuitError(f"output register {reg.name!r} is never written",
+                                   register=reg.id)
 
     # -- validation -------------------------------------------------------
 
@@ -171,25 +185,6 @@ class Circuit:
             if reg.name in names:
                 raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
             names.add(reg.name)
-
-    def _validate_gates(self):
-        nregs = len(self.registers)
-        written = set()
-        for gi, (g, events) in enumerate(zip(self.gates, self.gate_events)):
-            for a in g.args:
-                if not 0 <= a < nregs:
-                    raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-            if g.cond is not None and not 0 <= g.cond < events[0]:
-                raise CircuitError(
-                    f"condition event {g.cond} does not precede the gate it controls",
-                    gate=gi,
-                )
-            if g.kind.write_port is not None:
-                written.add(g.args[g.kind.write_port])
-        for reg in self.output_regs:
-            if reg.id not in written:
-                raise CircuitError(f"output register {reg.name!r} is never written",
-                                   register=reg.id)
 
     # -- introspection ----------------------------------------------------
 

@@ -53,8 +53,6 @@ def _load_target(circuit_path: str, gadgets_path: str | None):
 
 
 def _bits(text: str) -> list[int]:
-    if text == "":
-        return []
     if set(text) - {"0", "1"}:
         raise UsageError(f"bit string expected, got {text!r}")
     return [int(c) for c in text]

@@ -430,10 +430,6 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
     return words
 
 
-_JSON_KEYS = {"level", "ec", "block_map", "blocks", "secret_blocks", "gadgets",
-              "readout_gates", "log"}
-
-
 # JSON values are compared by exact type, which also keeps a bool (an int
 # subclass) out of the int fields
 def _int_list(v) -> bool:
@@ -457,10 +453,12 @@ def _gadget(g) -> bool:
             and _span(g.get("gates")) and _span(g.get("events")) and _span(g.get("tape")))
 
 
-# the value shape each gadget-index key must have ("logical" and
-# "aux_groups" may be absent); location_report divides the "logical" counts
+# the value shape each gadget-index key must have; every key is required.
+# location_report divides the "logical" counts, and the compiled sizes among
+# them bound the gadget spans (span key -> count) and the readout gates
 _STAT_COUNTS = ("gates", "depth", "compiled_gates", "compiled_depth", "compiled_events",
                 "tape_bits", "level1_gates")
+_SPAN_SIZES = {"gates": "compiled_gates", "events": "compiled_events", "tape": "tape_bits"}
 _JSON_SHAPES = {
     "level": lambda v: type(v) is int and v in (1, 2),
     "ec": lambda v: type(v) is bool,
@@ -472,7 +470,7 @@ _JSON_SHAPES = {
     "gadgets": lambda v: type(v) is list and all(map(_gadget, v)),
     "readout_gates": _int_list,
     "log": lambda v: type(v) is list,
-    "logical": lambda v: type(v) is dict and all(
+    "logical": lambda v: type(v) is dict and {*_SPAN_SIZES.values()} <= v.keys() and all(
         type(v[k]) is int for k in _STAT_COUNTS if k in v),
 }
 
@@ -517,15 +515,21 @@ class CompiledCircuit:
     @classmethod
     def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
         """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
-        key, on a value of the wrong shape (see _JSON_SHAPES) and, given the
-        circuit, on an index that does not fit it: a register, readout gate
-        or gate/event/tape span past its end, or secrets out of order."""
-        missing = sorted(_JSON_KEYS - d.keys()) if isinstance(d, dict) else sorted(_JSON_KEYS)
+        key, a value of the wrong shape (see _JSON_SHAPES), or a readout gate
+        or gate/event/tape span past the sizes that "logical" declares; given
+        the circuit, also on other sizes, a register past its end or secrets
+        out of order."""
+        missing = sorted(_JSON_SHAPES.keys() - d.keys() if isinstance(d, dict) else _JSON_SHAPES)
         if missing:
             raise ValueError(f"gadget index lacks {', '.join(missing)}")
-        malformed = [k for k, ok in _JSON_SHAPES.items() if k in d and not ok(d[k])]
+        malformed = [k for k, ok in _JSON_SHAPES.items() if not ok(d[k])]
         if malformed:
             raise ValueError(f"gadget index has malformed {', '.join(malformed)}")
+        sizes = {k: d["logical"][stat] for k, stat in _SPAN_SIZES.items()}
+        if any(g[k][1] > end for g in d["gadgets"] for k, end in sizes.items()):
+            raise ValueError("gadget index has a span past the end of the circuit")
+        if any(not 0 <= gi < sizes["gates"] for gi in d["readout_gates"]):
+            raise ValueError("gadget index names a readout gate outside the circuit")
         compiled = cls(
             circuit=circuit,
             level=d["level"],
@@ -536,20 +540,16 @@ class CompiledCircuit:
             gadget_index=d["gadgets"],
             readout_gates=list(d["readout_gates"]),
             log=list(d["log"]),
-            logical_stats=d.get("logical", {}),
-            aux_groups=[(name, tuple(regs)) for name, regs in d.get("aux_groups", [])],
+            logical_stats=d["logical"],
+            aux_groups=[(name, tuple(regs)) for name, regs in d["aux_groups"]],
         )
         if circuit is not None:
+            if [len(circuit.gates), circuit.num_events, circuit.rand_count] != [*sizes.values()]:
+                raise ValueError("gadget index sizes differ from the circuit's")
             n = len(circuit.registers)
             groups = [*compiled.blocks, *compiled.aux_groups, *compiled.block_map.items()]
             if any(not 0 <= r < n for _, regs in groups for r in regs):
                 raise ValueError(f"gadget index names a register beyond the circuit's {n}")
-            if any(not 0 <= gi < len(circuit.gates) for gi in compiled.readout_gates):
-                raise ValueError("gadget index names a readout gate outside the circuit")
-            ends = {"gates": len(circuit.gates), "events": circuit.num_events,
-                    "tape": circuit.rand_count}
-            if any(g[k][1] > end for g in compiled.gadget_index for k, end in ends.items()):
-                raise ValueError("gadget index has a span past the end of the circuit")
             secret = [r for b in compiled.secret_blocks for r in b]
             if secret != [r.id for r in circuit.secret_regs]:
                 raise ValueError("gadget index secret blocks differ from the circuit's secrets")

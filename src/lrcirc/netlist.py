@@ -38,11 +38,54 @@ def parse_netlist(text: str) -> Circuit:
     registers: list[Register] = []
     names: dict[str, int] = {}
     gates: list[Gate] = []
-    seen_gate = False
-
-    def declare(line_no: int, name: str, role: Role, init: int = 0) -> None:
-        nonlocal seen_gate
-        if seen_gate:
+    for line_no, tok in _statements(text):
+        head = tok[0]
+        if head in ("gate", "cgate"):
+            cond = None
+            if head == "cgate":
+                if len(tok) < 3:
+                    raise NetlistError(line_no, "expected: cgate <event> <KIND> <operands>")
+                ref = tok.pop(1)
+                try:
+                    cond = int(ref)
+                except ValueError:
+                    cond = -1
+                if cond < 0:
+                    raise NetlistError(line_no, f"bad event reference {ref!r}")
+            elif len(tok) < 2:
+                raise NetlistError(line_no, "expected: gate <KIND> <operands>")
+            try:
+                kind = GateKind(tok[1])
+            except ValueError:
+                raise NetlistError(line_no, f"unknown gate kind {tok[1]!r}") from None
+            if len(tok) - 2 != kind.arity:
+                raise NetlistError(
+                    line_no, f"{kind.value} takes {kind.arity} operand(s), got {len(tok) - 2}"
+                )
+            try:
+                gates.append(Gate(kind, tuple(names[t] for t in tok[2:]), cond=cond))
+            except KeyError as exc:
+                raise NetlistError(
+                    line_no, f"reference to undeclared register {exc.args[0]!r}"
+                ) from None
+            except CircuitError as exc:
+                raise NetlistError(line_no, str(exc)) from exc
+            continue
+        if head == "in":
+            if len(tok) != 3 or tok[1] not in ("secret", "public"):
+                raise NetlistError(line_no, "expected: in secret|public <name>")
+            name, role, init = tok[2], Role.SECRET if tok[1] == "secret" else Role.PUBLIC, 0
+        elif head == "reg":
+            if not (len(tok) == 2 or len(tok) == 4 and tok[2] == "init" and tok[3] in ("0", "1")):
+                raise NetlistError(line_no, "expected: reg <name> [init 0|1]")
+            name, role, init = tok[1], Role.INTERNAL, int(tok[3]) if len(tok) == 4 else 0
+        elif head == "out":
+            if len(tok) != 2:
+                raise NetlistError(line_no, "expected: out <name>")
+            name, role, init = tok[1], Role.OUTPUT, 0
+        else:
+            raise NetlistError(line_no, f"unknown statement {head!r}")
+        if gates:
             raise NetlistError(line_no, "declarations must precede gates")
         if not _NAME.match(name):
             raise NetlistError(line_no, f"bad register name {name!r}")
@@ -50,63 +93,6 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistError(line_no, f"duplicate register name {name!r}")
         names[name] = len(registers)
         registers.append(Register(len(registers), name, role, init))
-
-    def resolve(line_no: int, name: str) -> int:
-        if name not in names:
-            raise NetlistError(line_no, f"reference to undeclared register {name!r}")
-        return names[name]
-
-    def parse_gate(line_no: int, tok: list[str], cond: int | None) -> None:
-        nonlocal seen_gate
-        try:
-            kind = GateKind(tok[0])
-        except ValueError:
-            raise NetlistError(line_no, f"unknown gate kind {tok[0]!r}") from None
-        if len(tok) - 1 != kind.arity:
-            raise NetlistError(
-                line_no,
-                f"{kind.value} takes {kind.arity} operand(s), got {len(tok) - 1}",
-            )
-        args = tuple(resolve(line_no, t) for t in tok[1:])
-        try:
-            gates.append(Gate(kind, args, cond=cond))
-        except CircuitError as exc:
-            raise NetlistError(line_no, str(exc)) from exc
-        seen_gate = True
-
-    for line_no, tok in _statements(text):
-        head = tok[0]
-        if head == "in":
-            if len(tok) != 3 or tok[1] not in ("secret", "public"):
-                raise NetlistError(line_no, "expected: in secret|public <name>")
-            declare(line_no, tok[2], Role.SECRET if tok[1] == "secret" else Role.PUBLIC)
-        elif head == "reg":
-            if len(tok) == 2:
-                declare(line_no, tok[1], Role.INTERNAL)
-            elif len(tok) == 4 and tok[2] == "init" and tok[3] in ("0", "1"):
-                declare(line_no, tok[1], Role.INTERNAL, int(tok[3]))
-            else:
-                raise NetlistError(line_no, "expected: reg <name> [init 0|1]")
-        elif head == "out":
-            if len(tok) != 2:
-                raise NetlistError(line_no, "expected: out <name>")
-            declare(line_no, tok[1], Role.OUTPUT)
-        elif head == "gate":
-            if len(tok) < 2:
-                raise NetlistError(line_no, "expected: gate <KIND> <operands>")
-            parse_gate(line_no, tok[1:], cond=None)
-        elif head == "cgate":
-            if len(tok) < 3:
-                raise NetlistError(line_no, "expected: cgate <event> <KIND> <operands>")
-            try:
-                cond = int(tok[1])
-            except ValueError:
-                raise NetlistError(line_no, f"bad event reference {tok[1]!r}") from None
-            if cond < 0:
-                raise NetlistError(line_no, f"bad event reference {tok[1]!r}")
-            parse_gate(line_no, tok[2:], cond=cond)
-        else:
-            raise NetlistError(line_no, f"unknown statement {head!r}")
 
     try:
         return Circuit(registers, gates)

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps library functions by name; a cleanup that
-renames or drops one of them must fail here, not only under `--trace 1`."""
+"""The benchmark's tracer wraps library functions by name, and its set-up
+loads compiled targets through the library's readers; a cleanup that renames
+or drops one of those functions, or refuses what the set-up loads, must fail
+here, not only in a benchmark run."""
 
 import importlib
 import sys
@@ -54,3 +56,18 @@ def test_tally_is_a_traced_layer_of_mc(bench):
         t.unpatch()
     assert t.counts["lab.tally.calls"] >= 1
     assert t.self_s["lab.tally"] > 0
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_benchmark_setup_loads_its_compiled_targets(monkeypatch, level):
+    # the workloads rebuild compiled targets through the netlist and
+    # gadget-index readers; a reader that refused them would fail every run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    try:
+        workloads = importlib.import_module("workloads")
+        comp = workloads.load_compiled(workloads.ONE_TOFFOLI, level)
+    finally:
+        sys.modules.pop("workloads", None)
+    assert comp.level == level
+    assert comp.logical_stats["compiled_gates"] == len(comp.circuit.gates)

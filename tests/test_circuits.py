@@ -141,6 +141,31 @@ def test_condition_must_precede_gate():
         build(regs, [Gate(GateKind.NOT, (1,), cond=5)])
 
 
+_S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
+
+
+@pytest.mark.parametrize("regs, gates, match, gate, register", [
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 5))],
+     "undeclared register 5", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (1,), cond=2),
+                Gate(GateKind.NOT, (1,), cond=4)],
+     "condition event 4 does not precede", 2, None),
+    ([_S, _O, Register(2, "p", Role.OUTPUT)], [Gate(GateKind.CNOT, (0, 1))],
+     "'p' is never written", None, 2),
+    ([_S, _O, Register(2, "s", Role.INTERNAL)], [Gate(GateKind.CNOT, (0, 1))],
+     "duplicate register name 's'", None, 2),
+    ([_S, _O, Register(3, "t", Role.INTERNAL)], [Gate(GateKind.CNOT, (0, 1))],
+     "dense, got 3 at 2", None, 2),
+], ids=["undeclared-register", "late-condition", "unwritten-output", "duplicate-name",
+        "sparse-id"])
+def test_circuit_error_names_the_failing_gate_or_register(regs, gates, match, gate, register):
+    # netlist error lines come from these attributes; each case fails past
+    # the first gate or register
+    with pytest.raises(CircuitError, match=match) as info:
+        build(regs, gates)
+    assert (info.value.gate, info.value.register) == (gate, register)
+
+
 def test_truth_table_deterministic_point_masses():
     circ = toffoli_circuit()
     table = truth_table(circ)

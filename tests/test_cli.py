@@ -166,6 +166,8 @@ _MALFORMED = {
     "negative-span": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "tape": [-1, 2]}]},
     "float-depth": lambda d: {**d, "gadgets": [{**d["gadgets"][0], "depth": 1.5}]},
     "str-logical-gates": lambda d: {**d, "logical": {**d["logical"], "gates": "x"}},
+    "no-tape-bits": lambda d: {**d, "logical": {
+        k: v for k, v in d["logical"].items() if k != "tape_bits"}},
 }
 
 
@@ -185,6 +187,13 @@ def compiled_files(tmp_path_factory):
     index = json.loads(files["l1.json"].read_text())
     for name, edit in [("empty", lambda d: {}), ("list", lambda d: [1, 2]),
                        ("no-blocks", lambda d: {k: v for k, v in d.items() if k != "blocks"}),
+                       ("no-logical", lambda d: {k: v for k, v in d.items() if k != "logical"}),
+                       ("no-aux-groups",
+                        lambda d: {k: v for k, v in d.items() if k != "aux_groups"}),
+                       ("few-gates",
+                        lambda d: {**d, "logical": {**d["logical"], "compiled_gates": 10}}),
+                       ("many-gates",
+                        lambda d: {**d, "logical": {**d["logical"], "compiled_gates": 10 ** 6}}),
                        ("far-readout", lambda d: {**d, "readout_gates": [10 ** 6]}),
                        ("far-block", lambda d: {**d, "block_map": {"c": [0, 1, 2, 3, 4, 5, 10 ** 6]}}),
                        ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]}),
@@ -217,16 +226,29 @@ _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
     *(["report", "--gadgets", f"far-{k}-span", "--circuit", "l1"] for k in _SPANS),
     *(["run", "--circuit", "l1", "--gadgets", f"far-{k}-span", *_RUN] for k in _SPANS),
     [*_AUDIT, "l1", "--gadgets", "far-gates-span"],
+    *(["report", "--gadgets", f"far-{k}-span"] for k in _SPANS),
+    ["report", "--gadgets", "far-readout"],
+    ["report", "--gadgets", "no-logical"],
+    ["report", "--gadgets", "no-aux-groups"],
+    ["report", "--gadgets", "few-gates", "--circuit", "l1"],
+    ["run", "--circuit", "l1", "--gadgets", "few-gates", *_RUN],
+    ["report", "--gadgets", "many-gates", "--circuit", "l1"],
 ], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
         "level2-index", "readout-gate", "block-register", "secret-order",
         *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED),
         *(f"{cmd}-far-{k}-span" for cmd in ("report", "run") for k in _SPANS),
-        "audit-far-gates-span"])
+        "audit-far-gates-span",
+        *(f"report-alone-far-{k}-span" for k in _SPANS),
+        "report-alone-far-readout", "report-no-logical", "report-no-aux-groups",
+        "report-few-gates", "run-few-gates", "report-many-gates"])
 def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # these raised KeyError, TypeError or AttributeError, exited 0 (`run`
     # never reads the gadget spans; a span past the circuit's end gave
-    # `report` a 10^9-gate gadget), or (raw one.net with a level-1 index)
-    # made the transversality audit exit 2 with two bogus flags
+    # `report` a 10^9-gate gadget, with or without --circuit; an index
+    # without "logical" or "aux_groups" loaded with defaults; a declared
+    # compiled size the netlist contradicts was printed as is), or (raw
+    # one.net with a level-1 index) made the transversality audit exit 2
+    # with two bogus flags
     code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
     assert code == 1
     assert out == ""
@@ -238,6 +260,7 @@ def test_good_gadget_indexes_still_load(capsys, compiled_files):
         net, index = compiled_files[f"l{level}"], compiled_files[f"l{level}.json"]
         assert run_cli(capsys, *_AUDIT, net, "--gadgets", index)[0] == 0
         assert run_cli(capsys, "report", "--gadgets", index, "--circuit", net)[0] == 0
+        assert run_cli(capsys, "report", "--gadgets", index)[0] == 0
 
 
 def test_bad_netlist_reports_line(capsys, tmp_path):
