@@ -20,7 +20,7 @@ documented tape costs, and a compile log.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -93,7 +93,7 @@ class CircuitBuilder:
         self._next_suffix[prefix] = k
         return name
 
-    def new_reg(self, name: str, role: Role = Role.INTERNAL, init: int = 0) -> int:
+    def new_reg(self, name: str, role: Role = Role.INTERNAL) -> int:
         if name in self._names:
             raise CompileError(f"register name collision: {name}")
         if role in (Role.SECRET, Role.PUBLIC):
@@ -102,7 +102,7 @@ class CircuitBuilder:
             self._event += 1
         self._names.add(name)
         rid = len(self.regs)
-        self.regs.append(Register(rid, name, role, init))
+        self.regs.append(Register(rid, name, role))
         return rid
 
     def new_block(self, base: str, role: Role = Role.INTERNAL,
@@ -130,6 +130,19 @@ class CircuitBuilder:
         if kind is GateKind.RAND:
             self._tape += 1
         return events
+
+    def transversal(self, kind: GateKind, *blocks: Block, cond: int | None = None) -> None:
+        """One `kind` gate per position of the equally long `blocks`, whose
+        operands are that position of each block, in block order."""
+        for args in zip(*blocks, strict=True):
+            self.emit(kind, *args, cond=cond)
+
+    def logical_x(self, block: Block, *control: int, cond: int | None = None) -> None:
+        """Logical X on `block`: NOT, or CNOT from the register `control`, at
+        each LOGICAL_SUPPORT position."""
+        kind = GateKind.CNOT if control else GateKind.NOT
+        for j in LOGICAL_SUPPORT:
+            self.emit(kind, *control, block[j - 1], cond=cond)
 
     # -- gadget spans -----------------------------------------------------
 
@@ -178,32 +191,32 @@ def emit_measure_x(builder: CircuitBuilder, wire: int) -> int:
     return ro
 
 
-def emit_parity_cascade(builder: CircuitBuilder, block: Block, ro: int,
+def emit_parity_cascade(builder: CircuitBuilder, wires, ro: int,
                         whitelist: bool = False) -> int:
-    """Left-to-right CNOT cascade of a block into register `ro`.
+    """Left-to-right CNOT cascade of any register list into register `ro`.
 
-    Returns the final event id, which carries the block parity, i.e. the
-    logical value.  Whitelisted cascade gates are exempt from the
-    transversality audit.
+    Returns the final event id, which carries the parity of `wires`; for a
+    whole block that is the logical value.  Whitelisted cascade gates are
+    exempt from the transversality audit.
     """
-    for rid in block:
+    for rid in wires:
         if whitelist:
             builder.readout_gates.append(len(builder.gates))
         last = builder.emit(GateKind.CNOT, rid, ro)[1]
     return last
 
 
-def emit_parity_readout(builder: CircuitBuilder, block: Block, name: str,
+def emit_parity_readout(builder: CircuitBuilder, wires, name: str,
                         whitelist: bool = False) -> tuple[int, int]:
     """Parity cascade into a fresh register: (register, final event id)."""
     ro = builder.new_reg(name)
-    return ro, emit_parity_cascade(builder, block, ro, whitelist)
+    return ro, emit_parity_cascade(builder, wires, ro, whitelist)
 
 
 # -- gadgets ------------------------------------------------------------------
 
 
-def emit_codeword_ancilla(builder: CircuitBuilder, base: str) -> tuple[Block, list[int]]:
+def emit_codeword_ancilla(builder: CircuitBuilder, base: str) -> Block:
     """Non-fault-tolerant encoder: three seed bits fanned out by CNOTs.
 
     The frozen network drives position j from every seed whose check row has
@@ -220,15 +233,14 @@ def emit_codeword_ancilla(builder: CircuitBuilder, base: str) -> tuple[Block, li
         for j, bit in enumerate(row):
             if bit:
                 builder.emit(GateKind.CNOT, seeds[i], block[j])
-    return block, seeds
+    return block
 
 
 def emit_logical_flip(builder: CircuitBuilder, block: Block, base: str) -> int:
     """Flip on positions {1,2,3} controlled by a fresh leak-free bit."""
     f = builder.new_reg(builder.fresh(f"{base}.flip"))
     builder.emit(GateKind.RAND, f)
-    for j in LOGICAL_SUPPORT:
-        builder.emit(GateKind.CNOT, f, block[j - 1])
+    builder.logical_x(block, f)
     return f
 
 
@@ -239,7 +251,7 @@ def emit_bare_plus(builder: CircuitBuilder, base: str) -> Block:
     error-correction ancilla): its own X-measurements are the verification.
     """
     with builder.gadget("bare-plus", base):
-        block, _ = emit_codeword_ancilla(builder, base)
+        block = emit_codeword_ancilla(builder, base)
         emit_logical_flip(builder, block, base)
     return block
 
@@ -253,12 +265,10 @@ def prep_zero_gadget(builder: CircuitBuilder, base: str) -> Block:
     """
     with builder.gadget("prep-zero", base):
         data = builder.new_block(base)
-        anc, _ = emit_codeword_ancilla(builder, f"{base}.anc")
-        for a, d in zip(anc, data):
-            builder.emit(GateKind.CNOT, a, d)
-        for j, a in enumerate(anc, start=1):
-            ro = builder.new_reg(builder.fresh(f"{base}.anc.ro{j}"))
-            builder.emit(GateKind.COPY, a, ro)
+        anc = emit_codeword_ancilla(builder, f"{base}.anc")
+        builder.transversal(GateKind.CNOT, anc, data)
+        ros = [builder.new_reg(builder.fresh(f"{base}.anc.ro{j}")) for j in range(1, 8)]
+        builder.transversal(GateKind.COPY, anc, ros)
         for a in anc:
             emit_measure_x(builder, a)
     return data
@@ -324,13 +334,10 @@ def toffoli_ancilla_gadget(builder: CircuitBuilder, base: str) -> tuple[Block, B
         a2, _ = prep_plus_gadget(builder, f"{base}.a2")
         shor = shor_prep_gadget(builder, f"{base}.s")
         a3, _ = prep_plus_gadget(builder, f"{base}.a3")
-        for x, s in zip(a3, shor):
-            builder.emit(GateKind.CNOT, x, s)
-        for x, y, s in zip(a1, a2, shor):
-            builder.emit(GateKind.TOF, x, y, s)
+        builder.transversal(GateKind.CNOT, a3, shor)
+        builder.transversal(GateKind.TOF, a1, a2, shor)
         _, m_event = emit_parity_readout(builder, shor, builder.fresh(f"{base}.m"))
-        for j in LOGICAL_SUPPORT:
-            builder.emit(GateKind.NOT, a3[j - 1], cond=m_event)
+        builder.logical_x(a3, cond=m_event)
         shor_verify_gadget(builder, shor, f"{base}.s")
     return a1, a2, a3
 
@@ -351,29 +358,21 @@ def toffoli_gadget(builder: CircuitBuilder, d1: Block, d2: Block, d3: Block,
     """
     with builder.gadget("toffoli", base):
         a1, a2, a3 = toffoli_ancilla_gadget(builder, f"{base}.anc")
-        for s, t in zip(a1, d1):
-            builder.emit(GateKind.CNOT, s, t)
-        for s, t in zip(a2, d2):
-            builder.emit(GateKind.CNOT, s, t)
-        for s, t in zip(d3, a3):
-            builder.emit(GateKind.CNOT, s, t)
+        builder.transversal(GateKind.CNOT, a1, d1)
+        builder.transversal(GateKind.CNOT, a2, d2)
+        builder.transversal(GateKind.CNOT, d3, a3)
 
         xro = [emit_measure_x(builder, w) for w in d3]
-        m3 = builder.new_reg(builder.fresh(f"{base}.m3"))
-        for j in LOGICAL_SUPPORT:
-            builder.emit(GateKind.CNOT, xro[j - 1], m3)
+        emit_parity_readout(builder, [xro[j - 1] for j in LOGICAL_SUPPORT],
+                            builder.fresh(f"{base}.m3"))
 
         _, m2 = emit_parity_readout(builder, d2, builder.fresh(f"{base}.m2"))
-        for j in LOGICAL_SUPPORT:
-            builder.emit(GateKind.NOT, a2[j - 1], cond=m2)
-        for s, t in zip(a1, a3):
-            builder.emit(GateKind.CNOT, s, t, cond=m2)
+        builder.logical_x(a2, cond=m2)
+        builder.transversal(GateKind.CNOT, a1, a3, cond=m2)
 
         _, m1 = emit_parity_readout(builder, d1, builder.fresh(f"{base}.m1"))
-        for j in LOGICAL_SUPPORT:
-            builder.emit(GateKind.NOT, a1[j - 1], cond=m1)
-        for s, t in zip(a2, a3):
-            builder.emit(GateKind.CNOT, s, t, cond=m1)
+        builder.logical_x(a1, cond=m1)
+        builder.transversal(GateKind.CNOT, a2, a3, cond=m1)
     return a1, a2, a3
 
 
@@ -383,8 +382,7 @@ def steane_ec_gadget(builder: CircuitBuilder, block: Block, base: str) -> None:
     written; recovery would be phase-type and vanishes on values."""
     with builder.gadget("error-correction", base):
         anc = emit_bare_plus(builder, f"{base}.anc")
-        for d, a in zip(block, anc):
-            builder.emit(GateKind.CNOT, d, a)
+        builder.transversal(GateKind.CNOT, block, anc)
         for a in anc:
             emit_measure_x(builder, a)
 
@@ -486,8 +484,8 @@ class CompiledCircuit:
     gadget_index: list[dict]
     readout_gates: list[int]
     log: list[str]
-    logical_stats: dict = field(default_factory=dict)
-    aux_groups: list[tuple[str, Block]] = field(default_factory=list)
+    logical_stats: dict
+    aux_groups: list[tuple[str, Block]]
 
     def location_counts(self) -> list[tuple[str, str, int]]:
         """(kind, source, locations) per gadget: emitted gates plus the
@@ -515,10 +513,10 @@ class CompiledCircuit:
     @classmethod
     def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
         """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
-        key, a value of the wrong shape (see _JSON_SHAPES), or a readout gate
-        or gate/event/tape span past the sizes that "logical" declares; given
-        the circuit, also on other sizes, a register past its end or secrets
-        out of order."""
+        key, a value of the wrong shape (see _JSON_SHAPES), a block or aux
+        group not made of 7 registers of its own, or a readout gate or span
+        past the sizes that "logical" declares; given the circuit, also on
+        other sizes, a register past its end or secrets out of order."""
         missing = sorted(_JSON_SHAPES.keys() - d.keys() if isinstance(d, dict) else _JSON_SHAPES)
         if missing:
             raise ValueError(f"gadget index lacks {', '.join(missing)}")
@@ -530,6 +528,11 @@ class CompiledCircuit:
             raise ValueError("gadget index has a span past the end of the circuit")
         if any(not 0 <= gi < sizes["gates"] for gi in d["readout_gates"]):
             raise ValueError("gadget index names a readout gate outside the circuit")
+        groups = [regs for _, regs in d["blocks"] + d["aux_groups"]]
+        if any(len(set(regs)) != 7 for regs in groups):
+            raise ValueError("gadget index has a block that is not 7 distinct registers")
+        if len({r for regs in groups for r in regs}) != 7 * len(groups):
+            raise ValueError("gadget index puts a register in two blocks")
         compiled = cls(
             circuit=circuit,
             level=d["level"],
@@ -588,39 +591,44 @@ def compile_circuit(logical: Circuit, level: int = 1, ec: bool = True) -> Compil
             raise CompileError("conditioned gates are not compilable")
         if g.kind not in _LOGICAL_KINDS:
             raise CompileError(f"unsupported logical gate {g.kind.value}")
+    circuit, b, block_map, secret_blocks = _expand(logical, 1, ec)
+    log = b.log
+    if level == 2:
+        level1_gates = len(circuit.gates)
+        if level1_gates > _LEVEL2_GUARD:
+            raise CompileError(
+                f"level-2 expansion refused: level-1 result has "
+                f"{level1_gates} gates (> {_LEVEL2_GUARD})"
+            )
+        circuit, b, block_map, secret_blocks = _expand(circuit, 2, ec=False)
+        log = log + b.log
     stats = {
         "gates": len(logical.gates),
         "depth": logical.depth(),
         "secret": [r.name for r in logical.secret_regs],
         "public": [r.name for r in logical.public_regs],
         "outputs": [r.name for r in logical.output_regs],
-    }
-    compiled = _expand(logical, 1, ec)
-    log = compiled.log
-    if level == 2:
-        level1_gates = len(compiled.circuit.gates)
-        if level1_gates > _LEVEL2_GUARD:
-            raise CompileError(
-                f"level-2 expansion refused: level-1 result has "
-                f"{level1_gates} gates (> {_LEVEL2_GUARD})"
-            )
-        compiled = _expand(compiled.circuit, 2, ec=False)
-        log = log + compiled.log
-    circuit = compiled.circuit
-    stats.update({
         "compiled_gates": len(circuit.gates),
         "compiled_depth": circuit.depth(),
         "compiled_events": circuit.num_events,
         "tape_bits": circuit.rand_count,
-    })
+    }
     if level == 2:
         stats["level1_gates"] = level1_gates
-    return replace(compiled, ec=ec, log=log, logical_stats=stats)
+    return CompiledCircuit(
+        circuit=circuit, level=level, ec=ec, block_map=block_map, blocks=b.blocks,
+        secret_blocks=secret_blocks, gadget_index=b.gadgets,
+        readout_gates=b.readout_gates, log=log, logical_stats=stats,
+        aux_groups=b.aux_groups,
+    )
 
 
-def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
+def _expand(source: Circuit, level: int, ec: bool
+            ) -> tuple[Circuit, CircuitBuilder, dict[str, Block], list[Block]]:
     """One application of the gadget map: every register of `source` becomes
-    a block and every gate goes through its gadget.
+    a block and every gate goes through its gadget.  Returns the circuit,
+    its builder, each source register's final block by name, and the secret
+    blocks.
 
     Inputs, secret and public, are all declared before the first gate.
     Z and CZ are dropped with a log entry (identity on values); RAND becomes
@@ -651,14 +659,12 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
         if reg.role is Role.PUBLIC:
             with b.gadget("encode-public", reg.name):
                 block = prep_zero_gadget(b, f"{reg.name}.enc")
-                for j in LOGICAL_SUPPORT:
-                    b.emit(GateKind.CNOT, public_raw[reg.id], block[j - 1])
+                b.logical_x(block, public_raw[reg.id])
         else:
             with b.gadget("prep-block", reg.name):
                 block = prep_zero_gadget(b, f"{reg.name}.blk")
                 if reg.init:
-                    for j in LOGICAL_SUPPORT:
-                        b.emit(GateKind.NOT, block[j - 1])
+                    b.logical_x(block)
         block_map[reg.id] = block
 
     # the register each wire event was recorded on, to decode conditions
@@ -691,15 +697,12 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
                      else f"phys#{gi} {g.kind.value}")
             with b.gadget(_GATE_GADGETS[g.kind], label):
                 if g.kind is GateKind.NOT:
-                    for j in LOGICAL_SUPPORT:
-                        b.emit(GateKind.NOT, blocks[0][j - 1], cond=cond)
+                    b.logical_x(blocks[0], cond=cond)
                 elif g.kind is GateKind.RAND:
                     fresh = emit_bare_plus(b, f"{prefix}{gi}.rand")
-                    for s, t in zip(fresh, blocks[0]):
-                        b.emit(GateKind.COPY, s, t, cond=cond)
+                    b.transversal(GateKind.COPY, fresh, blocks[0], cond=cond)
                 else:  # CNOT and COPY act position-wise
-                    for s, t in zip(*blocks):
-                        b.emit(g.kind, s, t, cond=cond)
+                    b.transversal(g.kind, *blocks, cond=cond)
         if ec:
             for a, name in zip(g.args, names):
                 steane_ec_gadget(b, block_map[a], f"{prefix}{gi}.ec.{name}")
@@ -708,12 +711,8 @@ def _expand(source: Circuit, level: int, ec: bool) -> CompiledCircuit:
         with b.gadget("output-readout", reg.name):
             emit_parity_cascade(b, block_map[reg.id], out_regs[reg.id], whitelist=True)
 
-    return CompiledCircuit(
-        circuit=b.build(), level=level, ec=ec,
-        block_map={regs[rid].name: blk for rid, blk in block_map.items()},
-        blocks=b.blocks, secret_blocks=secret_blocks, aux_groups=b.aux_groups,
-        gadget_index=b.gadgets, readout_gates=b.readout_gates, log=b.log,
-    )
+    return (b.build(), b, {regs[rid].name: blk for rid, blk in block_map.items()},
+            secret_blocks)
 
 
 # -- reporting -----------------------------------------------------------------

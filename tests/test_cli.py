@@ -174,6 +174,13 @@ _MALFORMED = {
 _SPANS = ("gates", "events", "tape")
 
 
+def _share_register(index):
+    """`index` with the second block's first register swapped for the first's."""
+    blocks = json.loads(json.dumps(index["blocks"]))
+    blocks[1][1][0] = blocks[0][1][0]
+    return {**index, "blocks": blocks}
+
+
 @pytest.fixture(scope="module")
 def compiled_files(tmp_path_factory):
     """The one-Toffoli netlist, its level-1 and level-2 compiles and indexes."""
@@ -197,6 +204,10 @@ def compiled_files(tmp_path_factory):
                        ("far-readout", lambda d: {**d, "readout_gates": [10 ** 6]}),
                        ("far-block", lambda d: {**d, "block_map": {"c": [0, 1, 2, 3, 4, 5, 10 ** 6]}}),
                        ("swapped-secrets", lambda d: {**d, "secret_blocks": d["secret_blocks"][::-1]}),
+                       ("shared-register", _share_register),
+                       ("short-block", lambda d: {**d, "blocks": [
+                           [d["blocks"][0][0], d["blocks"][0][1][:3]], *d["blocks"][1:]]}),
+                       ("duplicate-block", lambda d: {**d, "blocks": [*d["blocks"], d["blocks"][0]]}),
                        *((f"far-{k}-span", lambda d, k=k: {**d, "gadgets": [
                            {**d["gadgets"][0], k: [0, 10 ** 9]}, *d["gadgets"][1:]]})
                          for k in _SPANS),
@@ -208,6 +219,8 @@ def compiled_files(tmp_path_factory):
 
 _AUDIT = ["audit", "transversality", "--circuit"]
 _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
+_PAIRWISE = ["--mode", "pairwise", "--y0", "01", "--y1", "10", "--leak-p", "0.01",
+             "--samples", "10", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,6 +246,11 @@ _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
     ["report", "--gadgets", "few-gates", "--circuit", "l1"],
     ["run", "--circuit", "l1", "--gadgets", "few-gates", *_RUN],
     ["report", "--gadgets", "many-gates", "--circuit", "l1"],
+    ["analyze", "--circuit", "l1", "--gadgets", "shared-register", *_PAIRWISE],
+    ["run", "--circuit", "l1", "--gadgets", "shared-register", *_RUN],
+    [*_AUDIT, "l1", "--gadgets", "short-block"],
+    ["analyze", "--circuit", "l1", "--gadgets", "duplicate-block", *_PAIRWISE],
+    ["report", "--gadgets", "duplicate-block"],
 ], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
         "level2-index", "readout-gate", "block-register", "secret-order",
         *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED),
@@ -240,7 +258,9 @@ _RUN = ["--secret", "10", "--leak-p", "0.1", "--seed", "1"]
         "audit-far-gates-span",
         *(f"report-alone-far-{k}-span" for k in _SPANS),
         "report-alone-far-readout", "report-no-logical", "report-no-aux-groups",
-        "report-few-gates", "run-few-gates", "report-many-gates"])
+        "report-few-gates", "run-few-gates", "report-many-gates",
+        "pairwise-shared-register", "run-shared-register", "audit-short-block",
+        "pairwise-duplicate-block", "report-alone-duplicate-block"])
 def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # these raised KeyError, TypeError or AttributeError, exited 0 (`run`
     # never reads the gadget spans; a span past the circuit's end gave
@@ -248,7 +268,9 @@ def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # without "logical" or "aux_groups" loaded with defaults; a declared
     # compiled size the netlist contradicts was printed as is), or (raw
     # one.net with a level-1 index) made the transversality audit exit 2
-    # with two bogus flags
+    # with two bogus flags; blocks that share a register, hold only 3
+    # or repeat an entry loaded, and pairwise analysis, `run` and a clean
+    # transversality audit ran on them
     code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
     assert code == 1
     assert out == ""

@@ -28,6 +28,13 @@ TWO_TOFFOLI_CHAIN = (
     "in secret a\nin secret b\nreg t\nout o\n"
     "gate TOF a b t\ngate TOF a t o\n"
 )
+# every logical gate kind, a public input and an `init 1` register: pins the
+# encode-public and prep-block flips, logical-not/-cnot spans and labels, and
+# the Z/CZ drop log, none of which the Toffoli fixtures reach
+MIXED = (
+    "in secret s\nin public x\nreg t init 1\nout o\n"
+    "gate NOT s\ngate CNOT x o\ngate Z t\ngate CZ s t\ngate CNOT t o\ngate TOF s x o\n"
+)
 
 
 def _sha(text: str) -> str:
@@ -58,10 +65,16 @@ GOLDEN = {
                         "events": "2522c53283d09449", "report": "b0e0a08fdce2b06b"},
     ("one", 2, True): {"netlist": "190ef9b46e337479", "gadgets": "4b00f7f0308ac64f",
                        "events": "aa4bd813ebd88793", "report": "d9169c0fc99034a6"},
+    ("mixed", 1, True): {"netlist": "457d7b7d79ad9f02", "gadgets": "31841a6c1ee88dce",
+                         "events": "e27a8c6d88595a0c", "report": "66325066a5330040"},
+    ("mixed", 1, False): {"netlist": "12eab6c5f047e331", "gadgets": "9a6a8fd418f7cc64",
+                          "events": "257136a94a76605d", "report": "d6be885424453064"},
+    ("mixed", 2, True): {"netlist": "b221a2a63fa3683e", "gadgets": "69f319daf44d5eb8",
+                         "events": "ce8372d693a24411", "report": "fb2eee5a89d1fef8"},
 }
 MARGINAL_DIGEST = "eb672b67081d6e11"
 
-_FIXTURES = {"one": ONE_TOFFOLI, "two": TWO_TOFFOLI_CHAIN}
+_FIXTURES = {"one": ONE_TOFFOLI, "two": TWO_TOFFOLI_CHAIN, "mixed": MIXED}
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +83,8 @@ def one_toffoli_level2():
 
 
 @pytest.mark.parametrize("name,ec", [("one", True), ("one", False),
-                                     ("two", True), ("two", False)])
+                                     ("two", True), ("two", False),
+                                     ("mixed", True), ("mixed", False)])
 def test_level1_artifacts_are_pinned(name, ec):
     comp = compile_circuit(parse_netlist(_FIXTURES[name]), level=1, ec=ec)
     assert artifact_digests(comp) == GOLDEN[(name, 1, ec)]
@@ -80,6 +94,12 @@ def test_level2_one_toffoli_is_pinned(one_toffoli_level2):
     c = one_toffoli_level2.circuit
     assert (len(c.gates), c.num_events, c.rand_count) == (28_219, 49_638, 6_857)
     assert artifact_digests(one_toffoli_level2) == GOLDEN[("one", 2, True)]
+
+
+def test_level2_mixed_is_pinned():
+    comp = compile_circuit(parse_netlist(MIXED), level=2, ec=True)
+    assert len(comp.circuit.gates) == 47_710
+    assert artifact_digests(comp) == GOLDEN[("mixed", 2, True)]
 
 
 def test_pairwise_marginal_report_is_pinned():

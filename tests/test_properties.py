@@ -51,6 +51,7 @@ from lrcirc.lab import (
     mc_advantage,
     run_rounds,
 )
+from lrcirc.faults import transversality_audit
 from lrcirc.netlist import parse_netlist, serialize_netlist
 from lrcirc.steane import encode_codeword
 
@@ -110,6 +111,8 @@ def test_level1_netlist_round_trips_and_is_deterministic(text, ec):
     assert serialize_netlist(second.circuit) == net
     assert second.to_json_dict() == first.to_json_dict()
     assert second.circuit.event_listing() == first.circuit.event_listing()
+    assert transversality_audit(first.circuit, first.blocks,
+                                frozenset(first.readout_gates))["clean"]
 
 
 # -- the batch evaluator against the scalar reference ----------------------------
