@@ -27,13 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dump(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, path: str | None) -> None:
+    """Write `text` to the file at `path`, or to stdout when path is None."""
+    if path is None:
         sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _dump(obj, path: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _load_circuit(path: str):
@@ -130,13 +134,11 @@ def _dispatch(args) -> int:
         compiled = compile_circuit(
             _load_circuit(args.infile), level=args.level, ec=args.ec == "on"
         )
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(serialize_netlist(compiled.circuit))
+        _write(serialize_netlist(compiled.circuit), args.outfile)
         if args.gadgets:
             _dump(compiled.to_json_dict(), args.gadgets)
         if args.events:
-            with open(args.events, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(compiled.circuit.event_listing()) + "\n")
+            _write("\n".join(compiled.circuit.event_listing()) + "\n", args.events)
         return 0
 
     if args.cmd == "run":
@@ -147,15 +149,8 @@ def _dispatch(args) -> int:
             target, _bits(args.secret), [_bits(args.public)] * args.rounds,
             lab.LeakageModel(args.leak_p), seed=args.seed,
         )
-        lines = [
-            json.dumps(t.to_json_dict(), sort_keys=True) for t in transcripts
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.outfile:
-            with open(args.outfile, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("".join(json.dumps(t.to_json_dict(), sort_keys=True) + "\n"
+                       for t in transcripts), args.outfile)
         return 0
 
     if args.cmd == "analyze":

@@ -453,7 +453,8 @@ def _gadget(g) -> bool:
 
 # the value shape each gadget-index key must have; every key is required.
 # location_report divides the "logical" counts, and the compiled sizes among
-# them bound the gadget spans (span key -> count) and the readout gates
+# them bound the gadget spans (span key -> count) and the readout gates; its
+# secret names fix the number of secret blocks at the index's level
 _STAT_COUNTS = ("gates", "depth", "compiled_gates", "compiled_depth", "compiled_events",
                 "tape_bits", "level1_gates")
 _SPAN_SIZES = {"gates": "compiled_gates", "events": "compiled_events", "tape": "tape_bits"}
@@ -468,8 +469,10 @@ _JSON_SHAPES = {
     "gadgets": lambda v: type(v) is list and all(map(_gadget, v)),
     "readout_gates": _int_list,
     "log": lambda v: type(v) is list,
-    "logical": lambda v: type(v) is dict and {*_SPAN_SIZES.values()} <= v.keys() and all(
-        type(v[k]) is int for k in _STAT_COUNTS if k in v),
+    "logical": lambda v: (
+        type(v) is dict and {*_SPAN_SIZES.values(), "secret"} <= v.keys()
+        and all(type(v[k]) is int for k in _STAT_COUNTS if k in v)
+        and type(v["secret"]) is list and set(map(type, v["secret"])) <= {str}),
 }
 
 
@@ -514,7 +517,8 @@ class CompiledCircuit:
     def from_json_dict(cls, circuit: Circuit | None, d: dict) -> CompiledCircuit:
         """Rebuild from `to_json_dict` output.  Raises ValueError on a missing
         key, a value of the wrong shape (see _JSON_SHAPES), a block or aux
-        group not made of 7 registers of its own, or a readout gate or span
+        group not made of 7 registers of its own, a secret-block count other
+        than 7^(level - 1) per logical secret, or a readout gate or span
         past the sizes that "logical" declares; given the circuit, also on
         other sizes, a register past its end or secrets out of order."""
         missing = sorted(_JSON_SHAPES.keys() - d.keys() if isinstance(d, dict) else _JSON_SHAPES)
@@ -533,6 +537,8 @@ class CompiledCircuit:
             raise ValueError("gadget index has a block that is not 7 distinct registers")
         if len({r for regs in groups for r in regs}) != 7 * len(groups):
             raise ValueError("gadget index puts a register in two blocks")
+        if len(d["secret_blocks"]) != len(d["logical"]["secret"]) * 7 ** (d["level"] - 1):
+            raise ValueError("gadget index secret blocks do not fit its level")
         compiled = cls(
             circuit=circuit,
             level=d["level"],

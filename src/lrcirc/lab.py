@@ -31,7 +31,9 @@ resulting EventBatch bit-planes.  The marginals count symbols by popcount;
 every other path unpacks only what it reads with EventBatch.matrix:
 run_rounds the masked event columns, exact_tv_tiny the leakable columns,
 keyed into one int per row, and mc_advantage each mask's own events over
-that mask's own rows, tallying a chunk of masks at once.
+that mask's own rows.  Both TV estimators tally a chunk of masks at once
+with one per-mask grouped sum, _abs_group_sums: half the sum, over a
+mask's distinct masked rows, of |count under y0 - count under y1|.
 """
 
 from __future__ import annotations
@@ -242,9 +244,10 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     The mask distribution is secret-independent, so the transcript TV
     decomposes as the mask-weighted sum of masked-value TVs; the seed x
     tape rows (no seeds for a raw circuit) and the masks are both enumerated.
-    Each secret's seed x tape rows are evaluated in one batch, each row is
-    keyed by one int over its leakable events, and the distinct keys are
-    counted.
+    Each secret's seed x tape rows are evaluated in one batch and each row
+    is keyed by one int over its leakable events; per chunk of masks,
+    _abs_group_sums groups each mask's projected keys, each weighing its
+    count under y0 minus its count under y1.
     """
     circuit, _, level = _unpack(target, y0, y1)
     leakable = _leakable_events(circuit)
@@ -266,19 +269,24 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
                                 bits[:, enc_bits:]).matrix(leakable)
         keys.append(np.concatenate([values > 0, values >= 0], axis=1) @ place)
     distinct, codes = np.unique(np.concatenate(keys), return_inverse=True)
-    if (2 ** n) * len(distinct) > _MAX_EXACT_WORK:
-        raise EvalError("size guard exceeded: mask enumeration too large")
     m = len(distinct)
+    if (2 ** n) * m > _MAX_EXACT_WORK:
+        raise EvalError("size guard exceeded: mask enumeration too large")
     diff = np.bincount(codes[:rows], minlength=m) - np.bincount(codes[rows:], minlength=m)
 
     # Every projected probability is a multiple of 1/rows with rows = 2^T,
     # so each mask's inner TV is exact whatever the summation order; only
-    # the weighted sum rounds, and it runs in ascending mask order.
+    # the weighted sum rounds, and it runs in ascending mask order.  Masks go
+    # _MASK_CHUNK_CELLS mask-key cells (a few MB) or one mask at a time.
     p = model.p
     weights = np.array([(p ** k) * ((1 - p) ** (n - k)) for k in range(n + 1)])
+    step = max(1, _MASK_CHUNK_CELLS // m)
     tv = 0.0
-    for sizes, groups in _masked_group_sums(distinct, n, diff):
-        w = weights[sizes]
+    for lo in range(0, 1 << n, step):
+        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
+        # a key's projection under mask M is key & (M | M << n)
+        groups = _abs_group_sums(distinct & (masks | masks << n)[:, None], diff)
+        w = weights[np.bitwise_count(masks)]
         terms = w * (0.5 * (groups / rows))
         # cumsum adds left to right, as `tv += term` over the masks would
         tv = float(np.cumsum(np.concatenate(([tv], terms[w != 0.0])))[-1])
@@ -292,30 +300,18 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     )
 
 
-def _masked_group_sums(keys: np.ndarray, n: int, diff: np.ndarray):
-    """For every leak mask over n events, in ascending order: the sum over
-    the mask's projected keys of |sum of `diff` over the rows projecting
-    there|.
-
-    A row key holds event j's value in bit j and whether it ran in bit
-    n + j, so a row's projection under mask M is key & (M | M << n).
-    Yields (mask sizes, sums) per chunk of at most _MASK_CHUNK_CELLS
-    mask-row cells (a few MB of temporaries), or of one mask; each mask's
-    groups are found by sorting its projected keys.
-    """
-    count = len(keys)
-    step = max(1, _MASK_CHUNK_CELLS // count)
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
-        projected = keys & (masks | masks << n)[:, None]
-        order = np.argsort(projected, axis=1)
-        sorted_keys = np.take_along_axis(projected, order, axis=1)
-        starts = np.ones(projected.shape, dtype=bool)
-        starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
-        starts = np.flatnonzero(starts)
-        groups = np.abs(np.add.reduceat(diff[order].ravel(), starts))
-        sums = np.add.reduceat(groups, np.flatnonzero(starts % count == 0))
-        yield np.bitwise_count(masks), sums
+def _abs_group_sums(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row of the (k, cells) `keys` (int64 or void), the sum over its
+    distinct keys of |sum of `weights` over the cells holding that key|;
+    `weights` holds one weight per column, shared by every row.  Each row
+    is sorted on its own, so keys of different rows are never compared."""
+    order = np.argsort(keys, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    starts = np.ones(keys.shape, dtype=bool)
+    starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    starts = np.flatnonzero(starts)
+    groups = np.abs(np.add.reduceat(weights[order].ravel(), starts))
+    return np.add.reduceat(groups, np.flatnonzero(starts % keys.shape[1] == 0))
 
 
 # -- Monte-Carlo mask-decomposition estimator -------------------------------------
@@ -416,30 +412,15 @@ def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
     return encode_seed_rows(secret, seeds, level)
 
 
-def _empirical_tv(a: np.ndarray, b: np.ndarray):
-    """TV between the row distributions of two equally sized samples, for
-    one (rows, w) pair (a float) or for each mask of two (masks, rows, w)
-    stacks (an array).  One np.unique over a void view of the rows codes
-    every row, keyed by its mask's index, and each mask's TV is half the
-    sum of |count_a - count_b| over its codes, divided by rows."""
-    pair = a.ndim == 2
-    if pair:
-        a, b = a[None], b[None]
+def _empirical_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per mask of two (masks, rows, w) stacks, the TV between its two
+    samples' row distributions: each row is one void key, a's weighing +1
+    and b's -1, and the TV is _abs_group_sums / (2 * rows)."""
     k, n, w = a.shape
-    digits = max(1, ((k - 1).bit_length() + 7) // 8)  # bytes of the mask index
-    keyed = np.empty((k, 2 * n, digits + w), dtype=np.int8)
-    keyed[:, :n, digits:], keyed[:, n:, digits:] = a, b
-    index = np.arange(k)[:, None] >> (8 * np.arange(digits))
-    keyed[:, :, :digits] = index.astype(np.uint8).view(np.int8)[:, None, :]
-    void = keyed.view(np.dtype((np.void, digits + w))).reshape(k * 2 * n)
-    codes = np.unique(void, return_inverse=True)[1].reshape(k, 2 * n)
-    m = int(codes.max()) + 1
-    diff = np.bincount(codes[:, :n].ravel(), minlength=m) - np.bincount(
-        codes[:, n:].ravel(), minlength=m)
-    owner = np.empty(m, dtype=np.intp)
-    owner[codes] = np.arange(k)[:, None]
-    tv = 0.5 * np.bincount(owner, weights=np.abs(diff), minlength=k) / n
-    return float(tv[0]) if pair else tv
+    keyed = np.zeros((k, 2 * n, max(w, 1)), dtype=np.int8)  # a void key needs a byte
+    keyed[:, :n, :w], keyed[:, n:, :w] = a, b
+    keys = keyed.view(np.dtype((np.void, keyed.shape[2])))[..., 0]
+    return 0.5 * _abs_group_sums(keys, np.repeat([1, -1], n)) / n
 
 
 # -- marginal distinguishers -------------------------------------------------------
@@ -473,28 +454,26 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     counts0 = _symbol_counts(target, y0, x, samples, rng0, targets, order)
     counts1 = _symbol_counts(target, y1, x, samples, rng1, targets, order)
     tv = 0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples
-    worst = int(np.argmax(tv)) if len(targets) else 0
-
-    # plug-in standard error of the worst comparison's empirical TV
+    estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
-        p_hat = counts0[worst] / samples
-        q_hat = counts1[worst] / samples
+        i = int(np.argmax(tv))
+        estimate, worst = float(tv[i]), list(targets[i])
+        # plug-in standard error of the worst comparison's empirical TV
+        p_hat, q_hat = counts0[i] / samples, counts1[i] / samples
         var = (p_hat * (1 - p_hat) + q_hat * (1 - q_hat)).sum() / samples
         std_error = 0.5 * math.sqrt(var)
-    else:
-        std_error = 0.0
     # union Hoeffding bound over every cell of every comparison
     m = max(1, len(targets))
     delta = math.sqrt(math.log(4.0 * symbols * m / 1e-3) / (2.0 * samples))
     return AdvantageReport(
-        estimate=float(tv[worst]) if len(targets) else 0.0,
+        estimate=estimate,
         std_error=std_error,
         bias_bound=symbols * delta,
         method="per-wire-marginal" if order == 1 else "pairwise-marginal",
         samples=samples,
         details={
             "comparisons": len(targets),
-            "worst": list(targets[worst]) if len(targets) else None,
+            "worst": worst,
             "order": order,
             "hoeffding_delta": delta,
         },

@@ -168,6 +168,9 @@ _MALFORMED = {
     "str-logical-gates": lambda d: {**d, "logical": {**d["logical"], "gates": "x"}},
     "no-tape-bits": lambda d: {**d, "logical": {
         k: v for k, v in d["logical"].items() if k != "tape_bits"}},
+    "no-secret-names": lambda d: {**d, "logical": {
+        k: v for k, v in d["logical"].items() if k != "secret"}},
+    "int-secret-names": lambda d: {**d, "logical": {**d["logical"], "secret": [0, 1]}},
 }
 
 
@@ -214,6 +217,11 @@ def compiled_files(tmp_path_factory):
                        *_MALFORMED.items()]:
         files[name] = tmp / f"{name}.json"
         files[name].write_text(json.dumps(edit(index)))
+    # the level-2 index claiming level 1: its 14 secret blocks read as 14
+    # level-1 secrets instead of the 2 its "logical" names
+    files["level-relabelled"] = tmp / "level-relabelled.json"
+    files["level-relabelled"].write_text(
+        json.dumps({**json.loads(files["l2.json"].read_text()), "level": 1}))
     return files
 
 
@@ -251,6 +259,9 @@ _PAIRWISE = ["--mode", "pairwise", "--y0", "01", "--y1", "10", "--leak-p", "0.01
     [*_AUDIT, "l1", "--gadgets", "short-block"],
     ["analyze", "--circuit", "l1", "--gadgets", "duplicate-block", *_PAIRWISE],
     ["report", "--gadgets", "duplicate-block"],
+    ["run", "--circuit", "l2", "--gadgets", "level-relabelled", "--secret", "10101010101010",
+     "--leak-p", "0", "--seed", "1"],
+    ["report", "--gadgets", "level-relabelled"],
 ], ids=["empty-object", "missing-key", "not-an-object", "raw-circuit", "level2-circuit",
         "level2-index", "readout-gate", "block-register", "secret-order",
         *(f"{cmd}-{name}" for cmd in ("report", "run") for name in _MALFORMED),
@@ -260,7 +271,8 @@ _PAIRWISE = ["--mode", "pairwise", "--y0", "01", "--y1", "10", "--leak-p", "0.01
         "report-alone-far-readout", "report-no-logical", "report-no-aux-groups",
         "report-few-gates", "run-few-gates", "report-many-gates",
         "pairwise-shared-register", "run-shared-register", "audit-short-block",
-        "pairwise-duplicate-block", "report-alone-duplicate-block"])
+        "pairwise-duplicate-block", "report-alone-duplicate-block",
+        "run-level-relabelled", "report-alone-level-relabelled"])
 def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # these raised KeyError, TypeError or AttributeError, exited 0 (`run`
     # never reads the gadget spans; a span past the circuit's end gave
@@ -270,7 +282,8 @@ def test_bad_gadget_index_is_an_error(capsys, compiled_files, argv):
     # one.net with a level-1 index) made the transversality audit exit 2
     # with two bogus flags; blocks that share a register, hold only 3
     # or repeat an entry loaded, and pairwise analysis, `run` and a clean
-    # transversality audit ran on them
+    # transversality audit ran on them; a level-2 index relabelled level 1
+    # ran `run` with a 14-bit secret
     code, out, err = run_cli(capsys, *(compiled_files.get(a, a) for a in argv))
     assert code == 1
     assert out == ""

@@ -110,6 +110,14 @@ def test_pairwise_marginal_report_is_pinned():
     assert _sha(_json(report.to_json_dict())) == MARGINAL_DIGEST
 
 
+def test_marginal_report_without_comparisons_is_pinned():
+    # no leakable event: nothing to compare, so no worst comparison
+    report = marginal_independence(parse_netlist("out o\ngate RAND o\n"), [], [], [],
+                                   order=1, samples=10, seed=0)
+    assert report.details["comparisons"] == 0 and report.details["worst"] is None
+    assert _sha(_json(report.to_json_dict())) == "28084c3d3039e3c6"
+
+
 # Seeded lab reports and transcripts on the paths that turn seed bits into
 # codewords and tally symbols; pinned before those paths became array code.
 LAB_DIGESTS = {
@@ -186,6 +194,33 @@ CGATE_LAST = (
     "gate RAND r\ngate CNOT s o\ngate TOF t x q\n"
     "cgate 2 NOT o\ncgate 1 CNOT r q\n"
 )
+# Cases whose 2^n masks span several of exact_tv_tiny's mask chunks (4, 2
+# and 4), so each chunk's sum must carry into the next: the 17-event CNOT
+# chain of test_lab, and one random.Random(42) circuit each of perfbench's
+# (13, 13, 3) and (15, 12, 2) tiny shapes (leakable events, tape bits,
+# tape bits read by a leakable gate).
+CNOT_CHAIN = ("in secret s\n" + "".join(f"reg a{i}\n" for i in range(8))
+              + "gate CNOT s a0\n" + "".join(f"gate CNOT a{i} a{i + 1}\n" for i in range(7)))
+TINY_13_13_3 = (
+    "in secret s0\nin secret s1\nout o\n"
+    "reg r0\nreg r1\nreg r2\nreg r3\nreg r4\nreg r5\nreg r6\n"
+    "reg r7\nreg r8\nreg r9\nreg r10\nreg r11\nreg r12\n"
+    "gate RAND r0\ngate RAND r1\ngate RAND r2\ngate RAND r3\ngate RAND r4\n"
+    "gate RAND r5\ngate RAND r6\ngate RAND r7\ngate RAND r8\ngate RAND r9\n"
+    "gate RAND r10\ngate RAND r11\ngate RAND r12\n"
+    "gate CNOT r0 o\ngate CNOT r1 o\ngate CNOT r2 o\n"
+    "gate NOT s0\ngate CNOT o s1\ngate CNOT s1 o\n"
+)
+TINY_15_12_2 = (
+    "in secret s0\nin secret s1\nout o\n"
+    "reg r0\nreg r1\nreg r2\nreg r3\nreg r4\nreg r5\n"
+    "reg r6\nreg r7\nreg r8\nreg r9\nreg r10\nreg r11\n"
+    "gate RAND r0\ngate RAND r1\ngate RAND r2\ngate RAND r3\ngate RAND r4\n"
+    "gate RAND r5\ngate RAND r6\ngate RAND r7\ngate RAND r8\ngate RAND r9\n"
+    "gate RAND r10\ngate RAND r11\n"
+    "gate CNOT r0 o\ngate CNOT r1 o\n"
+    "gate NOT s0\ngate CNOT o s1\ngate CNOT s1 s0\ngate TOF s0 r1 r0\ngate NOT o\n"
+)
 
 EXACT_CASES = {
     "wire": (SECRET_WIRE, [0], [1], []),
@@ -195,6 +230,9 @@ EXACT_CASES = {
     "cgate_x1": (CGATE_MIXED, [1], [0], [1]),
     "cgate_last": (CGATE_LAST, [0, 1], [1, 0], [1]),
     "rand_only": ("reg a\ngate RAND a\n", [], [], []),
+    "cnot_chain": (CNOT_CHAIN, [0], [1], []),
+    "tiny_13_13_3": (TINY_13_13_3, [0, 0], [1, 0], []),
+    "tiny_15_12_2": (TINY_15_12_2, [0, 1], [0, 0], []),
 }
 EXACT_DIGESTS = {
     "wire": "da0653beae4d514f",
@@ -205,6 +243,9 @@ EXACT_DIGESTS = {
     "cgate_last": "bd6a2e5c4c79b230",
     "rand_only": "213f1acdac528cf5",
     "compiled_wire": "a03a19620b296724",
+    "cnot_chain": "e9a94addc4a1fd7d",
+    "tiny_13_13_3": "4ea6b08cbc2b69ba",
+    "tiny_15_12_2": "bc36294a0b10761c",
 }
 TRUTH_TABLES = {
     "one": (ONE_TOFFOLI, "450cc06aac76fd5c"),

@@ -41,6 +41,7 @@ from lrcirc.lab import (
     AdvantageReport,
     LeakageModel,
     LeakTranscript,
+    _abs_group_sums,
     _empirical_tv,
     _paired_event_batches,
     _plane_counts,
@@ -318,6 +319,51 @@ def test_encode_secret_draws_three_seeds_per_bit(bits, seed, rows):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def abs_group_sums_by_dict(keys, weights):
+    out = []
+    for row in keys:
+        sums = {}
+        for key, weight in zip(row.tolist(), weights.tolist()):
+            sums[key] = sums.get(key, 0) + weight
+        out.append(sum(map(abs, sums.values())))
+    return out
+
+
+def _void_keys(keys, width):
+    """Each int64 key's first `width` bytes, as one void key."""
+    cut = np.ascontiguousarray(keys[..., None].view(np.uint8)[..., :width])
+    return cut.view(np.dtype((np.void, width)))[..., 0]
+
+
+@st.composite
+def keyed_weights(draw):
+    """A (rows, cells) array of keys from a small pool, so keys repeat
+    within and across rows, as int64 or void keys, and one integer
+    weight per cell column."""
+    rows, cells = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    pool = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=5))
+    keys = np.array(draw(st.lists(st.lists(st.sampled_from(pool), min_size=cells,
+                                           max_size=cells), min_size=rows, max_size=rows)),
+                    dtype=np.int64)
+    if draw(st.booleans()):
+        keys = _void_keys(keys, draw(st.integers(1, 8)))
+    weights = np.array(draw(st.lists(st.integers(-5, 5), min_size=cells, max_size=cells)))
+    return keys, weights
+
+
+@_SETTINGS
+@given(keyed_weights())
+@example((np.arange(3, dtype=np.int64)[:, None], np.array([-4])))  # one-cell rows
+@example((_void_keys(np.zeros((1, 1), dtype=np.int64), 3), np.array([2])))
+@example((np.full((2, 5), 7, dtype=np.int64), np.arange(5) - 1))  # all keys equal
+@example((_void_keys(np.full((3, 4), -1, dtype=np.int64), 5), np.array([1, 1, -1, 3])))
+def test_abs_group_sums_equals_dict_reference(case):
+    keys, weights = case
+    got = _abs_group_sums(keys, weights)
+    assert got.shape == (len(keys),)
+    assert got.tolist() == abs_group_sums_by_dict(keys, weights)
+
+
 def tv_by_counter(a, b):
     ca = Counter(map(bytes, a))
     cb = Counter(map(bytes, b))
@@ -339,7 +385,7 @@ def sample_pairs(draw):
 @given(sample_pairs())
 def test_empirical_tv_equals_counter_reference(pair):
     a, b = pair
-    assert _empirical_tv(a, b) == tv_by_counter(a, b)
+    assert _empirical_tv(a[None], b[None]).tolist() == [tv_by_counter(a, b)]
 
 
 # inner sizes around the byte and 64-bit word boundaries of the planes
@@ -372,7 +418,7 @@ def test_stacked_empirical_tv_equals_one_mask_calls(pairs):
     got = _empirical_tv(*stacks)
     assert got.shape == (len(pairs),)
     for tv, (a, b) in zip(got.tolist(), pairs):
-        assert tv == _empirical_tv(a, b) == tv_by_counter(a, b)
+        assert tv == tv_by_counter(a, b)
 
 
 def mc_by_mask_loop(circ, y0, y1, x, model, samples, seed, inner):
