@@ -12,7 +12,8 @@ Grammar (UTF-8, one statement per line, '#' starts a comment):
 
 All declarations must precede all gates, so wire-event ids (inputs first,
 then gate ports in program order) match line order.  `cgate` prefixes any
-gate form with the wire-event id whose runtime value conditions execution.
+gate form with the wire-event id (ASCII decimal digits) whose runtime value
+conditions execution.
 Serialization emits the canonical form: declarations in register order, then
 gates; parse/serialize round-trip on canonical text.
 """
@@ -46,9 +47,9 @@ def parse_netlist(text: str) -> Circuit:
                 if len(tok) < 3:
                     raise NetlistError(line_no, "expected: cgate <event> <KIND> <operands>")
                 ref = tok.pop(1)
-                try:
-                    cond = int(ref)
-                except ValueError:
+                try:  # int() alone also takes signs, underscores and non-ASCII digits
+                    cond = int(ref) if ref.isascii() and ref.isdigit() else -1
+                except ValueError:  # more digits than int() converts
                     cond = -1
                 if cond < 0:
                     raise NetlistError(line_no, f"bad event reference {ref!r}")
@@ -126,6 +127,7 @@ def _line_of(text: str, exc: CircuitError) -> int:
 def serialize_netlist(circuit: Circuit) -> str:
     """Canonical netlist text: declarations in register order, then gates."""
     lines = []
+    names = [reg.name for reg in circuit.registers]
     for reg in circuit.registers:
         if reg.role is Role.SECRET:
             lines.append(f"in secret {reg.name}")
@@ -138,7 +140,7 @@ def serialize_netlist(circuit: Circuit) -> str:
         else:
             lines.append(f"reg {reg.name}")
     for g in circuit.gates:
-        ops = " ".join(circuit.registers[a].name for a in g.args)
+        ops = " ".join([names[a] for a in g.args])
         if g.cond is None:
             lines.append(f"gate {g.kind.value} {ops}")
         else:

@@ -364,16 +364,84 @@ def test_help_lists_every_subcommand(capsys):
         assert cmd in out
 
 
-@pytest.mark.parametrize("module", ["lrcirc.cli", "lrcirc"])
-def test_python_dash_m_runs_the_cli(tmp_path, toffoli_netlist, module):
-    out = tmp_path / "compiled.net"
+def _module_env() -> dict:
+    """The environment with this checkout's lrcirc first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(lrcirc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["lrcirc.cli", "lrcirc"])
+def test_python_dash_m_runs_the_cli(tmp_path, toffoli_netlist, module):
+    out = tmp_path / "compiled.net"
     proc = subprocess.run(
         [sys.executable, "-m", module, "compile", "--in", str(toffoli_netlist),
          "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_module_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("in secret a.1\n")
+
+
+def _steane_report(capsys) -> bytes:
+    code, out, _ = run_cli(capsys, "audit", "steane")
+    assert code == 0
+    return out.encode("utf-8")
+
+
+def test_out_overwrites_a_longer_file_with_exactly_the_new_bytes(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * 100_000)
+    assert run_cli(capsys, "audit", "steane", "--out", out)[0] == 0
+    assert out.read_bytes() == _steane_report(capsys)
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(capsys, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"y" * 10_000)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    assert run_cli(capsys, "audit", "steane", "--out", link)[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == _steane_report(capsys)
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_out_to_a_directory_is_an_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "audit", "steane", "--out", tmp_path)
+    assert code == 1
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_out_opens_without_truncating(capsys, tmp_path, monkeypatch):
+    # O_TRUNC stalls each rewrite of a non-empty file 36-50 ms on ext4
+    # (see cli._write), so the file is cut after writing instead
+    out = tmp_path / "report.json"
+    out.write_bytes(b"z" * 1000)
+    calls = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert run_cli(capsys, "audit", "steane", "--out", out)[0] == 0
+    flags = [f for path, f in calls if path == str(out)]
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert out.read_bytes() == _steane_report(capsys)
+
+
+def test_out_to_a_device_is_not_truncated(capsys):
+    # /dev/null can seek but refuses ftruncate
+    assert run_cli(capsys, "audit", "steane", "--out", os.devnull)[0] == 0
+
+
+def test_out_to_piped_stdout_prints_the_report(capsys):
+    runs = [subprocess.run([sys.executable, "-m", "lrcirc", "audit", "steane", *extra],
+                           env=_module_env(), capture_output=True, timeout=120)
+            for extra in ([], ["--out", "/dev/stdout"])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[1].stdout == runs[0].stdout == _steane_report(capsys)

@@ -1,8 +1,10 @@
 """Netlist grammar: parsing, error reporting, canonical round trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrcirc.circuits import GateKind, Role
+from lrcirc.circuits import Gate, GateKind, Register, Role
 from lrcirc.netlist import NetlistError, parse_netlist, serialize_netlist
 
 # 20-line canonical fixture exercising every statement form
@@ -88,6 +90,13 @@ def test_cgate_parses_condition():
         ("bogus stuff\n", "unknown statement"),
         ("in secret s\nout o\ngate NOT o\nin public x\n", "precede gates"),
         ("in secret s\nout o\ncgate x NOT o\n", "bad event reference"),
+        # int() takes these as event 1, which serializes back as "1"
+        ("in secret s\nout o\ncgate +1 NOT o\n", "line 3.*bad event reference '\\+1'"),
+        ("in secret s\nout o\ncgate 0_1 NOT o\n", "line 3.*bad event reference '0_1'"),
+        ("in secret s\nout o\ncgate \u0661 NOT o\n", "line 3.*bad event reference"),
+        ("in secret s\nout o\ncgate \uff11 NOT o\n", "line 3.*bad event reference"),
+        # more digits than int() converts by default
+        ("in secret s\nout o\ncgate " + "1" * 5000 + " NOT o\n", "line 3.*bad event reference"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, pattern):
@@ -123,3 +132,72 @@ def test_event_listing_is_documented_order():
     assert listing[0].startswith("     0  input secret-input s")
     assert "gate#0 CNOT port 0 -> s" in listing[1]
     assert "gate#0 CNOT port 1 -> o" in listing[2]
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
+_MARGINS = st.sampled_from(["", " ", "\t", " \t"])
+_COMMENTS = st.text(alphabet=" \tgate#1", max_size=6).map(lambda text: "#" + text)
+
+
+@st.composite
+def decorated_netlists(draw):
+    """(text, canonical text, registers, gates): a valid netlist over every
+    statement form, written with spaces, tabs, comments, blank lines and
+    \\n or \\r\\n endings, and the Register and Gate tuples it declares,
+    built directly."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True),
+                          min_size=1, max_size=6, unique=True))
+    registers, statements = [], []
+    for i, name in enumerate(names):
+        role = draw(st.sampled_from(list(Role)))
+        init = draw(st.integers(0, 1)) if role is Role.INTERNAL else 0
+        registers.append(Register(i, name, role, init))
+        if role is Role.SECRET or role is Role.PUBLIC:
+            canon = ["in", "secret" if role is Role.SECRET else "public", name]
+            statements.append((canon, canon))
+        elif role is Role.OUTPUT:
+            statements.append((["out", name], ["out", name]))
+        elif init or draw(st.booleans()):
+            statements.append((["reg", name, "init", str(init)],
+                               ["reg", name, "init", "1"] if init else ["reg", name]))
+        else:
+            statements.append((["reg", name], ["reg", name]))
+    gates = []
+    events = sum(r.role in (Role.SECRET, Role.PUBLIC) for r in registers)
+    kinds = [k for k in GateKind if k.arity <= len(names)]
+    drawn = [(kind, draw(st.permutations(range(len(names))))[:kind.arity])
+             for kind in draw(st.lists(st.sampled_from(kinds), max_size=6))]
+    drawn += [(GateKind.NOT, [r.id]) for r in registers if r.role is Role.OUTPUT]
+    for kind, args in drawn:
+        cond = draw(st.none() | st.integers(0, events - 1)) if events else None
+        gates.append(Gate(kind, tuple(args), cond))
+        ops = [names[a] for a in args]
+        tok = ["gate", kind.value, *ops] if cond is None else ["cgate", str(cond), kind.value, *ops]
+        statements.append((tok, tok))
+        events += kind.arity
+
+    lines = []
+    for tok, _ in statements:
+        lines += draw(st.lists(_MARGINS | _COMMENTS, max_size=2))
+        line = draw(_MARGINS) + tok[0]
+        for word in tok[1:]:
+            line += draw(_GAPS) + word
+        lines.append(line + draw(_MARGINS) + draw(st.sampled_from(["", " #", "\t# gate NOT"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    canonical = "".join(" ".join(canon) + "\n" for _, canon in statements)
+    return text, canonical, tuple(registers), tuple(gates)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(decorated_netlists())
+def test_parse_equals_direct_construction_and_serializes_canonically(case):
+    text, canonical, registers, gates = case
+    circ = parse_netlist(text)
+    assert circ.registers == registers
+    assert circ.gates == gates
+    assert serialize_netlist(circ) == canonical
+    assert serialize_netlist(parse_netlist(canonical)) == canonical
