@@ -17,7 +17,7 @@ import sys
 from . import channels, faults, lab
 from .circuits import EvalError
 from .compiler import CompiledCircuit, compile_circuit, location_report
-from .netlist import NetlistError, parse_netlist, serialize_netlist
+from .netlist import parse_netlist, serialize_netlist
 
 
 class UsageError(Exception):
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (NetlistError, EvalError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (EvalError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -20,13 +20,12 @@ checks the width of its secrets once, up front.
 
 All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (none at level 0), the circuit tape, then the leak mask, in
-that order, so identical (config, seed) gives identical results.
-run_rounds' generator is the one Mersenne Twister stream of
-random.Random(seed), replayed by NumPy's MT19937 in blocks of words and
-decoded as random.Random decodes them, so each transcript is the one that
-one getrandbits(1) per seed and tape bit and one random() per leakable
-event would give.  Every
-path evaluates its rows with circuits.evaluate_batch and reads the
+that order, so identical (config, seed) gives identical results.  Each
+estimator seeds its NumPy Generators with random.Random(seed).getrandbits(64)
+calls.  run_rounds takes one row of uniforms u per round: a seed or tape
+bit is u < 0.5 and a leakable event leaks when u < p.
+
+Every path evaluates its rows with circuits.evaluate_batch and reads the
 resulting EventBatch bit-planes.  The marginals count symbols by popcount;
 every other path unpacks only what it reads with EventBatch.matrix:
 run_rounds the masked event columns, exact_tv_tiny the leakable columns,
@@ -64,7 +63,7 @@ _MASK_CHUNK_CELLS = 1 << 16
 _MC_CHUNK_MASKS = 64  # masks per mc_advantage evaluation batch
 _MARGINAL_CHUNK_ROWS = 1 << 14  # rows per marginal evaluation batch
 _ROUNDING_SLACK = 1e-9
-_DRAW_BLOCK_WORDS = 1 << 16  # 32-bit generator words per run_rounds draw block
+_DRAW_BLOCK_CELLS = 1 << 16  # uniforms per run_rounds draw block
 
 
 @dataclass(frozen=True)
@@ -157,17 +156,15 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
                seed: int) -> list[LeakTranscript]:
     """One transcript per public input: fresh tape, evaluate, sample mask.
 
-    Leak-free events are never eligible for the mask.  Per round the seeded
-    generator draws the encoding seeds, then the tape, then one uniform per
-    leakable event for the mask, so fixed seeds give identical transcripts;
-    the rounds are then evaluated together in chunks.  The generator is
-    random.Random(seed)'s Mersenne Twister stream, replayed by a NumPy
-    MT19937 and drawn in blocks of at most _DRAW_BLOCK_WORDS words (or one
-    round), so every transcript equals one drawn bit by bit with
-    getrandbits(1) and random().
+    Leak-free events are never eligible for the mask.  The generator is
+    seeded as mc_advantage's is, and each round takes one row of uniforms
+    from it: one per encoding-seed bit, then one per tape bit, then one per
+    leakable event for the mask.  The rows are drawn in order, so each
+    transcript is a function of (target, secret, inputs, p, seed) alone,
+    whatever the draw blocks and evaluation chunks.
     """
     circuit, _, level = _unpack(target, secret)
-    gen = _python_mt(seed)
+    gen = np.random.default_rng(random.Random(seed).getrandbits(64))
     leakable = np.array(_leakable_events(circuit), dtype=np.int64)
     enc_bits = seed_count(len(secret), level)
     out = []
@@ -193,45 +190,25 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     return out
 
 
-def _python_mt(seed) -> np.random.MT19937:
-    """A NumPy MT19937 in the exact state of random.Random(seed): its
-    624-word key and position, so random_raw yields the 32-bit words that
-    the Random would consume next, for every seed Random accepts."""
-    state = random.Random(seed).getstate()[1]
-    gen = np.random.MT19937(0)
-    gen.state = {"bit_generator": "MT19937",
-                 "state": {"key": np.array(state[:624], dtype=np.uint32), "pos": state[624]}}
-    return gen
-
-
-def _draw_rounds(gen: np.random.MT19937, rows: int, nbits: int, nuni: int, p: float):
-    """Per round, `nbits` random bits then `nuni` uniforms u, each tested
-    u < p; returns the (rows, nbits) int8 bits and the (round, uniform)
-    index pairs of the hits, in row-major order.
-
-    The words are decoded as random.Random decodes them: getrandbits(1) is
-    a word's top bit and random() is k / 2**53 for the integer
-    k = (a >> 5) * 2**26 + (b >> 6) of two consecutive words a, b.  So
-    u < p exactly when k < ceil(p * 2**53), and since k's top 27 bits are
-    a >> 5, only a word a below `near` can start a hit: k is built for
-    those alone.  Rounds are drawn _DRAW_BLOCK_WORDS words at a time, or
-    one round when a round is wider, so the draw memory does not grow with
-    `rows`.
+def _draw_rounds(gen: np.random.Generator, rows: int, nbits: int, nuni: int, p: float):
+    """Per round, one row of `nbits` + `nuni` uniforms u: the first `nbits`
+    are the bits u < 0.5 and the rest are hits when u < p.  Returns the
+    (rows, nbits) int8 bits and the (round, uniform) index pairs of the
+    hits, in row-major order.  Rounds are drawn _DRAW_BLOCK_CELLS uniforms
+    at a time, or one round when a round is wider, so the draw memory does
+    not grow with `rows`; gen.random fills row by row, so the blocks do not
+    change the draw.
     """
-    width = nbits + 2 * nuni
-    per_block = max(1, _DRAW_BLOCK_WORDS // max(1, width))
-    limit = math.ceil(p * 2.0 ** 53)  # p * 2**53 is exact: a power-of-two scaling
-    near = ((limit >> 26) + 1) << 5
+    width = nbits + nuni
+    per_block = max(1, _DRAW_BLOCK_CELLS // max(1, width))
     bits = np.empty((rows, nbits), dtype=np.int8)
     hit_rows, hit_cols = [], []
     for lo in range(0, rows, per_block):
-        raw = gen.random_raw((min(per_block, rows - lo), width))
-        bits[lo:lo + len(raw)] = raw[:, :nbits] >> 31
-        a, b = raw[:, nbits::2], raw[:, nbits + 1::2]
-        r, c = np.nonzero(a < near)
-        hit = (a[r, c] >> 5) * 67108864 + (b[r, c] >> 6) < limit
-        hit_rows.append(r[hit] + lo)
-        hit_cols.append(c[hit])
+        u = gen.random((min(per_block, rows - lo), width))
+        bits[lo:lo + len(u)] = u[:, :nbits] < 0.5
+        r, c = np.nonzero(u[:, nbits:] < p)
+        hit_rows.append(r + lo)
+        hit_cols.append(c)
     return bits, np.concatenate(hit_rows), np.concatenate(hit_cols)
 
 

@@ -71,3 +71,18 @@ def test_benchmark_setup_loads_its_compiled_targets(monkeypatch, level):
         sys.modules.pop("workloads", None)
     assert comp.level == level
     assert comp.logical_stats["compiled_gates"] == len(comp.circuit.gates)
+
+
+def test_oracle_tiny_run_rounds_op_passes_its_check(monkeypatch, tmp_path):
+    # the benchmark refuses a wrong decoded output or a leak-free event in
+    # a mask; a sampler change that trips that check must fail here too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    try:
+        workloads = importlib.import_module("workloads")
+        oracle = workloads.ORACLE_TINY
+        slot = next(i for i, s in enumerate(oracle.slots) if s.kind == "run_rounds")
+        op = oracle.make_op(oracle.setup(tmp_path), seed=0, rnd=0, slot=slot)
+    finally:
+        sys.modules.pop("workloads", None)
+    assert op.check(op.run()) is None

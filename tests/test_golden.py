@@ -119,14 +119,16 @@ def test_marginal_report_without_comparisons_is_pinned():
 
 
 # Seeded lab reports and transcripts on the paths that turn seed bits into
-# codewords and tally symbols; pinned before those paths became array code.
+# codewords and tally symbols; the reports were pinned before those paths
+# became array code, the transcripts when run_rounds began drawing one row
+# of NumPy uniforms per round.
 LAB_DIGESTS = {
     "mc_l1": "abb180cdf871df2b",
     "marginal_l1": "db3960e86c14fac7",
     "marginal_l2": "bd58f08af6dcebfc",
-    "run_rounds_l1": "9de22fecfde8965f",
+    "run_rounds_l1": "e34a100b524c3657",
     "mc_l2": "1fb90449c24f37c0",
-    "run_rounds_l2": "10e32b4b2ef06e79",
+    "run_rounds_l2": "5e54be569a9dda97",
 }
 
 
@@ -168,16 +170,18 @@ def test_level1_transcripts_are_pinned(one_toffoli_level1):
 
 def test_level2_transcripts_are_pinned(one_toffoli_level2):
     # 260 rounds cross the 247-row evaluation chunk, so the generator
-    # stream must carry on unbroken from one chunk to the next; pinned
-    # while each round's bits and uniforms were drawn one call at a time
+    # stream must carry on unbroken from one chunk to the next; the pin
+    # equals the per-round reference loop's, which draws each round's
+    # uniforms with a call of its own
     assert rows_per_batch(one_toffoli_level2.circuit) == 247
     ts = run_rounds(one_toffoli_level2, [1, 0], [[]] * 260, LeakageModel(0.02), seed=15)
     assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l2"]
 
 
-# Exact-oracle reports, truth tables and raw-circuit transcripts, pinned
-# while all three still ran the scalar evaluate once per row.  The
-# conditioned fixtures end their outputs on conditioned touches.
+# Exact-oracle reports and truth tables, pinned while both still ran the
+# scalar evaluate once per row, and raw-circuit transcripts, pinned with
+# the level-1 and level-2 ones.  The conditioned fixtures end their
+# outputs on conditioned touches.
 MIXED_3REG = (
     "in secret s\nin public x\nout o\n"
     "gate NOT s\ngate CNOT x o\ngate TOF s x o\ngate NOT o\n"
@@ -257,9 +261,9 @@ TRUTH_TABLES = {
     "wire": (SECRET_WIRE, "6854df38f4a74a67"),
 }
 TRANSCRIPTS = {
-    "masked": (MASKED, [1], 0, "9d15fa5f4f6faf37"),
-    "cgate_mixed": (CGATE_MIXED, [1], 1, "93c31f253f754a86"),
-    "cgate_last": (CGATE_LAST, [1, 1], 1, "8e5ed80270169c80"),
+    "masked": (MASKED, [1], 0, "c7a9549e8ad9ab1a"),
+    "cgate_mixed": (CGATE_MIXED, [1], 1, "a5bfc28cb09ddf46"),
+    "cgate_last": (CGATE_LAST, [1, 1], 1, "a9afe40023f756b2"),
 }
 # Raw-circuit MC reports, pinned while the tally still unpacked the
 # chunk's masked-column union: the default inner size, and an inner size

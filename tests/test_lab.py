@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrcirc.circuits import EvalError
+from lrcirc import lab
 from lrcirc.compiler import compile_circuit, encode_seed_rows, seed_count
 from lrcirc.lab import (
     AdvantageReport,
@@ -67,6 +68,35 @@ def test_skipped_events_appear_as_none_values():
     ts = run_rounds(circ, [0], [[]] * 20, LeakageModel(1.0), seed=3)
     # event 1 is the conditioned NOT's port; with s=0 it is always skipped
     assert all(t.values[1] is None for t in ts)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_transcripts_do_not_depend_on_evaluation_chunks(monkeypatch, level):
+    # one row of uniforms per round, drawn in order, so the rows per
+    # evaluate_batch call cannot move a round's draws
+    circ = parse_netlist(CONDITIONED if level == 0 else ONE_TOFFOLI)
+    target = circ if level == 0 else compile_circuit(circ, level=1, ec=True)
+    secret = [1] if level == 0 else [1, 0]
+    want = run_rounds(target, secret, [[]] * 10, LeakageModel(0.2), seed=8)
+    for rows in (1, 3):
+        monkeypatch.setattr(lab, "rows_per_batch", lambda _circuit, rows=rows: rows)
+        assert run_rounds(target, secret, [[]] * 10, LeakageModel(0.2), seed=8) == want
+
+
+def test_run_rounds_draws_leaks_and_tape_bits_at_their_rates():
+    # a reference loop drawing the same way would share a wrong threshold,
+    # so the rates are checked against the model itself
+    comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
+    p, rounds = 0.05, 2000
+    cells = rounds * (comp.circuit.num_events - len(comp.circuit.leak_free))
+    hits = sum(len(t.mask) for t in run_rounds(comp, [0, 1], [[]] * rounds,
+                                               LeakageModel(p), seed=9))
+    assert abs(hits - p * cells) < 5 * np.sqrt(cells * p * (1 - p))
+    # the output copies one tape bit
+    circ = parse_netlist("reg a\nout o\ngate RAND a\ngate COPY a o\n")
+    ones = sum(t.output["o"] for t in run_rounds(circ, [], [[]] * rounds,
+                                                 LeakageModel(0.0), seed=9))
+    assert abs(ones - rounds / 2) < 5 * np.sqrt(rounds / 4)
 
 
 # -- exact oracle ---------------------------------------------------------------

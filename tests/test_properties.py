@@ -45,7 +45,6 @@ from lrcirc.lab import (
     _empirical_tv,
     _paired_event_batches,
     _plane_counts,
-    _python_mt,
     _unpack,
     encoded_secret_rows,
     exact_tv_tiny,
@@ -463,17 +462,18 @@ def test_mc_advantage_equals_per_mask_loop(text, inner, p, seed, data):
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
-# -- the transcript sampler against its random.Random loop ----------------------
+# -- the transcript sampler against its per-round loop ---------------------------
 
 
-def rounds_by_random_loop(target, secret, inputs, model, seed):
-    """run_rounds as it was before it drew from NumPy: per round one
-    random.Random call per seed bit, tape bit and leakable event, and each
-    round's mask cut from the chunk's masked-column union by searchsorted."""
+def rounds_by_round_loop(target, secret, inputs, model, seed):
+    """run_rounds one round at a time: per round one gen.random row of a
+    uniform per seed bit, tape bit and leakable event, and each round's
+    mask cut from the chunk's masked-column union by searchsorted."""
     circuit, _, level = _unpack(target, secret)
-    rng = random.Random(seed)
+    gen = np.random.default_rng(random.Random(seed).getrandbits(64))
     leakable = [e for e in range(circuit.num_events) if e not in circuit.leak_free]
     enc_bits = seed_count(len(secret), level)
+    nbits = enc_bits + circuit.rand_count
     out = []
     inputs, step = list(inputs), rows_per_batch(circuit)
     for lo in range(0, len(inputs), step):
@@ -482,9 +482,10 @@ def rounds_by_random_loop(target, secret, inputs, model, seed):
         tapes = np.empty((len(xs), circuit.rand_count), dtype=np.int8)
         masks = []
         for i in range(len(xs)):
-            seeds[i] = [rng.getrandbits(1) for _ in range(enc_bits)]
-            tapes[i] = [rng.getrandbits(1) for _ in range(circuit.rand_count)]
-            masks.append(tuple(e for e in leakable if rng.random() < model.p))
+            row = gen.random(nbits + len(leakable)).tolist()
+            seeds[i] = [int(u < 0.5) for u in row[:enc_bits]]
+            tapes[i] = [int(u < 0.5) for u in row[enc_bits:nbits]]
+            masks.append(tuple(e for e, u in zip(leakable, row[nbits:]) if u < model.p))
         events = evaluate_batch(circuit, encode_seed_rows(secret, seeds, level), xs, tapes)
         outputs = batch_outputs(circuit, events).tolist()
         cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
@@ -516,13 +517,13 @@ def test_run_rounds_equals_random_loop(text, p, seed, rounds, data):
     width = len(circ.public_regs)
     inputs = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
                                 min_size=rounds, max_size=rounds))
-    # the words one round draws: a tape bit each, two per leakable event
-    words = circ.rand_count + 2 * (circ.num_events - len(circ.leak_free))
+    # the uniforms one round draws: one per tape bit and per leakable event
+    cells = circ.rand_count + circ.num_events - len(circ.leak_free)
     for s in (seed, *_ODD_SEEDS):
-        want = _transcript_json(rounds_by_random_loop(circ, secret, inputs, LeakageModel(p), s))
-        for block in (lab._DRAW_BLOCK_WORDS, 1, words - 1, words, words + 1, 3 * words):
+        want = _transcript_json(rounds_by_round_loop(circ, secret, inputs, LeakageModel(p), s))
+        for block in (lab._DRAW_BLOCK_CELLS, 1, cells - 1, cells, cells + 1, 3 * cells):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(lab, "_DRAW_BLOCK_WORDS", block)
+                patch.setattr(lab, "_DRAW_BLOCK_CELLS", block)
                 got = run_rounds(circ, secret, inputs, LeakageModel(p), s)
             assert _transcript_json(got) == want, (s, block)
 
@@ -532,45 +533,7 @@ def test_compiled_run_rounds_equals_random_loop():
     comp = compile_circuit(parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n"))
     for seed in (7, "abc"):
         args = (comp, [0, 1], [[]] * 5, LeakageModel(0.05), seed)
-        assert _transcript_json(run_rounds(*args)) == _transcript_json(rounds_by_random_loop(*args))
-
-
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(st.one_of(st.integers(-(2 ** 80), 2 ** 80), st.text(max_size=5),
-                 st.sampled_from(_ODD_SEEDS)),
-       st.lists(st.tuples(st.booleans(), st.integers(1, 400)), max_size=8))
-def test_python_mt_replays_random_random(seed, runs):
-    # runs of getrandbits(1) (True) and random() (False) calls, up to 3,200
-    # in all, so the interleaving crosses the twister's 624-word refills;
-    # this relies on CPython's random internals and must fail, not drift,
-    # on an interpreter where they differ
-    rng, gen = random.Random(seed), _python_mt(seed)
-    for bit, count in runs:
-        if bit:
-            want = [rng.getrandbits(1) for _ in range(count)]
-            got = (gen.random_raw(count) >> 31).tolist()
-        else:
-            want = [rng.random() for _ in range(count)]
-            pairs = gen.random_raw((count, 2)).tolist()
-            got = [((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992 for a, b in pairs]
-        assert got == want
-
-
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(st.integers(-(2 ** 40), 2 ** 40), st.integers(0, 3), st.integers(1, 40),
-       st.integers(0, 10 ** 6), st.sampled_from([-1.0, 2.0, None]))
-def test_draw_rounds_equals_random_calls(seed, nbits, nuni, pick, toward):
-    # p is one of the stream's own uniforms or a float next to it, so that
-    # uniform's first word ties with p's top 27 bits and its second decides
-    rows, ref = 3, random.Random(seed)
-    draws = [([ref.getrandbits(1) for _ in range(nbits)], [ref.random() for _ in range(nuni)])
-             for _ in range(rows)]
-    u = draws[pick % rows][1][pick % nuni]
-    p = u if toward is None else math.nextafter(u, toward)
-    bits, hit_rows, hit_cols = lab._draw_rounds(_python_mt(seed), rows, nbits, nuni, p)
-    assert bits.tolist() == [b for b, _ in draws]
-    hits = [(r, c) for r, (_, us) in enumerate(draws) for c, v in enumerate(us) if v < p]
-    assert list(zip(hit_rows.tolist(), hit_cols.tolist())) == hits
+        assert _transcript_json(run_rounds(*args)) == _transcript_json(rounds_by_round_loop(*args))
 
 
 def probe(names, prefix):
