@@ -28,7 +28,9 @@ rows, with -1 for a skipped event.  The scalar `evaluate` and
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -83,6 +85,30 @@ class CircuitError(ValueError):
 
 class EvalError(RuntimeError):
     """Raised when evaluation cannot proceed (bad inputs, tape exhausted)."""
+
+
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector for the duration of the block
+    (or of each call, when used as a decorator), then restore its state.
+
+    Building a level-2 circuit creates tens of thousands of registers, gates
+    and tuples, which would push the collector through about 150 passes, one
+    of them over the whole heap, that find nothing: these objects hold only
+    ints, strs, enum members and tuples, so they form no reference cycle, and
+    reference counting frees them.  Once resumed, the collector makes one
+    pass over its youngest generation, which then holds the build.  Nested
+    pauses leave the collector off until the outermost one ends.  The switch
+    is process-wide, so pauses that overlap in two threads can turn it back
+    on before the later one ends; that costs time, never the restored state.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Registers and gates have slots: a level-2 circuit holds tens of thousands

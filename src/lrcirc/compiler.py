@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, Register, Role
+from .circuits import Circuit, Gate, GateKind, Register, Role, collector_paused
 from .faults import SHOR_DECODE, SHOR_PREP
 from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD
 
@@ -56,7 +56,7 @@ class CircuitBuilder:
     Mirrors the event-id assignment of Circuit (inputs first, then one id
     per gate operand) so gadget emitters can condition gates on events they
     just produced.  The finished Circuit re-derives the table; build()
-    asserts both agree.
+    checks that both agree.
 
     `reserved` names are declared verbatim later (the source circuit's
     public and output registers); blocks created before them avoid them.
@@ -167,7 +167,9 @@ class CircuitBuilder:
 
     def build(self) -> Circuit:
         circuit = Circuit(self.regs, self.gates)
-        assert circuit.num_events == self._event, "event accounting drifted"
+        if circuit.num_events != self._event:
+            raise CompileError(f"event accounting drifted: builder counted {self._event} "
+                               f"events, circuit has {circuit.num_events}")
         return circuit
 
 
@@ -580,6 +582,7 @@ _GATE_GADGETS = {
 }
 
 
+@collector_paused()
 def compile_circuit(logical: Circuit, level: int = 1, ec: bool = True) -> CompiledCircuit:
     """Compile a reversible logical circuit into leakage-hardened form.
 

@@ -14,6 +14,10 @@ All declarations must precede all gates, so wire-event ids (inputs first,
 then gate ports in program order) match line order.  `cgate` prefixes any
 gate form with the wire-event id (ASCII decimal digits) whose runtime value
 conditions execution.
+Lines end only at \n, \r\n or \r, the line ends that open() reads in
+text mode; other characters that str.splitlines() breaks at (\v, \f,
+\x1c-\x1e, \x85, U+2028, U+2029) separate tokens like spaces, and inside a
+comment they stay comment text.
 Serialization emits the canonical form: declarations in register order, then
 gates; parse/serialize round-trip on canonical text.
 """
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 import re
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, Register, Role
+from .circuits import Circuit, CircuitError, Gate, GateKind, Register, Role, collector_paused
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
+_KINDS = {kind.value: kind for kind in GateKind}
 
 
 class NetlistError(ValueError):
@@ -35,6 +40,7 @@ class NetlistError(ValueError):
         self.line_no = line_no
 
 
+@collector_paused()
 def parse_netlist(text: str) -> Circuit:
     registers: list[Register] = []
     names: dict[str, int] = {}
@@ -55,16 +61,15 @@ def parse_netlist(text: str) -> Circuit:
                     raise NetlistError(line_no, f"bad event reference {ref!r}")
             elif len(tok) < 2:
                 raise NetlistError(line_no, "expected: gate <KIND> <operands>")
-            try:
-                kind = GateKind(tok[1])
-            except ValueError:
-                raise NetlistError(line_no, f"unknown gate kind {tok[1]!r}") from None
+            kind = _KINDS.get(tok[1])
+            if kind is None:
+                raise NetlistError(line_no, f"unknown gate kind {tok[1]!r}")
             if len(tok) - 2 != kind.arity:
                 raise NetlistError(
                     line_no, f"{kind.value} takes {kind.arity} operand(s), got {len(tok) - 2}"
                 )
             try:
-                gates.append(Gate(kind, tuple(names[t] for t in tok[2:]), cond=cond))
+                gates.append(Gate(kind, tuple([names[t] for t in tok[2:]]), cond=cond))
             except KeyError as exc:
                 raise NetlistError(
                     line_no, f"reference to undeclared register {exc.args[0]!r}"
@@ -103,8 +108,12 @@ def parse_netlist(text: str) -> Circuit:
 
 def _statements(text: str):
     """(line number, tokens) of every line that is not blank or comment."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tok = raw.split("#", 1)[0].split()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tok = raw.split()
         if tok:
             yield line_no, tok
 

@@ -676,6 +676,17 @@ def test_compile_level_validation():
         compile_circuit(parse_netlist("in secret s\n"), level=3)
 
 
+def test_build_rejects_drifted_event_accounting():
+    b = CircuitBuilder()
+    s, t = b.new_reg("s", Role.SECRET), b.new_reg("t")
+    b.emit(GateKind.CNOT, s, t)
+    assert b.build().num_events == 3
+    b._event += 1
+    with pytest.raises(CompileError, match="event accounting drifted: builder counted 4 "
+                                           "events, circuit has 3"):
+        b.build()
+
+
 # frozen construction sizes: gates emitted per gadget (changing the emitted
 # shape of any gadget must be a deliberate, test-visible decision)
 GATE_COST = {

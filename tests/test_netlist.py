@@ -126,6 +126,39 @@ def test_unwritten_output_reports_its_out_line():
     assert info.value.line_no == 2
 
 
+# characters at which str.splitlines() ends a line but open() does not
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS)
+def test_other_separators_stay_inside_a_comment(sep):
+    circ = parse_netlist(f"in secret a\nout o\ngate CNOT a o  # copy{sep}gate NOT o\n")
+    assert [g.kind for g in circ.gates] == [GateKind.CNOT]
+    circ = parse_netlist(f"in secret s\nout o\n# note{sep}bogus words\ngate CNOT s o\n")
+    assert len(circ.gates) == 1
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS)
+def test_other_separators_leave_line_numbers_alone(sep):
+    with pytest.raises(NetlistError, match="line 3: unknown statement 'bogus'") as info:
+        parse_netlist(f"in secret s\n# note{sep}more\nbogus stuff\n")
+    assert info.value.line_no == 3
+    text = f"in secret s\n# a{sep}b\nout o\nreg t\ngate CNOT s t\n"
+    with pytest.raises(NetlistError, match="line 3.*'o' is never written"):
+        parse_netlist(text)
+
+
+def test_lone_carriage_returns_end_lines():
+    circ = parse_netlist("in secret s\rout o\r\n# c\rgate CNOT s o\r")
+    assert [r.name for r in circ.registers] == ["s", "o"]
+    assert len(circ.gates) == 1
+    with pytest.raises(NetlistError, match="line 4.*unknown gate kind") as info:
+        parse_netlist("in secret s\rout o\r\n\rgate NOPE o\r")
+    assert info.value.line_no == 4
+    with pytest.raises(NetlistError, match="line 2.*'o' is never written"):
+        parse_netlist("in secret s\rout o\rreg t\r\ngate CNOT s t")
+
+
 def test_event_listing_is_documented_order():
     circ = parse_netlist("in secret s\nout o\ngate CNOT s o\n")
     listing = circ.event_listing()
@@ -136,15 +169,17 @@ def test_event_listing_is_documented_order():
 
 _GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
 _MARGINS = st.sampled_from(["", " ", "\t", " \t"])
-_COMMENTS = st.text(alphabet=" \tgate#1", max_size=6).map(lambda text: "#" + text)
+_COMMENTS = st.text(alphabet=" \tgate#1" + "".join(_NOT_LINE_ENDS),
+                    max_size=6).map(lambda text: "#" + text)
 
 
 @st.composite
 def decorated_netlists(draw):
     """(text, canonical text, registers, gates): a valid netlist over every
-    statement form, written with spaces, tabs, comments, blank lines and
-    \\n or \\r\\n endings, and the Register and Gate tuples it declares,
-    built directly."""
+    statement form, written with spaces, tabs, comments (which may hold
+    characters that str.splitlines() breaks at), blank lines and \\n, \\r\\n
+    or \\r endings, and the Register and Gate tuples it declares, built
+    directly."""
     names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True),
                           min_size=1, max_size=6, unique=True))
     registers, statements = [], []
@@ -183,7 +218,7 @@ def decorated_netlists(draw):
         for word in tok[1:]:
             line += draw(_GAPS) + word
         lines.append(line + draw(_MARGINS) + draw(st.sampled_from(["", " #", "\t# gate NOT"])))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
