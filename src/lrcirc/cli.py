@@ -9,6 +9,7 @@ as netlist text.  Exit codes: 0 success, 1 usage error, 2 audit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -130,10 +131,17 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process, built on first use: a parser is a
+    web of reference cycles, so one built per call would stay behind as
+    cyclic garbage."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _dispatch(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

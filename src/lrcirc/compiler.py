@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, Register, Role, collector_paused
 from .faults import SHOR_DECODE, SHOR_PREP
-from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD
+from .steane import H_ROWS, LOGICAL_SUPPORT, encode_codeword
 
 # documented tape cost (RAND bits) per gadget
 TAPE_COST = {
@@ -392,8 +392,9 @@ def steane_ec_gadget(builder: CircuitBuilder, block: Block, base: str) -> None:
 # -- whole-circuit compilation -------------------------------------------------
 
 
-_H = np.array(H_ROWS, dtype=np.int8)
-_LOGICAL = np.array(LOGICAL_WORD, dtype=np.int8)
+# row s0 + 2*s1 + 4*s2 + 8*b is the block encode_codeword(b, (s0, s1, s2))
+_BLOCKS = np.array([encode_codeword(i >> 3, (i & 1, i >> 1 & 1, i >> 2 & 1))
+                    for i in range(16)], dtype=np.int8)
 
 
 def seed_count(bits: int, level: int) -> int:
@@ -407,11 +408,11 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
     """Fresh codeword encodings of the logical `bits`, one per row of `seeds`.
 
     A pass turns each bit b into the 7-bit block s @ H_ROWS ^ b * LOGICAL_WORD
-    (steane.encode_codeword), where s is the bit's next three seed columns;
-    a pass over k bits reads 3k columns, bit by bit.  Level 2 is a second
-    pass over the 7k level-1 bits, and level 0 (a raw circuit) returns the
-    bits themselves.  Returns the int8 (rows, k * 7**level) matrix of
-    circuit secret bits.
+    (steane.encode_codeword), where s is the bit's next three seed columns,
+    looked up in _BLOCKS by s and b; a pass over k bits reads 3k columns,
+    bit by bit.  Level 2 is a second pass over the 7k level-1 bits, and
+    level 0 (a raw circuit) returns the bits themselves.  Returns the int8
+    (rows, k * 7**level) matrix of circuit secret bits.
     """
     seeds = np.asarray(seeds, dtype=np.int8)
     rows = seeds.shape[0]
@@ -423,9 +424,9 @@ def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
     used = 0
     for _ in range(level):
         k = words.shape[1]
-        combos = seeds[:, used:used + 3 * k].reshape(rows * k, 3) @ _H
-        flips = words.reshape(rows * k, 1) * _LOGICAL
-        words = ((combos ^ flips) & 1).reshape(rows, 7 * k)
+        s = seeds[:, used:used + 3 * k].reshape(rows, k, 3) & 1
+        index = s[..., 0] | s[..., 1] << 1 | s[..., 2] << 2 | words << 3
+        words = _BLOCKS.take(index, axis=0).reshape(rows, 7 * k)
         used += 3 * k
     return words
 

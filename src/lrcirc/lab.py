@@ -22,12 +22,16 @@ All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (none at level 0), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Each
 estimator seeds its NumPy Generators with random.Random(seed).getrandbits(64)
-calls.  run_rounds takes one row of uniforms u per round: a seed or tape
-bit is u < 0.5 and a leakable event leaks when u < p.
+calls.  mc_advantage draws a chunk's [seed | tape] bit rows, then its
+masks; the marginals draw rows alone, from one generator per secret.
+run_rounds takes one row of uniforms u per round: a seed or tape bit is
+u < 0.5 and a leakable event leaks when u < p.
 
-Every path evaluates its rows with circuits.evaluate_batch and reads the
-resulting EventBatch bit-planes.  The marginals count symbols by popcount;
-every other path unpacks only what it reads with EventBatch.matrix:
+Every path evaluates its [seed | tape] bit rows (exact_tv_tiny enumerates
+them) with _evaluate_rows, which encodes the secret from the seed columns
+and runs circuits.evaluate_batch, and reads the resulting EventBatch
+bit-planes.  The marginals count symbols by popcount; every other path
+unpacks only what it reads with EventBatch.matrix:
 run_rounds the masked event columns, exact_tv_tiny the leakable columns,
 keyed into one int per row, and mc_advantage each mask's own events over
 that mask's own rows.  Both TV estimators tally a chunk of masks at once
@@ -149,6 +153,26 @@ def _leakable_events(circuit: Circuit) -> list[int]:
     return [e for e in range(circuit.num_events) if e not in circuit.leak_free]
 
 
+def _evaluate_rows(circuit: Circuit, level: int, secret, x, bits: np.ndarray) -> EventBatch:
+    """Evaluate one row per row of `bits` under `secret` and input x: a row
+    holds the secret's seed_count encoding-seed columns (none at level 0),
+    then the circuit's tape columns."""
+    enc_bits = seed_count(len(secret), level)
+    return evaluate_batch(circuit, encode_seed_rows(secret, bits[:, :enc_bits], level), x,
+                          bits[:, enc_bits:])
+
+
+def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
+    """Fresh per-row encodings of the secret at the target's level, ready
+    to be passed to evaluate_batch as the per-row secret matrix.  A raw
+    circuit (level 0) gets the secret itself and draws no seed bits, which
+    leaves `np_rng` untouched.  For callers outside the estimators, which
+    encode their own seed columns in _evaluate_rows."""
+    level = _unpack(target)[2]
+    seeds = np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level)))
+    return encode_seed_rows(secret, seeds, level)
+
+
 # -- round sampling ------------------------------------------------------------
 
 
@@ -166,15 +190,13 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     circuit, _, level = _unpack(target, secret)
     gen = np.random.default_rng(random.Random(seed).getrandbits(64))
     leakable = np.array(_leakable_events(circuit), dtype=np.int64)
-    enc_bits = seed_count(len(secret), level)
+    width = seed_count(len(secret), level) + circuit.rand_count
     out = []
     inputs, step = list(inputs), rows_per_batch(circuit)
     for lo in range(0, len(inputs), step):
         xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
-        bits, rows, cols = _draw_rounds(gen, len(xs), enc_bits + circuit.rand_count,
-                                        leakable.size, model.p)
-        events = evaluate_batch(circuit, encode_seed_rows(secret, bits[:, :enc_bits], level),
-                                xs, bits[:, enc_bits:])
+        bits, rows, cols = _draw_rounds(gen, len(xs), width, leakable.size, model.p)
+        events = _evaluate_rows(circuit, level, secret, xs, bits)
         outputs = batch_outputs(circuit, events).tolist()
         # hit j leaks event leakable[cols[j]] in round rows[j]; the hits come
         # row by row, each row's in ascending event order
@@ -229,8 +251,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     circuit, _, level = _unpack(target, y0, y1)
     leakable = _leakable_events(circuit)
     n = len(leakable)
-    enc_bits = seed_count(len(y0), level)
-    total_tape = circuit.rand_count + enc_bits
+    total_tape = seed_count(len(y0), level) + circuit.rand_count
     if n > _MAX_EXACT_EVENTS:
         raise EvalError(f"size guard exceeded: {n} leakable events (max {_MAX_EXACT_EVENTS})")
     if total_tape > _MAX_EXACT_TAPE:
@@ -242,8 +263,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     place = np.int64(1) << np.arange(2 * n, dtype=np.int64)
     keys = []
     for s in (y0, y1):
-        values = evaluate_batch(circuit, encode_seed_rows(s, bits[:, :enc_bits], level), x,
-                                bits[:, enc_bits:]).matrix(leakable)
+        values = _evaluate_rows(circuit, level, s, x, bits).matrix(leakable)
         keys.append(np.concatenate([values > 0, values >= 0], axis=1) @ place)
     distinct, codes = np.unique(np.concatenate(keys), return_inverse=True)
     m = len(distinct)
@@ -299,12 +319,13 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     """Sampled-mask estimator of the transcript TV.
 
     Masks are drawn from the secret-independent leak distribution; for each
-    mask the masked-value TV is estimated from `inner` fresh tapes per
-    secret, paired through common random numbers so identically distributed
-    wires contribute exact zeros.  The inner empirical TV is biased upward
-    by at most ~sqrt(support/inner); the reported bias bound is the mean of
-    the per-mask bounds min(1, sqrt(min(3^|w|, 2*inner)/inner)), and the
-    std-error is a 200-resample bootstrap over the per-mask estimates.
+    mask the masked-value TV is estimated from `inner` fresh [seed | tape]
+    rows, evaluated under both secrets (common random numbers), so
+    identically distributed wires contribute exact zeros and a same-secret
+    run reads exactly 0 at every level.  The inner empirical TV is biased
+    upward by at most ~sqrt(support/inner); the reported bias bound is the
+    mean of the per-mask bounds min(1, sqrt(min(3^|w|, 2*inner)/inner)), and
+    the std-error is a 200-resample bootstrap over the per-mask estimates.
 
     Masks are evaluated _MC_CHUNK_MASKS at a time, mask j of a chunk on
     rows j*inner .. (j+1)*inner - 1.  One EventBatch.matrix call per secret
@@ -319,15 +340,16 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
         raise ValueError("need at least 1 inner tape per mask")
     circuit, _, level = _unpack(target, y0, y1)
     leakable = np.array(_leakable_events(circuit), dtype=np.int64)
-    rng = random.Random(seed)
-    np_rng = np.random.default_rng(rng.getrandbits(64))
+    width = seed_count(len(y0), level) + circuit.rand_count
+    np_rng = np.random.default_rng(random.Random(seed).getrandbits(64))
 
     tvs = np.zeros(samples)
     biases = np.zeros(samples)  # empty masks leak nothing: TV and bound stay 0
     pos = 0
     while pos < samples:
         m = min(_MC_CHUNK_MASKS, samples - pos)
-        ev0, ev1 = _paired_event_batches(target, y0, y1, x, m * inner, np_rng)
+        bits = np_rng.integers(0, 2, size=(m * inner, width), dtype=np.int8)
+        ev0, ev1 = (_evaluate_rows(circuit, level, y, x, bits) for y in (y0, y1))
         masks = np_rng.random((m, leakable.size)) < model.p
         widths = masks.sum(axis=1)
         used = np.flatnonzero(widths)
@@ -362,33 +384,6 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     )
 
 
-def _paired_event_batches(target, y0, y1, x, rows, np_rng):
-    """Event batches for both secrets from one tape/seed batch (CRN)."""
-    circuit, _, level = _unpack(target)
-    tapes = np_rng.integers(0, 2, size=(rows, circuit.rand_count), dtype=np.int8)
-    enc0 = encoded_secret_rows(target, y0, rows, np_rng)
-    if level < 2:
-        # same seed rows, other secret: enc(y, s) = enc(0, s) ^ enc(y, 0) at
-        # every level, so y1 adds enc(y0 ^ y1, 0); level 2 draws y1's own
-        # seeds only so that its seeded MC reports stay byte-identical
-        diff = [(int(a) ^ int(b)) & 1 for a, b in zip(y0, y1)]
-        zeros = np.zeros((1, seed_count(len(diff), level)), dtype=np.int8)
-        enc1 = enc0 ^ encode_seed_rows(diff, zeros, level)
-    else:
-        enc1 = encoded_secret_rows(target, y1, rows, np_rng)
-    return evaluate_batch(circuit, enc0, x, tapes), evaluate_batch(circuit, enc1, x, tapes)
-
-
-def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
-    """Fresh per-row encodings of the secret at the target's level, ready
-    to be passed to evaluate_batch as the per-row secret matrix.  A raw
-    circuit (level 0) gets the secret itself and draws no seed bits, which
-    leaves `np_rng` untouched."""
-    level = _unpack(target)[2]
-    seeds = np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level)))
-    return encode_seed_rows(secret, seeds, level)
-
-
 def _empirical_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per mask of two (masks, rows, w) stacks, the TV between its two
     samples' row distributions: each row is one void key, a's weighing +1
@@ -416,7 +411,7 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         raise ValueError("order must be 1 or 2")
     if samples < 1:
         raise ValueError("need at least 1 sample")
-    circuit, compiled, _ = _unpack(target, y0, y1)
+    circuit, compiled, level = _unpack(target, y0, y1)
     rng = random.Random(seed)
     rng0 = np.random.default_rng(rng.getrandbits(64))
     rng1 = np.random.default_rng(rng.getrandbits(64))
@@ -428,8 +423,8 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         targets = _within_block_pairs(circuit, compiled)
         symbols = 9
 
-    counts0 = _symbol_counts(target, y0, x, samples, rng0, targets, order)
-    counts1 = _symbol_counts(target, y1, x, samples, rng1, targets, order)
+    counts0, counts1 = (_symbol_counts(circuit, level, y, x, samples, gen, targets, order)
+                        for y, gen in ((y0, rng0), (y1, rng1)))
     tv = 0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples
     estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
@@ -500,17 +495,16 @@ def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
     return pairs
 
 
-def _symbol_counts(target, secret, x, samples, np_rng, targets, order) -> np.ndarray:
+def _symbol_counts(circuit, level, secret, x, samples, np_rng, targets, order) -> np.ndarray:
     """Counts per target of each symbol over all samples, evaluated in
-    batches of _MARGINAL_CHUNK_ROWS rows (see `_plane_counts`)."""
-    circuit = _unpack(target)[0]
+    batches of _MARGINAL_CHUNK_ROWS seed-and-tape rows (see `_plane_counts`)."""
+    width = seed_count(len(secret), level) + circuit.rand_count
     counts = np.zeros((len(targets), 3 if order == 1 else 9), dtype=np.int64)
     done = 0
     while done < samples:
         rows = min(_MARGINAL_CHUNK_ROWS, samples - done)
-        tapes = np_rng.integers(0, 2, size=(rows, circuit.rand_count), dtype=np.int8)
-        enc = encoded_secret_rows(target, secret, rows, np_rng)
-        counts += _plane_counts(evaluate_batch(circuit, enc, x, tapes), targets, order)
+        bits = np_rng.integers(0, 2, size=(rows, width), dtype=np.int8)
+        counts += _plane_counts(_evaluate_rows(circuit, level, secret, x, bits), targets, order)
         done += rows
     return counts
 

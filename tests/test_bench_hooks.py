@@ -58,31 +58,40 @@ def test_tally_is_a_traced_layer_of_mc(bench):
     assert t.self_s["lab.tally"] > 0
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_benchmark_setup_loads_its_compiled_targets(monkeypatch, level):
-    # the workloads rebuild compiled targets through the netlist and
-    # gadget-index readers; a reader that refused them would fail every run
+@pytest.fixture
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    try:
-        workloads = importlib.import_module("workloads")
-        comp = workloads.load_compiled(workloads.ONE_TOFFOLI, level)
-    finally:
-        sys.modules.pop("workloads", None)
+    yield importlib.import_module("workloads")
+    sys.modules.pop("workloads", None)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_benchmark_setup_loads_its_compiled_targets(workloads, level):
+    # the workloads rebuild compiled targets through the netlist and
+    # gadget-index readers; a reader that refused them would fail every run
+    comp = workloads.load_compiled(workloads.ONE_TOFFOLI, level)
     assert comp.level == level
     assert comp.logical_stats["compiled_gates"] == len(comp.circuit.gates)
 
 
-def test_oracle_tiny_run_rounds_op_passes_its_check(monkeypatch, tmp_path):
+def test_oracle_tiny_run_rounds_op_passes_its_check(workloads, tmp_path):
     # the benchmark refuses a wrong decoded output or a leak-free event in
     # a mask; a sampler change that trips that check must fail here too
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    try:
-        workloads = importlib.import_module("workloads")
-        oracle = workloads.ORACLE_TINY
-        slot = next(i for i, s in enumerate(oracle.slots) if s.kind == "run_rounds")
-        op = oracle.make_op(oracle.setup(tmp_path), seed=0, rnd=0, slot=slot)
-    finally:
-        sys.modules.pop("workloads", None)
+    oracle = workloads.ORACLE_TINY
+    slot = next(i for i, s in enumerate(oracle.slots) if s.kind == "run_rounds")
+    op = oracle.make_op(oracle.setup(tmp_path), seed=0, rnd=0, slot=slot)
     assert op.check(op.run()) is None
+
+
+@pytest.mark.parametrize("name", ["analyze-l1", "analyze-l2"])
+def test_analyze_ops_pass_their_checks(workloads, tmp_path, name):
+    # the benchmark refuses an estimator report out of range, a wrong count
+    # of comparisons or a marginal past its Hoeffding bound; a sampler change
+    # that trips one of those checks must fail here too
+    workload = workloads.WORKLOADS[name]
+    state = workload.setup(tmp_path)
+    for kind in dict.fromkeys(s.kind for s in workload.slots):
+        slot = next(i for i, s in enumerate(workload.slots) if s.kind == kind)
+        op = workload.make_op(state, seed=0, rnd=0, slot=slot)
+        assert op.check(op.run()) is None, kind

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, determinism, artifact round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -362,6 +363,24 @@ def test_help_lists_every_subcommand(capsys):
     out = capsys.readouterr().out
     for cmd in ("compile", "run", "analyze", "audit", "noise-equiv", "report"):
         assert cmd in out
+
+
+@pytest.mark.parametrize("argv", [["audit", "steane"], ["run", "--frobnicate"]])
+def test_main_leaves_no_parser_garbage(capsys, argv):
+    # main reuses one parser; a parser built per call is a web of reference
+    # cycles (hundreds of objects) that only a collector pass frees
+    main(argv)  # the first call builds the parser
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        modules = {type(obj).__module__ for obj in gc.garbage[before:]}
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+    assert not modules & {"argparse", "lrcirc.cli"}
 
 
 def _module_env() -> dict:

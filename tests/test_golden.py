@@ -72,7 +72,7 @@ GOLDEN = {
     ("mixed", 2, True): {"netlist": "b221a2a63fa3683e", "gadgets": "69f319daf44d5eb8",
                          "events": "ce8372d693a24411", "report": "fb2eee5a89d1fef8"},
 }
-MARGINAL_DIGEST = "eb672b67081d6e11"
+MARGINAL_DIGEST = "952138b67186bb4f"
 
 _FIXTURES = {"one": ONE_TOFFOLI, "two": TWO_TOFFOLI_CHAIN, "mixed": MIXED}
 
@@ -119,15 +119,16 @@ def test_marginal_report_without_comparisons_is_pinned():
 
 
 # Seeded lab reports and transcripts on the paths that turn seed bits into
-# codewords and tally symbols; the reports were pinned before those paths
-# became array code, the transcripts when run_rounds began drawing one row
-# of NumPy uniforms per round.
+# codewords and tally symbols; the reports were pinned when MC and the
+# marginals began drawing one [seed | tape] bit row per sample, the
+# transcripts when run_rounds began drawing one row of NumPy uniforms per
+# round.
 LAB_DIGESTS = {
-    "mc_l1": "abb180cdf871df2b",
-    "marginal_l1": "db3960e86c14fac7",
-    "marginal_l2": "bd58f08af6dcebfc",
+    "mc_l1": "160efad355831b1a",
+    "marginal_l1": "dc0a2d464c755ad5",
+    "marginal_l2": "c38532a3f297708c",
     "run_rounds_l1": "e34a100b524c3657",
-    "mc_l2": "1fb90449c24f37c0",
+    "mc_l2": "1d648ce2e4b1fb9d",
     "run_rounds_l2": "5e54be569a9dda97",
 }
 

@@ -255,6 +255,17 @@ def test_mc_same_secret_consistent_with_zero():
     assert report.consistent_with_zero()
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_mc_same_secret_reads_exactly_zero_at_every_level(level):
+    # both secrets are evaluated on the same seed and tape rows at every
+    # level, so a same-secret run compares identical rows
+    circ = parse_netlist(ONE_TOFFOLI)
+    target = compile_circuit(circ, level=level, ec=True) if level else circ
+    report = mc_advantage(target, [0, 1], [0, 1], [], LeakageModel(0.01),
+                          samples=1000, seed=33, inner=8)
+    assert (report.estimate, report.std_error) == (0.0, 0.0)
+
+
 def test_mc_agrees_with_exact_on_tiny_fixtures():
     model = LeakageModel(0.05)
     for text in (SECRET_WIRE, MASKED):

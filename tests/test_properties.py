@@ -43,7 +43,7 @@ from lrcirc.lab import (
     LeakTranscript,
     _abs_group_sums,
     _empirical_tv,
-    _paired_event_batches,
+    _evaluate_rows,
     _plane_counts,
     _unpack,
     encoded_secret_rows,
@@ -420,17 +420,21 @@ def test_stacked_empirical_tv_equals_one_mask_calls(pairs):
         assert tv == tv_by_counter(a, b)
 
 
-def mc_by_mask_loop(circ, y0, y1, x, model, samples, seed, inner):
-    """mc_advantage on a raw circuit as it was before its tally read the
-    bit-planes: same draws, the chunk's masked-column union unpacked with
-    EventBatch.matrix, then each mask tallied on its own rows by Counter."""
+def mc_by_mask_loop(target, y0, y1, x, model, samples, seed, inner):
+    """mc_advantage as it was before its tally read the bit-planes: per
+    chunk one [seed | tape] bit matrix evaluated under both secrets, the
+    chunk's masked-column union unpacked with EventBatch.matrix, then each
+    mask tallied on its own rows by Counter."""
+    circ, _, level = _unpack(target, y0, y1)
     leakable = np.array([e for e in range(circ.num_events) if e not in circ.leak_free],
                         dtype=np.int64)
+    width = seed_count(len(y0), level) + circ.rand_count
     np_rng = np.random.default_rng(random.Random(seed).getrandbits(64))
     tvs, biases = np.zeros(samples), np.zeros(samples)
     for pos in range(0, samples, 64):
         m = min(64, samples - pos)
-        ev0, ev1 = _paired_event_batches(circ, y0, y1, x, m * inner, np_rng)
+        bits = np_rng.integers(0, 2, size=(m * inner, width), dtype=np.int8)
+        ev0, ev1 = (_evaluate_rows(circ, level, y, x, bits) for y in (y0, y1))
         masks = np_rng.random((m, leakable.size)) < model.p
         leaked = masks.any(axis=0)
         masks = masks[:, leaked]
@@ -440,7 +444,7 @@ def mc_by_mask_loop(circ, y0, y1, x, model, samples, seed, inner):
             if cols.size:
                 lo, hi = i * inner, (i + 1) * inner
                 tvs[pos + i] = tv_by_counter(m0[lo:hi, cols], m1[lo:hi, cols])
-                biases[pos + i] = min(1.0, math.sqrt(min(3.0 ** cols.size, 2.0 * inner) / inner))
+                biases[pos + i] = min(1.0, math.sqrt(min(3 ** cols.size, 2 * inner) / inner))
     boot = np_rng.choice(tvs, size=(200, samples), replace=True).mean(axis=1)
     return AdvantageReport(
         estimate=float(tvs.mean()), std_error=float(boot.std(ddof=1)),
@@ -450,14 +454,32 @@ def mc_by_mask_loop(circ, y0, y1, x, model, samples, seed, inner):
     )
 
 
+@st.composite
+def mc_cases(draw):
+    """A raw circuit, or a logical one compiled at level 1, with two secrets
+    and a public input of its logical widths, and a leakage model; compiled
+    masks stay narrow, as at the leak rates the lab runs them."""
+    if draw(st.booleans()):
+        logical = parse_netlist(draw(logical_netlists()))
+        target = compile_circuit(logical, level=1, ec=draw(st.booleans()))
+        rates = [0.01, 0.05]
+    else:
+        logical = target = parse_netlist(draw(raw_netlists()))
+        rates = [0.05, 0.3, 0.9]
+    y0, y1, x = (draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                 for n in (len(logical.secret_regs),) * 2 + (len(logical.public_regs),))
+    return target, y0, y1, x, LeakageModel(draw(st.sampled_from(rates)))
+
+
+_TOFFOLI_L1 = compile_circuit(
+    parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n"), level=1, ec=True)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
-@given(raw_netlists(), st.sampled_from(_INNER), st.sampled_from([0.05, 0.3, 0.9]),
-       st.integers(0, 2 ** 32), st.data())
-def test_mc_advantage_equals_per_mask_loop(text, inner, p, seed, data):
-    circ = parse_netlist(text)
-    y0, y1, x = (data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-                 for n in (len(circ.secret_regs),) * 2 + (len(circ.public_regs),))
-    args = (circ, y0, y1, x, LeakageModel(p), 1000, seed, inner)
+@given(mc_cases(), st.sampled_from(_INNER), st.integers(0, 2 ** 32))
+@example((_TOFFOLI_L1, [0, 1], [1, 0], [], LeakageModel(0.01)), 64, 11)  # the mc_l1 golden
+def test_mc_advantage_equals_per_mask_loop(case, inner, seed):
+    args = (*case, 1000, seed, inner)
     got, want = mc_advantage(*args), mc_by_mask_loop(*args)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
