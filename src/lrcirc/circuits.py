@@ -17,6 +17,8 @@ tape consumption a static property of the circuit.
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
 is row r, so a gate costs a few big-int operations for the whole batch.  It
+takes per-row inputs and tapes as int8 matrices, which it packs into
+planes, or already packed as `Planes`, the lab's own layout.  It
 returns an `EventBatch`: a value plane per event, a presence plane
 marking the rows where a conditioned gate ran, and each register's final
 plane, from which `batch_outputs` reads the outputs.  Callers count on the
@@ -316,6 +318,31 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
     return vals, events
 
 
+@dataclass(frozen=True, slots=True)
+class Planes:
+    """A (rows, k) bit matrix held bitsliced: `planes[j]` is column j as one
+    int whose bit r is row r, with no bit set at or past `rows`.
+    evaluate_batch takes it wherever it takes a per-row int8 matrix, and
+    `shape` reads as that matrix's would."""
+
+    rows: int
+    planes: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, len(self.planes)
+
+    @classmethod
+    def pack(cls, bits) -> Planes:
+        """The planes of a (rows, k) matrix of 0/1 bits."""
+        bits = np.asarray(bits, dtype=np.int8) & 1
+        return cls(bits.shape[0], tuple(_pack_columns(bits)))
+
+    def unpack(self) -> np.ndarray:
+        """The C-contiguous int8 (rows, k) matrix of the planes."""
+        return _unpack_planes(self.planes, self.rows)
+
+
 class EventBatch:
     """Wire-event values of a batch of rows, bitsliced: one Python int per
     event, bit r holding row r.
@@ -358,24 +385,31 @@ class EventBatch:
         return out
 
 
-def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> EventBatch:
+def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     """Bitsliced evaluation over a batch of tapes.
 
-    `tapes` has shape (batch, rand_count).  `secret`/`public` are either one
-    bit row shared by the whole batch or (batch, k) arrays of per-row input
-    bits.  Every register holds one int with a bit per row, so a gate costs
-    a few big-int operations whatever the batch size; a conditioned gate
-    acts on the rows its condition event selects.  The scalar `evaluate`
-    is the reference semantics and the two are cross-checked in the tests.
+    `tapes` is a (batch, rand_count) int8 matrix or its `Planes`.
+    `secret`/`public` are each one bit row shared by the whole batch, or
+    per-row input bits as a (batch, k) array or `Planes`.  Matrices are
+    packed into planes first, and every register holds one int with a bit
+    per row, so a gate costs a few big-int operations whatever the batch
+    size; a conditioned gate acts on the rows its condition event selects.
+    The scalar `evaluate` is the reference semantics and the two are
+    cross-checked in the tests.
     """
-    tapes = np.asarray(tapes, dtype=np.int8)
-    if tapes.ndim != 2 or tapes.shape[1] != circuit.rand_count:
-        raise EvalError(f"tape batch must have shape (n, {circuit.rand_count})")
-    batch = tapes.shape[0]
+    shape_error = f"tape batch must have shape (n, {circuit.rand_count})"
+    if not isinstance(tapes, Planes):
+        tapes = np.asarray(tapes, dtype=np.int8)
+        if tapes.ndim != 2:
+            raise EvalError(shape_error)
+        tapes = Planes.pack(tapes)
+    if len(tapes.planes) != circuit.rand_count:
+        raise EvalError(shape_error)
+    batch = tapes.rows
     full = (1 << batch) - 1
     secret = _input_planes(secret, len(circuit.secret_regs), batch, "secret")
     public = _input_planes(public, len(circuit.public_regs), batch, "public")
-    fresh = iter(_pack_columns(tapes & 1))
+    fresh = iter(tapes.planes)
 
     vals = [full if r.init else 0 for r in circuit.registers]
     for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
@@ -429,7 +463,11 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes: np.ndarray) -> Event
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
     """One bit-plane per input register from a shared row or a per-row
-    (batch, width) matrix."""
+    (batch, width) matrix or Planes."""
+    if isinstance(bits, Planes):
+        if bits.shape != (batch, width):
+            raise EvalError(f"{label} matrix must have shape ({batch}, {width})")
+        return list(bits.planes)
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
     try:

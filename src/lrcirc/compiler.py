@@ -25,9 +25,9 @@ from math import comb
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, Register, Role, collector_paused
+from .circuits import Circuit, Gate, GateKind, Planes, Register, Role, collector_paused
 from .faults import SHOR_DECODE, SHOR_PREP
-from .steane import H_ROWS, LOGICAL_SUPPORT, encode_codeword
+from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD
 
 # documented tape cost (RAND bits) per gadget
 TAPE_COST = {
@@ -392,9 +392,10 @@ def steane_ec_gadget(builder: CircuitBuilder, block: Block, base: str) -> None:
 # -- whole-circuit compilation -------------------------------------------------
 
 
-# row s0 + 2*s1 + 4*s2 + 8*b is the block encode_codeword(b, (s0, s1, s2))
-_BLOCKS = np.array([encode_codeword(i >> 3, (i & 1, i >> 1 & 1, i >> 2 & 1))
-                    for i in range(16)], dtype=np.int8)
+# position i of a block: the seed indices j with H_ROWS[j][i] = 1, and
+# whether the encoded bit itself flips it (LOGICAL_WORD[i])
+_POSITIONS = tuple((tuple(j for j, row in enumerate(H_ROWS) if row[i]), LOGICAL_WORD[i])
+                   for i in range(7))
 
 
 def seed_count(bits: int, level: int) -> int:
@@ -404,31 +405,44 @@ def seed_count(bits: int, level: int) -> int:
     return bits * (7 ** level - 1) // 2
 
 
-def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
-    """Fresh codeword encodings of the logical `bits`, one per row of `seeds`.
+def encode_seed_planes(bits, seeds, level: int, rows: int) -> tuple[int, ...]:
+    """Fresh codeword encodings of the logical `bits`, bitsliced: `seeds`
+    holds the seed_count(len(bits), level) seed columns as bit-planes (an
+    int per column, bit r for row r), and the result holds one plane per
+    circuit secret bit, k * 7**level of them.
 
-    A pass turns each bit b into the 7-bit block s @ H_ROWS ^ b * LOGICAL_WORD
-    (steane.encode_codeword), where s is the bit's next three seed columns,
-    looked up in _BLOCKS by s and b; a pass over k bits reads 3k columns,
-    bit by bit.  Level 2 is a second pass over the 7k level-1 bits, and
-    level 0 (a raw circuit) returns the bits themselves.  Returns the int8
-    (rows, k * 7**level) matrix of circuit secret bits.
+    A pass turns each bit plane b, with its next three seed planes s, into
+    the block of steane.encode_codeword: position i is the XOR of the s_j
+    with H_ROWS[j][i] = 1, and of b where LOGICAL_WORD[i] = 1.  A pass over
+    k bits reads 3k seed columns, bit by bit.  Level 0 (a raw circuit)
+    reads none and returns each bit as an all-ones or all-zeros plane, and
+    level 2 is a second pass over the 7k level-1 planes.
     """
-    seeds = np.asarray(seeds, dtype=np.int8)
-    rows = seeds.shape[0]
-    if seeds.shape[1] != seed_count(len(bits), level):
+    if len(seeds) != seed_count(len(bits), level):
         raise ValueError(f"need {seed_count(len(bits), level)} seed columns, "
-                         f"got {seeds.shape[1]}")
-    words = np.broadcast_to(np.array([int(b) & 1 for b in bits], dtype=np.int8),
-                            (rows, len(bits)))
-    used = 0
+                         f"got {len(seeds)}")
+    full = (1 << rows) - 1
+    words = [full if int(b) & 1 else 0 for b in bits]
+    seeds = iter(seeds)
     for _ in range(level):
-        k = words.shape[1]
-        s = seeds[:, used:used + 3 * k].reshape(rows, k, 3) & 1
-        index = s[..., 0] | s[..., 1] << 1 | s[..., 2] << 2 | words << 3
-        words = _BLOCKS.take(index, axis=0).reshape(rows, 7 * k)
-        used += 3 * k
-    return words
+        out = []
+        for w in words:
+            s = (next(seeds), next(seeds), next(seeds))
+            for taps, flip in _POSITIONS:
+                plane = w if flip else 0
+                for j in taps:
+                    plane ^= s[j]
+                out.append(plane)
+        words = out
+    return tuple(words)
+
+
+def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
+    """encode_seed_planes on an int8 (rows, seed_count) seed matrix: the
+    int8 (rows, k * 7**level) matrix of circuit secret bits, one fresh
+    encoding per row; level 0 returns the bits themselves on every row."""
+    seeds = Planes.pack(seeds)
+    return Planes(seeds.rows, encode_seed_planes(bits, seeds.planes, level, seeds.rows)).unpack()
 
 
 # JSON values are compared by exact type, which also keeps a bool (an int

@@ -22,21 +22,29 @@ All randomness flows from one seed: per round/sample the generator supplies
 encoding seeds (none at level 0), the circuit tape, then the leak mask, in
 that order, so identical (config, seed) gives identical results.  Each
 estimator seeds its NumPy Generators with random.Random(seed).getrandbits(64)
-calls.  mc_advantage draws a chunk's [seed | tape] bit rows, then its
-masks; the marginals draw rows alone, from one generator per secret.
-run_rounds takes one row of uniforms u per round: a seed or tape bit is
-u < 0.5 and a leakable event leaks when u < p.
+calls.  mc_advantage draws a chunk's [seed | tape] bits, then its masks;
+the marginals draw bits alone, from one generator per secret.  Both draw
+a chunk's bits straight into bit-planes (_draw_planes): one Generator.bytes
+call of ceil(rows / 8) bytes per column, column after column, seed columns
+first.  Byte b of a column holds its rows 8b .. 8b + 7, row 8b + k in bit k,
+so the column's plane is the bytes read as one little-endian int, and the
+bits past the chunk's last row are dropped.  run_rounds takes one row of
+uniforms u per round: a seed or tape bit is u < 0.5 and a leakable event
+leaks when u < p; it and exact_tv_tiny (which enumerates the rows) pack
+their int8 bit rows into planes once.
 
-Every path evaluates its [seed | tape] bit rows (exact_tv_tiny enumerates
-them) with _evaluate_rows, which encodes the secret from the seed columns
-and runs circuits.evaluate_batch, and reads the resulting EventBatch
-bit-planes.  The marginals count symbols by popcount; every other path
-unpacks only what it reads with EventBatch.matrix:
-run_rounds the masked event columns, exact_tv_tiny the leakable columns,
-keyed into one int per row, and mc_advantage each mask's own events over
-that mask's own rows.  Both TV estimators tally a chunk of masks at once
-with one per-mask grouped sum, _abs_group_sums: half the sum, over a
-mask's distinct masked rows, of |count under y0 - count under y1|.
+Every path evaluates its [seed | tape] bit-planes with _evaluate_rows,
+which encodes the secret on the seed planes (compiler.encode_seed_planes)
+and passes the result and the tape planes to circuits.evaluate_batch, and
+reads the resulting EventBatch bit-planes; two secrets evaluated on one
+set of planes share every seed and tape bit.  The marginals count symbols
+by popcount; every other path unpacks only what it reads with
+EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny the
+leakable columns, keyed into one int per row, and mc_advantage each mask's
+own events over that mask's own rows.  Both TV estimators tally a chunk of
+masks at once with one per-mask grouped sum, _abs_group_sums: half the
+sum, over a mask's distinct masked rows, of |count under y0 - count
+under y1|.
 """
 
 from __future__ import annotations
@@ -51,13 +59,14 @@ from .circuits import (  # noqa: F401 - perfbench/run.py wraps lab.evaluate by n
     Circuit,
     EvalError,
     EventBatch,
+    Planes,
     batch_outputs,
     bit_rows,
     evaluate,
     evaluate_batch,
     rows_per_batch,
 )
-from .compiler import CompiledCircuit, encode_seed_rows, seed_count
+from .compiler import CompiledCircuit, encode_seed_planes, encode_seed_rows, seed_count
 
 _METHODS = ("exact-tiny", "mask-decomposed-MC", "per-wire-marginal", "pairwise-marginal")
 _MAX_EXACT_EVENTS = 24
@@ -153,13 +162,31 @@ def _leakable_events(circuit: Circuit) -> list[int]:
     return [e for e in range(circuit.num_events) if e not in circuit.leak_free]
 
 
-def _evaluate_rows(circuit: Circuit, level: int, secret, x, bits: np.ndarray) -> EventBatch:
-    """Evaluate one row per row of `bits` under `secret` and input x: a row
-    holds the secret's seed_count encoding-seed columns (none at level 0),
-    then the circuit's tape columns."""
+def _evaluate_rows(circuit: Circuit, level: int, secret, x, bits: Planes) -> EventBatch:
+    """Evaluate each row of the bit-planes `bits` under `secret` and input
+    x: a row holds the secret's seed_count encoding-seed columns (none at
+    level 0), then the circuit's tape columns.  The secret is encoded on
+    the seed planes and the tape planes go to evaluate_batch as they are,
+    so two secrets evaluated on one `bits` share every seed and tape bit."""
     enc_bits = seed_count(len(secret), level)
-    return evaluate_batch(circuit, encode_seed_rows(secret, bits[:, :enc_bits], level), x,
-                          bits[:, enc_bits:])
+    words = encode_seed_planes(secret, bits.planes[:enc_bits], level, bits.rows)
+    return evaluate_batch(circuit, Planes(bits.rows, words), x,
+                          Planes(bits.rows, bits.planes[enc_bits:]))
+
+
+def _draw_planes(np_rng, rows: int, width: int) -> Planes:
+    """`width` columns of `rows` uniform bits, from one np_rng.bytes draw of
+    ceil(rows / 8) bytes per column, column after column.  Byte b of a
+    column holds its rows 8b .. 8b + 7, row 8b + k in bit k (a
+    little-endian int), and the bits past the last row are dropped.  No
+    columns draw nothing."""
+    if not width:
+        return Planes(rows, ())
+    nbytes = (rows + 7) // 8
+    buf = np_rng.bytes(nbytes * width)
+    full = (1 << rows) - 1
+    return Planes(rows, tuple(int.from_bytes(buf[j * nbytes:(j + 1) * nbytes], "little") & full
+                              for j in range(width)))
 
 
 def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
@@ -196,7 +223,7 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     for lo in range(0, len(inputs), step):
         xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
         bits, rows, cols = _draw_rounds(gen, len(xs), width, leakable.size, model.p)
-        events = _evaluate_rows(circuit, level, secret, xs, bits)
+        events = _evaluate_rows(circuit, level, secret, xs, Planes.pack(bits))
         outputs = batch_outputs(circuit, events).tolist()
         # hit j leaks event leakable[cols[j]] in round rows[j]; the hits come
         # row by row, each row's in ascending event order
@@ -257,8 +284,8 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     if total_tape > _MAX_EXACT_TAPE:
         raise EvalError(f"size guard exceeded: {total_tape} tape bits (max {_MAX_EXACT_TAPE})")
 
-    bits = bit_rows(total_tape)  # seed columns, then tape columns
-    rows = len(bits)
+    bits = Planes.pack(bit_rows(total_tape))  # seed columns, then tape columns
+    rows = bits.rows
     # bit j of a row's key is event j's value and bit n + j says it ran
     place = np.int64(1) << np.arange(2 * n, dtype=np.int64)
     keys = []
@@ -328,11 +355,13 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     the std-error is a 200-resample bootstrap over the per-mask estimates.
 
     Masks are evaluated _MC_CHUNK_MASKS at a time, mask j of a chunk on
-    rows j*inner .. (j+1)*inner - 1.  One EventBatch.matrix call per secret
-    cuts each non-empty mask's events over that mask's rows from the
-    bit-planes, into one (masks, inner, max |w|) stack, and one
-    _empirical_tv call tallies the chunk; an empty mask leaks nothing and
-    scores 0 with bound 0.
+    rows j*inner .. (j+1)*inner - 1 of the chunk's drawn bit-planes
+    (_draw_planes).  One EventBatch.matrix call per secret cuts each
+    non-empty mask's events over that mask's rows from the event planes,
+    into one (masks, inner, max |w|) stack, and one _empirical_tv call
+    tallies the chunk; an empty mask leaks nothing and scores 0 with bound
+    0.  `details` counts the empty masks, the masks whose bound is 1 and
+    the rows evaluated under both secrets, 2 * samples * inner.
     """
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
@@ -345,14 +374,15 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
 
     tvs = np.zeros(samples)
     biases = np.zeros(samples)  # empty masks leak nothing: TV and bound stay 0
-    pos = 0
+    pos = empty = 0
     while pos < samples:
         m = min(_MC_CHUNK_MASKS, samples - pos)
-        bits = np_rng.integers(0, 2, size=(m * inner, width), dtype=np.int8)
+        bits = _draw_planes(np_rng, m * inner, width)
         ev0, ev1 = (_evaluate_rows(circuit, level, y, x, bits) for y in (y0, y1))
         masks = np_rng.random((m, leakable.size)) < model.p
         widths = masks.sum(axis=1)
         used = np.flatnonzero(widths)
+        empty += m - used.size
         if used.size:
             # cell j is event col[j] of the owner[j]-th used mask, which is
             # column slot[j] of that mask's stack entry and reads its rows
@@ -380,7 +410,10 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
         details={"inner_tapes": inner, "p": model.p,
                  "leakable_events": int(leakable.size),
                  "mean_mask_size": model.p * leakable.size,
-                 "bootstrap_resamples": 200},
+                 "bootstrap_resamples": 200,
+                 "empty_masks": empty,
+                 "saturated_masks": int(np.count_nonzero(biases == 1.0)),
+                 "rows_evaluated": 2 * samples * inner},
     )
 
 
@@ -503,7 +536,7 @@ def _symbol_counts(circuit, level, secret, x, samples, np_rng, targets, order) -
     done = 0
     while done < samples:
         rows = min(_MARGINAL_CHUNK_ROWS, samples - done)
-        bits = np_rng.integers(0, 2, size=(rows, width), dtype=np.int8)
+        bits = _draw_planes(np_rng, rows, width)
         counts += _plane_counts(_evaluate_rows(circuit, level, secret, x, bits), targets, order)
         done += rows
     return counts
@@ -514,10 +547,13 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
 
     A symbol is an event value v in {-1, 0, 1} (-1 = skipped), counted in
     column v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
-    counted in column (a + 1) * 3 + b + 1.  An event's symbol planes are
-    its skipped rows (full ^ presence), its present zeros and its ones.
+    counted in column (a + 1) * 3 + b + 1.  Order 1 reads each event's
+    count of ones and of rows it ran in.  Order 2 takes four AND-popcounts
+    per pair, of a's ones or ran rows with b's ones or ran rows, and derives
+    the other five cells from the two events' own counts: a skipped event's
+    value bit is 0, so an event's ones lie inside its ran rows.
     """
-    full, rows = events.full, events.rows
+    rows, values, presence = events.rows, events.values, events.presence
     if order == 1:
         first = [e for (e,) in targets]
 
@@ -525,11 +561,18 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
             return np.fromiter(map(int.bit_count, map(planes.__getitem__, first)),
                                dtype=np.int64, count=len(first))
 
-        ones, ran = popcounts(events.values), popcounts(events.presence)
+        ones, ran = popcounts(values), popcounts(presence)
         return np.stack([rows - ran, ran - ones, ones], axis=1)
 
-    planes = {e: (full ^ events.presence[e], events.presence[e] ^ events.values[e],
-                  events.values[e]) for e in {e for pair in targets for e in pair}}
-    out = [[(sa & sb).bit_count() for sa in planes[a] for sb in planes[b]]
-           for a, b in targets]
-    return np.array(out, dtype=np.int64).reshape(len(targets), 9)
+    # per event its (ones, ran rows); a pair's row is a's pair then b's
+    used = {e for pair in targets for e in pair}
+    counts = {e: (values[e].bit_count(), presence[e].bit_count()) for e in used}
+    one_a, ran_a, one_b, ran_b = np.array(
+        [counts[a] + counts[b] for a, b in targets], dtype=np.int64).reshape(-1, 4).T
+    oo, op, po, pp = np.array(
+        [((values[a] & values[b]).bit_count(), (values[a] & presence[b]).bit_count(),
+          (presence[a] & values[b]).bit_count(), (presence[a] & presence[b]).bit_count())
+         for a, b in targets], dtype=np.int64).reshape(-1, 4).T
+    return np.stack([rows - ran_a - ran_b + pp, ran_b - one_b - pp + po, one_b - po,
+                     ran_a - one_a - pp + op, pp - op - po + oo, po - oo,
+                     one_a - op, op - oo, oo], axis=1)

@@ -58,6 +58,36 @@ def test_tally_is_a_traced_layer_of_mc(bench):
     assert t.self_s["lab.tally"] > 0
 
 
+def test_traced_estimators_count_the_rows_they_evaluate(bench):
+    # perfbench counts rows from the tapes argument of lab.evaluate_batch,
+    # so the estimators must keep evaluating through that name, with tapes
+    # whose shape gives the rows
+    run, tracer = bench
+    from lrcirc import lab
+    from lrcirc.compiler import compile_circuit
+    from lrcirc.netlist import parse_netlist
+
+    comp = compile_circuit(parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n"))
+    gates = len(comp.circuit.gates)
+    t = tracer.Tracer()
+    try:
+        run.instrument(t)
+        t.begin_op("mc")
+        report = lab.mc_advantage(comp, [0, 1], [1, 0], [], lab.LeakageModel(0.01),
+                                  samples=1000, seed=0, inner=21)
+        t.end_op()
+        assert t.counts["lab.rows_evaluated"] == 2 * 1000 * 21 == report.details["rows_evaluated"]
+        assert t.counts["circuits.row_gates"] == 2 * 1000 * 21 * gates
+        t.reset()
+        t.begin_op("marginal")
+        lab.marginal_independence(comp, [0, 1], [1, 0], [], order=1, samples=21, seed=0)
+        t.end_op()
+        assert t.counts["lab.rows_evaluated"] == 2 * 21
+        assert t.counts["circuits.row_gates"] == 2 * 21 * gates
+    finally:
+        t.unpatch()
+
+
 @pytest.fixture
 def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))

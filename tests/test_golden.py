@@ -72,7 +72,7 @@ GOLDEN = {
     ("mixed", 2, True): {"netlist": "b221a2a63fa3683e", "gadgets": "69f319daf44d5eb8",
                          "events": "ce8372d693a24411", "report": "fb2eee5a89d1fef8"},
 }
-MARGINAL_DIGEST = "952138b67186bb4f"
+MARGINAL_DIGEST = "c25b17ffef79e762"
 
 _FIXTURES = {"one": ONE_TOFFOLI, "two": TWO_TOFFOLI_CHAIN, "mixed": MIXED}
 
@@ -120,15 +120,16 @@ def test_marginal_report_without_comparisons_is_pinned():
 
 # Seeded lab reports and transcripts on the paths that turn seed bits into
 # codewords and tally symbols; the reports were pinned when MC and the
-# marginals began drawing one [seed | tape] bit row per sample, the
-# transcripts when run_rounds began drawing one row of NumPy uniforms per
-# round.
+# marginals began drawing their [seed | tape] bits as bit-planes, a byte
+# draw per chunk, and MC began counting empty and saturated masks and rows,
+# the transcripts when run_rounds began drawing one row of NumPy uniforms
+# per round.
 LAB_DIGESTS = {
-    "mc_l1": "160efad355831b1a",
-    "marginal_l1": "dc0a2d464c755ad5",
-    "marginal_l2": "c38532a3f297708c",
+    "mc_l1": "88480a80ed7f72f3",
+    "marginal_l1": "551566e4d5844902",
+    "marginal_l2": "7d2634c0b38f269f",
     "run_rounds_l1": "e34a100b524c3657",
-    "mc_l2": "1d648ce2e4b1fb9d",
+    "mc_l2": "7af6123e999b5615",
     "run_rounds_l2": "5e54be569a9dda97",
 }
 
@@ -266,12 +267,12 @@ TRANSCRIPTS = {
     "cgate_mixed": (CGATE_MIXED, [1], 1, "a5bfc28cb09ddf46"),
     "cgate_last": (CGATE_LAST, [1, 1], 1, "a9afe40023f756b2"),
 }
-# Raw-circuit MC reports, pinned while the tally still unpacked the
-# chunk's masked-column union: the default inner size, and an inner size
-# off the byte boundary with conditioned events that tally -1 symbols.
+# Raw-circuit MC reports, pinned with the level-1 and level-2 ones: the
+# default inner size on a circuit without tape bits, and an inner size off
+# the byte boundary with conditioned events that tally -1 symbols.
 RAW_MC = {
-    "toffoli": (ONE_TOFFOLI, [0, 1], [1, 0], [], 0.1, 31, 256, "2f045f5f86fafffd"),
-    "cgate_mixed": (CGATE_MIXED, [0], [1], [1], 0.3, 32, 21, "fb1e55f55fde13e3"),
+    "toffoli": (ONE_TOFFOLI, [0, 1], [1, 0], [], 0.1, 31, 256, "39bce9da1971a7cc"),
+    "cgate_mixed": (CGATE_MIXED, [0], [1], [1], 0.3, 32, 21, "6a8c8d9ac6faa81c"),
 }
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lrcirc.circuits import EvalError
+from lrcirc.circuits import EvalError, Planes, evaluate_batch
 from lrcirc import lab
 from lrcirc.compiler import compile_circuit, encode_seed_rows, seed_count
 from lrcirc.lab import (
@@ -19,6 +19,13 @@ from lrcirc.lab import (
 )
 from lrcirc.netlist import parse_netlist
 
+# the secret feeds a conditioned NOT whose condition is a tape bit, so rows
+# skip it; test_golden pins raw MC on this circuit at inner=21
+CGATE_MIXED = (
+    "in secret s\nin public x\nreg a\nreg b\nout o\n"
+    "gate RAND a\ngate CNOT a s\ngate RAND b\n"
+    "gate TOF s x o\ncgate 2 NOT o\ngate COPY o b\n"
+)
 # one leakable event carrying the secret, nothing else
 SECRET_WIRE = "in secret s\n"
 # the secret is masked in place; the raw input event still leaks
@@ -247,6 +254,15 @@ def test_mc_bias_bound_of_masks_over_646_events():
     assert (report.estimate, report.bias_bound) == (1.0, 1.0)
 
 
+def test_mc_details_count_empty_and_saturated_masks():
+    circ = parse_netlist("in secret s\nreg a\n" + "gate CNOT s a\n" * 350)
+    never = mc_advantage(circ, [0], [1], [], LeakageModel(0.0), samples=1000, seed=0, inner=3)
+    always = mc_advantage(circ, [0], [1], [], LeakageModel(1.0), samples=1000, seed=0, inner=3)
+    counts = ("empty_masks", "saturated_masks", "rows_evaluated")
+    assert [never.details[k] for k in counts] == [1000, 0, 6000]
+    assert [always.details[k] for k in counts] == [0, 1000, 6000]
+
+
 def test_mc_same_secret_consistent_with_zero():
     circ = parse_netlist(MASKED)
     report = mc_advantage(circ, [1], [1], [], LeakageModel(0.1),
@@ -287,6 +303,54 @@ def test_mc_deterministic():
     a = mc_advantage(circ, [0], [1], [], LeakageModel(0.1), samples=1000, seed=5)
     b = mc_advantage(circ, [0], [1], [], LeakageModel(0.1), samples=1000, seed=5)
     assert a == b
+
+
+# -- packed [seed | tape] draws --------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 7, 9, 21, 861])
+def test_drawn_planes_hold_no_bit_past_their_rows(rows):
+    bits = lab._draw_planes(np.random.default_rng(rows), rows, 5)
+    assert bits.shape == (rows, 5)
+    assert all(0 <= plane < 1 << rows for plane in bits.planes)
+
+
+def _spy_on_planes(monkeypatch):
+    """Patch lab.evaluate_batch to check that no plane it gets has a bit
+    at or past its rows; returns the list of each call's rows."""
+    seen = []
+
+    def spy(circuit, secret, public, tapes):
+        for bits in (secret, tapes):
+            assert isinstance(bits, Planes)
+            assert all(0 <= plane < 1 << bits.rows for plane in bits.planes)
+        seen.append(tapes.rows)
+        return evaluate_batch(circuit, secret, public, tapes)
+
+    monkeypatch.setattr(lab, "evaluate_batch", spy)
+    return seen
+
+
+def test_mc_spare_bits_never_reach_a_plane(monkeypatch):
+    # 1001 masks at inner=21: the last chunk's 41 * 21 = 861 rows end
+    # five bits into a byte
+    seen = _spy_on_planes(monkeypatch)
+    report = mc_advantage(parse_netlist(CGATE_MIXED), [0], [1], [1], LeakageModel(0.3),
+                          samples=1001, seed=32, inner=21)
+    assert sum(seen) == report.details["rows_evaluated"] == 2 * 1001 * 21
+    assert any(rows % 8 for rows in seen)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_marginal_spare_bits_never_reach_a_plane(monkeypatch, order):
+    comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1)
+    targets = (lab._within_block_pairs(comp.circuit, comp) if order == 2 else
+               [(e,) for e in lab._leakable_events(comp.circuit)])
+    seen = _spy_on_planes(monkeypatch)
+    counts = lab._symbol_counts(comp.circuit, 1, [1, 0], [], 21, np.random.default_rng(8),
+                                targets, order)
+    assert seen == [21]
+    assert (counts >= 0).all() and (counts.sum(axis=1) == 21).all()
 
 
 # -- marginal distinguishers ----------------------------------------------------------

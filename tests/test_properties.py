@@ -33,6 +33,7 @@ from lrcirc.compiler import (
     CircuitBuilder,
     CompileError,
     compile_circuit,
+    encode_seed_planes,
     encode_seed_rows,
     seed_count,
 )
@@ -42,10 +43,12 @@ from lrcirc.lab import (
     LeakageModel,
     LeakTranscript,
     _abs_group_sums,
+    _draw_planes,
     _empirical_tv,
     _evaluate_rows,
     _plane_counts,
     _unpack,
+    _within_block_pairs,
     encoded_secret_rows,
     exact_tv_tiny,
     mc_advantage,
@@ -227,6 +230,52 @@ def test_popcount_symbol_counts_equal_matrix_counts(text):
             assert got.tolist() == counts_by_matrix(matrix, targets, order).tolist()
 
 
+def nine_cell_counts(events, pairs):
+    """Order-2 counts by nine AND-popcounts per pair: each event's symbol
+    planes are its skipped rows, its present zeros and its ones."""
+    planes = {e: (events.full ^ events.presence[e], events.presence[e] ^ events.values[e],
+                  events.values[e]) for pair in pairs for e in pair}
+    return [[(sa & sb).bit_count() for sa in planes[a] for sb in planes[b]] for a, b in pairs]
+
+
+# fixtures with events that some rows skip: conditioned gates of raw
+# circuits, and the readout corrections of a compiled one-Toffoli
+_SKIPPING = {
+    "cgate_mixed": ("in secret s\nin public x\nreg a\nreg b\nout o\n"
+                    "gate RAND a\ngate CNOT a s\ngate RAND b\n"
+                    "gate TOF s x o\ncgate 2 NOT o\ngate COPY o b\n", 0),
+    "cgate_last": ("in secret s\nin secret t\nin public x\nreg r\nout o\nout q\n"
+                   "gate RAND r\ngate CNOT s o\ngate TOF t x q\n"
+                   "cgate 2 NOT o\ncgate 1 CNOT r q\n", 0),
+    "toffoli_l1": ("in secret a\nin secret b\nout c\ngate TOF a b c\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKIPPING))
+def test_four_and_pair_counts_equal_nine_cell_counts(name):
+    text, level = _SKIPPING[name]
+    circ = parse_netlist(text)
+    target = compile_circuit(circ, level=1) if level else circ
+    circ, compiled, _ = _unpack(target)
+    secret = [0] * (len(circ.secret_regs) // 7 ** level)
+    x = [0] * len(circ.public_regs)
+    if compiled is None:
+        events = range(circ.num_events)
+        pairs = [(a, b) for a in events for b in events if a < b]
+    else:
+        pairs = _within_block_pairs(circ, compiled)
+    width = seed_count(len(secret), level) + circ.rand_count
+    skipped = False
+    for rows in (1, 9, 64, 4097):
+        batch = _evaluate_rows(circ, level, secret, x, _draw_planes(
+            np.random.default_rng(rows), rows, width))
+        skipped |= any(p != batch.full for p in batch.presence)
+        got = _plane_counts(batch, pairs, 2)
+        assert got.tolist() == nine_cell_counts(batch, pairs)
+        assert (got.sum(axis=1) == rows).all()
+    assert skipped
+
+
 def _eval_error(fn, *args):
     try:
         fn(*args)
@@ -302,6 +351,48 @@ def secrets_and_seeds(draw):
 def test_array_encoder_equals_codeword_loop(case):
     bits, seeds, level = case
     assert encode_seed_rows(bits, seeds, level).tolist() == encode_by_rows(bits, seeds.tolist(), level)
+
+
+def planes_of(matrix) -> list[int]:
+    """One int per column of a 0/1 matrix, bit r holding row r, built from
+    the column's binary digits."""
+    return [int("".join(map(str, col[::-1])) or "0", 2) for col in matrix.T.tolist()]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("rows", [1, 7, 9, 64, 4097])
+def test_plane_encoder_equals_codeword_loop(level, rows):
+    seeds = np.random.default_rng(rows).integers(0, 2, size=(rows, seed_count(2, level)))
+    for bits in ([0, 1], [1, 1]):
+        planes = encode_seed_planes(bits, planes_of(seeds), level, rows)
+        assert len(planes) == 2 * 7 ** level
+        assert all(0 <= p < 1 << rows for p in planes)
+        got = [[(p >> r) & 1 for p in planes] for r in range(rows)]
+        assert got == encode_by_rows(bits, seeds.tolist(), level)
+
+
+@_SETTINGS
+@given(st.booleans(), st.sampled_from((1, 7, 9, 64, 65)), st.data())
+def test_evaluating_drawn_planes_equals_evaluate_batch_on_their_rows(compiled, rows, data):
+    # a raw circuit may hold RAND and conditioned gates of every kind; a
+    # compiled one adds RAND gates and conditioned readout corrections
+    if compiled:
+        logical = parse_netlist(data.draw(logical_netlists()))
+        target = compile_circuit(logical, level=1, ec=data.draw(st.booleans()))
+    else:
+        logical = target = parse_netlist(data.draw(raw_netlists()))
+    circ, _, level = _unpack(target)
+    secret, x = (data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                 for n in (len(logical.secret_regs), len(logical.public_regs)))
+    enc_bits = seed_count(len(secret), level)
+    width = enc_bits + circ.rand_count
+    got = _evaluate_rows(circ, level, secret, x, _draw_planes(np.random.default_rng(rows),
+                                                               rows, width))
+    bits = drawn_rows(np.random.default_rng(rows), rows, width)
+    want = evaluate_batch(circ, encode_seed_rows(secret, bits[:, :enc_bits], level), x,
+                          bits[:, enc_bits:])
+    assert (got.values, got.presence, got.registers) == (want.values, want.presence,
+                                                        want.registers)
 
 
 @_SETTINGS
@@ -420,21 +511,36 @@ def test_stacked_empirical_tv_equals_one_mask_calls(pairs):
         assert tv == tv_by_counter(a, b)
 
 
+def drawn_rows(np_rng, rows, width):
+    """The int8 (rows, width) bit matrix of one _draw_planes draw: ceil(rows
+    / 8) bytes per column, column after column, unpacked least significant
+    bit first by np.unpackbits, past-the-end bits cut off."""
+    nbytes = (rows + 7) // 8
+    buf = np_rng.bytes(nbytes * width) if width else b""
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(width, nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :rows].T.astype(np.int8)
+
+
 def mc_by_mask_loop(target, y0, y1, x, model, samples, seed, inner):
-    """mc_advantage as it was before its tally read the bit-planes: per
-    chunk one [seed | tape] bit matrix evaluated under both secrets, the
-    chunk's masked-column union unpacked with EventBatch.matrix, then each
-    mask tallied on its own rows by Counter."""
+    """mc_advantage as it was before its tally read the bit-planes and
+    before it drew bit-planes: per chunk one [seed | tape] int8 bit matrix
+    (drawn_rows), each secret encoded on it by encode_seed_rows and
+    evaluated by evaluate_batch, the chunk's masked-column union unpacked
+    with EventBatch.matrix, then each mask tallied on its own rows by
+    Counter."""
     circ, _, level = _unpack(target, y0, y1)
     leakable = np.array([e for e in range(circ.num_events) if e not in circ.leak_free],
                         dtype=np.int64)
-    width = seed_count(len(y0), level) + circ.rand_count
+    enc_bits = seed_count(len(y0), level)
+    width = enc_bits + circ.rand_count
     np_rng = np.random.default_rng(random.Random(seed).getrandbits(64))
     tvs, biases = np.zeros(samples), np.zeros(samples)
+    empty = 0
     for pos in range(0, samples, 64):
         m = min(64, samples - pos)
-        bits = np_rng.integers(0, 2, size=(m * inner, width), dtype=np.int8)
-        ev0, ev1 = (_evaluate_rows(circ, level, y, x, bits) for y in (y0, y1))
+        bits = drawn_rows(np_rng, m * inner, width)
+        ev0, ev1 = (evaluate_batch(circ, encode_seed_rows(y, bits[:, :enc_bits], level), x,
+                                   bits[:, enc_bits:]) for y in (y0, y1))
         masks = np_rng.random((m, leakable.size)) < model.p
         leaked = masks.any(axis=0)
         masks = masks[:, leaked]
@@ -445,12 +551,16 @@ def mc_by_mask_loop(target, y0, y1, x, model, samples, seed, inner):
                 lo, hi = i * inner, (i + 1) * inner
                 tvs[pos + i] = tv_by_counter(m0[lo:hi, cols], m1[lo:hi, cols])
                 biases[pos + i] = min(1.0, math.sqrt(min(3 ** cols.size, 2 * inner) / inner))
+            else:
+                empty += 1
     boot = np_rng.choice(tvs, size=(200, samples), replace=True).mean(axis=1)
     return AdvantageReport(
         estimate=float(tvs.mean()), std_error=float(boot.std(ddof=1)),
         bias_bound=float(biases.mean()), method="mask-decomposed-MC", samples=samples,
         details={"inner_tapes": inner, "p": model.p, "leakable_events": int(leakable.size),
-                 "mean_mask_size": model.p * leakable.size, "bootstrap_resamples": 200},
+                 "mean_mask_size": model.p * leakable.size, "bootstrap_resamples": 200,
+                 "empty_masks": empty, "saturated_masks": int(sum(biases == 1.0)),
+                 "rows_evaluated": 2 * samples * inner},
     )
 
 
