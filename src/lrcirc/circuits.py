@@ -350,38 +350,45 @@ class EventBatch:
     `values[e]` has bit r set when event e recorded 1 in row r, and
     `presence[e]` when e's gate ran in row r; a skipped event's value bit
     is 0.  Input events and events of unconditioned gates share the
-    all-ones int `full` as their presence.  `registers[i]` is register i's
-    final value plane.  Consumers read the planes directly (popcounts,
-    masks) or unpack the events they need, over all rows or one row window
-    per event, with `matrix`.
+    all-ones int `full` as their presence; the bool array `conditioned`
+    marks the events of conditioned gates, the only ones whose presence can
+    differ from it.  `registers[i]` is register i's final value plane.
+    Consumers read the planes directly (popcounts, masks) or unpack the
+    events they need, over all rows or one row window per event, with
+    `matrix`.
     """
 
     def __init__(self, rows: int, values: list[int], presence: list[int],
-                 registers: list[int]):
+                 registers: list[int], conditioned: list[int]):
         self.rows = rows
         self.full = (1 << rows) - 1
         self.values = values
         self.presence = presence
         self.registers = registers
+        self.conditioned = np.zeros(len(values), dtype=bool)
+        self.conditioned[list(conditioned)] = True
 
     def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (count, len(cols)) whose column
         j holds event cols[j] (default: every event) in rows starts[j] ..
         starts[j] + count - 1 (default: every row), with -1 for a skipped
-        event.  Each column is cut from the event's planes by a shift and a
-        mask, and only the cut bits are unpacked."""
-        cols = range(len(self.values)) if cols is None else [int(c) for c in cols]
-        starts = [0] * len(cols) if starts is None else [int(s) for s in starts]
+        event.  Each column is cut from the event's value plane by a shift
+        and a mask, and only the cut bits are unpacked; skipped rows are
+        cut only for the columns of conditioned events."""
+        cols = np.arange(len(self.values)) if cols is None else np.asarray(cols, dtype=np.int64)
+        starts = [0] * cols.size if starts is None else np.asarray(starts, dtype=np.int64).tolist()
         count = self.rows if count is None else count
         window = (1 << count) - 1
-        out = _unpack_planes([(self.values[c] >> s) & window
-                              for c, s in zip(cols, starts)], count)
-        skipped = [(j, ((self.full ^ self.presence[c]) >> s) & window)
-                   for j, (c, s) in enumerate(zip(cols, starts))
-                   if self.presence[c] != self.full]
+        maybe_skipped = np.flatnonzero(self.conditioned[cols]).tolist()
+        cols, values = cols.tolist(), self.values
+        out = _unpack_planes([(values[c] >> s) & window for c, s in zip(cols, starts)], count)
+        skipped = {}
+        for j in maybe_skipped:
+            gap = ((self.full ^ self.presence[cols[j]]) >> starts[j]) & window
+            if gap:
+                skipped[j] = gap
         if skipped:
-            js, planes = zip(*skipped)
-            out[:, list(js)] -= _unpack_planes(planes, count)
+            out[:, list(skipped)] -= _unpack_planes(skipped.values(), count)
         return out
 
 
@@ -416,6 +423,7 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
         vals[reg.id] = plane
     values = [0] * circuit.num_events
     presence = [full] * circuit.num_events
+    conditioned = []
     for rid, eid in circuit.input_events.items():
         values[eid] = vals[rid]
 
@@ -458,7 +466,8 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
         for rid, ev in zip(a, eids):
             values[ev] = vals[rid] & run
             presence[ev] = run
-    return EventBatch(batch, values, presence, vals)
+        conditioned.extend(eids)
+    return EventBatch(batch, values, presence, vals, conditioned)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
@@ -501,7 +510,7 @@ def _unpack_planes(planes, rows: int) -> np.ndarray:
     `rows` bits, one column per plane.  Only whole bytes are transposed;
     a numpy transpose of the bit matrix itself thrashes the cache."""
     nbytes = (rows + 7) // 8
-    buf = b"".join(p.to_bytes(nbytes, "little") for p in planes)
+    buf = b"".join([p.to_bytes(nbytes, "little") for p in planes])
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(planes), nbytes).T.copy()
     out = np.empty((8 * nbytes, len(planes)), dtype=np.uint8)
     for k in range(8):

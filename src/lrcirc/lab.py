@@ -41,9 +41,10 @@ set of planes share every seed and tape bit.  The marginals count symbols
 by popcount; every other path unpacks only what it reads with
 EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny the
 leakable columns, keyed into one int per row, and mc_advantage each mask's
-own events over that mask's own rows.  Both TV estimators tally a chunk of
-masks at once with one per-mask grouped sum, _abs_group_sums: half the
-sum, over a mask's distinct masked rows, of |count under y0 - count
+own events over that mask's own rows, keyed into one int64 per row with a
+rank fold (_empirical_tv).  Both TV estimators tally a chunk of masks at
+once with one per-mask grouped sum over int64 keys, _abs_group_sums: half
+the sum, over a mask's distinct masked rows, of |count under y0 - count
 under y1|.
 """
 
@@ -325,17 +326,25 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
 
 
 def _abs_group_sums(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row of the (k, cells) `keys` (int64 or void), the sum over its
-    distinct keys of |sum of `weights` over the cells holding that key|;
-    `weights` holds one weight per column, shared by every row.  Each row
-    is sorted on its own, so keys of different rows are never compared."""
+    """Per row of the (k, cells) int64 `keys`, the sum over its distinct
+    keys of |sum of `weights` over the cells holding that key|; `weights`
+    holds one weight per column, shared by every row.  Each row is sorted
+    on its own, so keys of different rows are never compared."""
+    order, starts = _sorted_runs(keys)
+    starts = np.flatnonzero(starts)
+    groups = np.abs(np.add.reduceat(weights[order].ravel(), starts))
+    return np.add.reduceat(groups, np.flatnonzero(starts % keys.shape[1] == 0))
+
+
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, cells) `keys`, its argsort, and a bool (k, cells)
+    array that marks, in sorted order, each cell whose key differs from the
+    one before it (every row's first cell included)."""
     order = np.argsort(keys, axis=1)
     sorted_keys = np.take_along_axis(keys, order, axis=1)
     starts = np.ones(keys.shape, dtype=bool)
     starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
-    starts = np.flatnonzero(starts)
-    groups = np.abs(np.add.reduceat(weights[order].ravel(), starts))
-    return np.add.reduceat(groups, np.flatnonzero(starts % keys.shape[1] == 0))
+    return order, starts
 
 
 # -- Monte-Carlo mask-decomposition estimator -------------------------------------
@@ -359,8 +368,9 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     (_draw_planes).  One EventBatch.matrix call per secret cuts each
     non-empty mask's events over that mask's rows from the event planes,
     into one (masks, inner, max |w|) stack, and one _empirical_tv call
-    tallies the chunk; an empty mask leaks nothing and scores 0 with bound
-    0.  `details` counts the empty masks, the masks whose bound is 1 and
+    tallies the chunk on one int64 key per row, with a rank fold for wide
+    masks; an empty mask leaks nothing and scores 0 with bound 0.
+    `details` counts the empty masks, the masks whose bound is 1 and
     the rows evaluated under both secrets, 2 * samples * inner.
     """
     if samples < 10 ** 3:
@@ -419,13 +429,40 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
 
 def _empirical_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per mask of two (masks, rows, w) stacks, the TV between its two
-    samples' row distributions: each row is one void key, a's weighing +1
-    and b's -1, and the TV is _abs_group_sums / (2 * rows)."""
+    samples' row distributions: each row is one int64 key, a's weighing +1
+    and b's -1, and the TV is _abs_group_sums / (2 * rows).
+
+    A row's key appends each symbol v as the base-3 digit v + 1.  After
+    every D digits (_digits_per_pass), each key is replaced by its dense
+    rank among its mask's 2 * rows keys (_dense_ranks), which keeps the
+    rows' grouping, so one key stays exact at any width."""
     k, n, w = a.shape
-    keyed = np.zeros((k, 2 * n, max(w, 1)), dtype=np.int8)  # a void key needs a byte
-    keyed[:, :n, :w], keyed[:, n:, :w] = a, b
-    keys = keyed.view(np.dtype((np.void, keyed.shape[2])))[..., 0]
+    digits = np.concatenate([a, b], axis=1) + np.int8(1)
+    keys = np.zeros((k, 2 * n), dtype=np.int64)
+    step = _digits_per_pass(n)
+    for j in range(w):
+        if j and j % step == 0:
+            keys = _dense_ranks(keys)
+        keys *= 3
+        keys += digits[..., j]
     return 0.5 * _abs_group_sums(keys, np.repeat([1, -1], n)) / n
+
+
+def _digits_per_pass(n: int) -> int:
+    """The largest D with 2n * 3^D < 2^63: a dense rank among the 2n rows of
+    two n-row samples followed by D base-3 digits fits one int64 key."""
+    d = 0
+    while 2 * n * 3 ** (d + 1) < 1 << 63:
+        d += 1
+    return d
+
+
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys of its row of `keys`."""
+    order, starts = _sorted_runs(keys)
+    ranks = np.empty_like(keys)
+    np.put_along_axis(ranks, order, np.cumsum(starts, axis=1) - 1, axis=1)
+    return ranks
 
 
 # -- marginal distinguishers -------------------------------------------------------

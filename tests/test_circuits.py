@@ -279,6 +279,33 @@ def test_event_windows_are_slices_of_the_event_matrix():
         assert got.T.tolist() == want
     assert (events.matrix(cols, [0] * len(cols), 70) == events.matrix(cols)).all()
     assert events.matrix([], [], 5).shape == (5, 0)
+    # numpy int64 arrays, lists and a range name the same columns and rows
+    starts = [min(s, 60) for s in first]
+    want = events.matrix(cols, starts, 10)
+    assert (events.matrix(np.array(cols), np.array(starts), 10) == want).all()
+    assert (events.matrix(range(5)) == full).all()
+    assert (events.matrix(np.arange(5)) == full).all()
+    assert (events.matrix(range(5), range(0, 50, 10), 20)
+            == events.matrix(list(range(5)), np.arange(0, 50, 10), 20)).all()
+
+
+@pytest.mark.parametrize("secret", ["all ones", "partly ones"])
+def test_event_windows_of_conditioned_gates_match_scalar_evaluate(secret):
+    # the cgate runs in every row, or only in the rows where s = 1; a
+    # window of a conditioned event reads -1 exactly where evaluate skips it
+    circ = parse_netlist("in secret s\nreg a\nout o\ngate RAND a\ngate CNOT a o\n"
+                         "cgate 0 NOT o\ngate CNOT o a\n")
+    s = np.ones(70, dtype=np.int8) if secret == "all ones" else np.arange(70) % 3 % 2
+    tapes = np.random.default_rng(5).integers(0, 2, size=(70, 1), dtype=np.int8)
+    events = evaluate_batch(circ, s[:, None], [], tapes)
+    want = np.array([[-1 if v is None else v
+                      for v in evaluate(circ, [si], [], RandomTape.of(t)).values]
+                     for si, t in zip(s.tolist(), tapes.tolist())])
+    assert (events.matrix() == want).all()
+    cols, starts = [4, 1, 4, 5, 6, 4], [0, 3, 61, 30, 9, 33]
+    got = events.matrix(cols, starts, 9)
+    assert got.T.tolist() == [want[s0:s0 + 9, c].tolist() for c, s0 in zip(cols, starts)]
+    assert (got[:, [0, 2, 5]] == -1).any() == (secret == "partly ones")
 
 
 def test_batch_outputs_reads_the_last_touch_that_ran():

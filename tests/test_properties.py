@@ -43,6 +43,7 @@ from lrcirc.lab import (
     LeakageModel,
     LeakTranscript,
     _abs_group_sums,
+    _digits_per_pass,
     _draw_planes,
     _empirical_tv,
     _evaluate_rows,
@@ -486,7 +487,7 @@ _INNER = (1, 7, 8, 9, 63, 64, 65)
 def mask_stacks(draw):
     """Per mask, two {-1, 0, 1} samples of one inner size whose rows come
     from a small pool; widths run from 0 (an empty mask) to 64, past the
-    39 columns where base-3 int64 row keys overflow."""
+    35 to 39 base-3 digits that one int64 key pass holds at these sizes."""
     inner = draw(st.sampled_from(_INNER))
     pairs = []
     for width in draw(st.lists(st.integers(0, 64), min_size=1, max_size=5)):
@@ -509,6 +510,41 @@ def test_stacked_empirical_tv_equals_one_mask_calls(pairs):
     assert got.shape == (len(pairs),)
     for tv, (a, b) in zip(got.tolist(), pairs):
         assert tv == tv_by_counter(a, b)
+
+
+def test_digits_per_pass_is_the_largest_that_fits_an_int64():
+    # 2n * 3^D < 2^63: a rank among the 2n rows of two samples, then D digits
+    for n, want in ((1, 39), (64, 35), (4097, 31), (10 ** 6, 26)):
+        d = _digits_per_pass(n)
+        assert 2 * n * 3 ** d < 2 ** 63 <= 2 * n * 3 ** (d + 1)
+        assert d == want
+
+
+@pytest.mark.parametrize("inner", [1025, 4097])
+def test_rank_fold_is_exact_at_large_row_counts(inner):
+    # mask 0 takes three key passes and mask 1 two (its spare columns hold
+    # 0).  The first pass's digits are nearly distinct per row, so the ranks
+    # carried into the next pass exceed 2^10; the last three digits come
+    # from one of two rows, so two ranks confused by the fold would merge
+    # row groups and change the TV.
+    rng = np.random.default_rng(inner)
+    step = _digits_per_pass(inner)
+    widths, width = (2 * step + 3, step + 3), 2 * step + 3
+    stacks = np.zeros((2, 2, inner, width), dtype=np.int8)
+    for j, w in enumerate(widths):
+        heads = rng.integers(-1, 2, size=(2 * inner, w - 3), dtype=np.int8)
+        tails = rng.integers(-1, 2, size=(2, 3), dtype=np.int8)
+        for side in (0, 1):
+            rows = np.concatenate([heads[rng.integers(0, 2 * inner, inner)],
+                                   tails[rng.integers(0, 2, inner)]], axis=1)
+            stacks[side, j, :, :w] = rows
+        firsts = np.concatenate(stacks[:, j, :, :step])
+        assert len(np.unique(firsts, axis=0)) > 2 ** 10
+    got = _empirical_tv(*stacks)
+    want = [tv_by_counter(stacks[0, j, :, :w], stacks[1, j, :, :w])
+            for j, w in enumerate(widths)]
+    assert got.tolist() == want
+    assert 0 < min(want) and max(want) < 1
 
 
 def drawn_rows(np_rng, rows, width):
