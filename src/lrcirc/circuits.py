@@ -12,7 +12,10 @@ Gates may carry a classical condition: a wire-event id whose runtime value
 gates execution.  A skipped gate updates no register and records no values;
 its event slots stay empty (no-op markers), so the skipped branch exposes
 nothing to leakage.  A skipped RAND still consumes its tape bit, which keeps
-tape consumption a static property of the circuit.
+tape consumption a static property of the circuit.  `Circuit` fixes two
+read-only arrays once: `leakable`, the ascending ids of the events that
+can leak (all but RAND's, which are leak-free), and `conditioned`, which
+flags the events of conditioned gates, the only ones a row can skip.
 
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
@@ -180,17 +183,18 @@ class Circuit:
                 self.input_events[reg.id] = eid
                 eid += 1
         nregs = len(self.registers)
-        gate_events = []
+        gate_events, cond_events = [], []
         for gi, g in enumerate(self.gates):
             for a in g.args:
                 if not 0 <= a < nregs:
                     raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-            if g.cond is not None and not 0 <= g.cond < eid:
-                raise CircuitError(
-                    f"condition event {g.cond} does not precede the gate it controls",
-                    gate=gi,
-                )
-            gate_events.append(tuple(range(eid, eid + len(g.args))))
+            events = range(eid, eid + len(g.args))
+            if g.cond is not None:
+                if not 0 <= g.cond < eid:
+                    raise CircuitError(f"condition event {g.cond} does not precede the gate "
+                                       "it controls", gate=gi)
+                cond_events.extend(events)
+            gate_events.append(tuple(events))
             eid += len(g.args)
         self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
         self.num_events = eid
@@ -198,6 +202,10 @@ class Circuit:
             ev[0] for g, ev in zip(self.gates, self.gate_events) if g.kind is GateKind.RAND
         )
         self.rand_count = len(self.leak_free)
+        # decided once for every estimator and batch (see the module docstring)
+        self.leakable = np.delete(np.arange(eid), list(self.leak_free))
+        self.conditioned = np.isin(np.arange(eid), cond_events)
+        self.leakable.flags.writeable = self.conditioned.flags.writeable = False
         written = {g.args[g.kind.write_port] for g in self.gates
                    if g.kind.write_port is not None}
         for reg in self.output_regs:
@@ -350,23 +358,22 @@ class EventBatch:
     `values[e]` has bit r set when event e recorded 1 in row r, and
     `presence[e]` when e's gate ran in row r; a skipped event's value bit
     is 0.  Input events and events of unconditioned gates share the
-    all-ones int `full` as their presence; the bool array `conditioned`
-    marks the events of conditioned gates, the only ones whose presence can
-    differ from it.  `registers[i]` is register i's final value plane.
-    Consumers read the planes directly (popcounts, masks) or unpack the
-    events they need, over all rows or one row window per event, with
-    `matrix`.
+    all-ones int `full` as their presence; the circuit's bool array
+    `conditioned` marks the events of conditioned gates, the only ones
+    whose presence can differ from it.  `registers[i]` is register i's
+    final value plane.  Consumers read the planes directly (popcounts,
+    masks) or unpack the events they need, over all rows or one row window
+    per event, with `matrix`.
     """
 
     def __init__(self, rows: int, values: list[int], presence: list[int],
-                 registers: list[int], conditioned: list[int]):
+                 registers: list[int], conditioned: np.ndarray):
         self.rows = rows
         self.full = (1 << rows) - 1
         self.values = values
         self.presence = presence
         self.registers = registers
-        self.conditioned = np.zeros(len(values), dtype=bool)
-        self.conditioned[list(conditioned)] = True
+        self.conditioned = conditioned
 
     def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (count, len(cols)) whose column
@@ -423,7 +430,6 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
         vals[reg.id] = plane
     values = [0] * circuit.num_events
     presence = [full] * circuit.num_events
-    conditioned = []
     for rid, eid in circuit.input_events.items():
         values[eid] = vals[rid]
 
@@ -466,8 +472,7 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
         for rid, ev in zip(a, eids):
             values[ev] = vals[rid] & run
             presence[ev] = run
-        conditioned.extend(eids)
-    return EventBatch(batch, values, presence, vals, conditioned)
+    return EventBatch(batch, values, presence, vals, circuit.conditioned)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:

@@ -1,6 +1,6 @@
 """Adversary-side laboratory: independent leakage, transcripts, advantage.
 
-Each non-leak-free wire event leaks independently with probability p; a
+Each event in circuit.leakable leaks independently with probability p; a
 round's transcript is the leaked set, the leaked values (null for events of
 skipped conditioned gates) and the decoded output.  Distinguishing power
 between two secrets at a fixed public input is measured three ways:
@@ -159,10 +159,6 @@ def _unpack(target, *secrets) -> tuple[Circuit, CompiledCircuit | None, int]:
     return circuit, compiled, level
 
 
-def _leakable_events(circuit: Circuit) -> list[int]:
-    return [e for e in range(circuit.num_events) if e not in circuit.leak_free]
-
-
 def _evaluate_rows(circuit: Circuit, level: int, secret, x, bits: Planes) -> EventBatch:
     """Evaluate each row of the bit-planes `bits` under `secret` and input
     x: a row holds the secret's seed_count encoding-seed columns (none at
@@ -217,20 +213,19 @@ def run_rounds(target, secret, inputs, model: LeakageModel,
     """
     circuit, _, level = _unpack(target, secret)
     gen = np.random.default_rng(random.Random(seed).getrandbits(64))
-    leakable = np.array(_leakable_events(circuit), dtype=np.int64)
     width = seed_count(len(secret), level) + circuit.rand_count
     out = []
     inputs, step = list(inputs), rows_per_batch(circuit)
     for lo in range(0, len(inputs), step):
         xs = [[int(b) & 1 for b in x] for x in inputs[lo:lo + step]]
-        bits, rows, cols = _draw_rounds(gen, len(xs), width, leakable.size, model.p)
+        bits, rows, cols = _draw_rounds(gen, len(xs), width, circuit.leakable.size, model.p)
         events = _evaluate_rows(circuit, level, secret, xs, Planes.pack(bits))
         outputs = batch_outputs(circuit, events).tolist()
-        # hit j leaks event leakable[cols[j]] in round rows[j]; the hits come
-        # row by row, each row's in ascending event order
+        # hit j leaks event circuit.leakable[cols[j]] in round rows[j]; the
+        # hits come row by row, each row's in ascending event order
         used, slot = np.unique(cols, return_inverse=True)
-        leaked = events.matrix(leakable[used])[rows, slot].tolist()
-        hits = leakable[cols].tolist()
+        leaked = events.matrix(circuit.leakable[used])[rows, slot].tolist()
+        hits = circuit.leakable[cols].tolist()
         ends = np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()
         for i, (start, end) in enumerate(zip([0] + ends, ends)):
             mask = tuple(hits[start:end])
@@ -277,8 +272,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     count under y0 minus its count under y1.
     """
     circuit, _, level = _unpack(target, y0, y1)
-    leakable = _leakable_events(circuit)
-    n = len(leakable)
+    n = circuit.leakable.size
     total_tape = seed_count(len(y0), level) + circuit.rand_count
     if n > _MAX_EXACT_EVENTS:
         raise EvalError(f"size guard exceeded: {n} leakable events (max {_MAX_EXACT_EVENTS})")
@@ -291,7 +285,7 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     place = np.int64(1) << np.arange(2 * n, dtype=np.int64)
     keys = []
     for s in (y0, y1):
-        values = _evaluate_rows(circuit, level, s, x, bits).matrix(leakable)
+        values = _evaluate_rows(circuit, level, s, x, bits).matrix(circuit.leakable)
         keys.append(np.concatenate([values > 0, values >= 0], axis=1) @ place)
     distinct, codes = np.unique(np.concatenate(keys), return_inverse=True)
     m = len(distinct)
@@ -378,7 +372,7 @@ def mc_advantage(target, y0, y1, x, model: LeakageModel, samples: int, seed: int
     if inner < 1:
         raise ValueError("need at least 1 inner tape per mask")
     circuit, _, level = _unpack(target, y0, y1)
-    leakable = np.array(_leakable_events(circuit), dtype=np.int64)
+    leakable = circuit.leakable
     width = seed_count(len(y0), level) + circuit.rand_count
     np_rng = np.random.default_rng(random.Random(seed).getrandbits(64))
 
@@ -487,7 +481,7 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     rng1 = np.random.default_rng(rng.getrandbits(64))
 
     if order == 1:
-        targets = [(e,) for e in _leakable_events(circuit)]
+        targets = circuit.leakable
         symbols = 3
     else:
         targets = _within_block_pairs(circuit, compiled)
@@ -499,7 +493,7 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
         i = int(np.argmax(tv))
-        estimate, worst = float(tv[i]), list(targets[i])
+        estimate, worst = float(tv[i]), [int(targets[i])] if order == 1 else list(targets[i])
         # plug-in standard error of the worst comparison's empirical TV
         p_hat, q_hat = counts0[i] / samples, counts1[i] / samples
         var = (p_hat * (1 - p_hat) + q_hat * (1 - q_hat)).sum() / samples
@@ -582,23 +576,23 @@ def _symbol_counts(circuit, level, secret, x, samples, np_rng, targets, order) -
 def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     """Per target, the number of rows showing each symbol, by popcount.
 
-    A symbol is an event value v in {-1, 0, 1} (-1 = skipped), counted in
-    column v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
-    counted in column (a + 1) * 3 + b + 1.  Order 1 reads each event's
-    count of ones and of rows it ran in.  Order 2 takes four AND-popcounts
+    A target is an event id at order 1 (`targets` an int64 array) and a
+    pair of them at order 2.  A symbol is an event value v in {-1, 0, 1}
+    (-1 = skipped), counted in column v + 1; an order-2 symbol codes the
+    pair (a, b) as (a + 1) * 3 + b, counted in column (a + 1) * 3 + b + 1.
+    Order 1 reads each event's ones, and the rows a conditioned event ran
+    in (any other ran in all).  Order 2 takes four AND-popcounts
     per pair, of a's ones or ran rows with b's ones or ran rows, and derives
     the other five cells from the two events' own counts: a skipped event's
     value bit is 0, so an event's ones lie inside its ran rows.
     """
     rows, values, presence = events.rows, events.values, events.presence
     if order == 1:
-        first = [e for (e,) in targets]
-
-        def popcounts(planes):
-            return np.fromiter(map(int.bit_count, map(planes.__getitem__, first)),
-                               dtype=np.int64, count=len(first))
-
-        ones, ran = popcounts(values), popcounts(presence)
+        ones = np.fromiter(map(int.bit_count, map(values.__getitem__, targets.tolist())),
+                           dtype=np.int64, count=len(targets))
+        ran = np.full(len(targets), rows, dtype=np.int64)
+        skips = np.flatnonzero(events.conditioned[targets])
+        ran[skips] = [presence[e].bit_count() for e in targets[skips].tolist()]
         return np.stack([rows - ran, ran - ones, ones], axis=1)
 
     # per event its (ones, ran rows); a pair's row is a's pair then b's

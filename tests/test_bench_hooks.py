@@ -117,14 +117,20 @@ def test_oracle_tiny_run_rounds_op_passes_its_check(workloads, tmp_path):
     assert op.check(op.run()) is None
 
 
-@pytest.mark.parametrize("name", ["analyze-l1", "analyze-l2"])
+@pytest.mark.parametrize("name", ["analyze-l1", "compile-audit", "analyze-l2", "oracle-tiny"])
 def test_analyze_ops_pass_their_checks(workloads, tmp_path, name):
     # the benchmark refuses an estimator report out of range, a wrong count
-    # of comparisons or a marginal past its Hoeffding bound; a sampler change
-    # that trips one of those checks must fail here too
+    # of comparisons, a marginal past its Hoeffding bound, a compile whose
+    # outputs differ from the logical circuit or a failed audit command; a
+    # change that trips one of those checks must fail here too.  Round 0's
+    # slots run in slot order, as in a run: the audit pass reads the files
+    # the compile slots write.  A passing check returns None, or 0 for a
+    # compile with no mismatched output rows.
+    assert sorted(workloads.WORKLOADS) == sorted(
+        ["analyze-l1", "compile-audit", "analyze-l2", "oracle-tiny"])
     workload = workloads.WORKLOADS[name]
     state = workload.setup(tmp_path)
-    for kind in dict.fromkeys(s.kind for s in workload.slots):
-        slot = next(i for i, s in enumerate(workload.slots) if s.kind == kind)
+    for slot, spec in enumerate(workload.slots):
         op = workload.make_op(state, seed=0, rnd=0, slot=slot)
-        assert op.check(op.run()) is None, kind
+        reason = op.check(op.run())
+        assert not reason, (slot, spec.kind, reason)

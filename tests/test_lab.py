@@ -345,7 +345,7 @@ def test_mc_spare_bits_never_reach_a_plane(monkeypatch):
 def test_marginal_spare_bits_never_reach_a_plane(monkeypatch, order):
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1)
     targets = (lab._within_block_pairs(comp.circuit, comp) if order == 2 else
-               [(e,) for e in lab._leakable_events(comp.circuit)])
+               comp.circuit.leakable)
     seen = _spy_on_planes(monkeypatch)
     counts = lab._symbol_counts(comp.circuit, 1, [1, 0], [], 21, np.random.default_rng(8),
                                 targets, order)

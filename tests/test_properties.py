@@ -208,10 +208,12 @@ def test_batch_evaluator_matches_scalar_evaluate(text):
 
 
 def counts_by_matrix(matrix, targets, order):
-    """Symbol counts per target from count_nonzero on the int8 matrix."""
-    codes = matrix[:, [t[0] for t in targets]]
-    if order == 2:
-        codes = (codes + 1) * 3 + matrix[:, [t[1] for t in targets]]
+    """Symbol counts per target (an event id at order 1, a pair of them at
+    order 2) from count_nonzero on the int8 matrix."""
+    if order == 1:
+        codes = matrix[:, targets]
+    else:
+        codes = (matrix[:, [a for a, _ in targets]] + 1) * 3 + matrix[:, [b for _, b in targets]]
     symbols = range(-1, 2) if order == 1 else range(-1, 8)
     return np.stack([np.count_nonzero(codes == v, axis=0) for v in symbols], axis=1)
 
@@ -221,7 +223,7 @@ def counts_by_matrix(matrix, targets, order):
 def test_popcount_symbol_counts_equal_matrix_counts(text):
     circ = parse_netlist(text)
     events = range(circ.num_events)
-    singles = [(e,) for e in events]
+    singles = np.arange(circ.num_events)
     pairs = [(a, b) for a in events for b in events if a < b]
     for args in _row_batches(circ):
         batch = evaluate_batch(circ, *args)
@@ -306,6 +308,30 @@ def test_condition_on_a_skipped_event_raises_like_evaluate(text):
         assert got.startswith("condition references skipped event")
     else:
         assert got is None
+
+
+@_SETTINGS
+@given(raw_netlists(any_condition=True), logical_netlists(), st.booleans())
+def test_circuit_owns_its_leakable_and_conditioned_events(raw, logical, ec):
+    compiled = compile_circuit(parse_netlist(logical), level=1, ec=ec).circuit
+    for circ, text in ((parse_netlist(raw), raw), (compiled, serialize_netlist(compiled))):
+        assert circ.leakable.dtype == np.int64
+        assert circ.leakable.tolist() == [e for e in range(circ.num_events)
+                                          if e not in circ.leak_free]
+        # the netlist lists the gates in order, a conditioned one as `cgate`
+        cgates = [line.startswith("cgate ") for line in text.splitlines()
+                  if line.startswith(("gate ", "cgate "))]
+        assert len(cgates) == len(circ.gate_events)
+        want = [e for c, events in zip(cgates, circ.gate_events) if c for e in events]
+        assert circ.conditioned.shape == (circ.num_events,)
+        assert np.flatnonzero(circ.conditioned).tolist() == want
+        for facts in (circ.leakable, circ.conditioned):
+            with pytest.raises(ValueError, match="read-only"):
+                facts[...] = 0
+        ns, npub = len(circ.secret_regs), len(circ.public_regs)
+        empty = np.zeros((0, ns + npub + circ.rand_count), dtype=np.int8)
+        batch = evaluate_batch(circ, empty[:, :ns], empty[:, ns:ns + npub], empty[:, ns + npub:])
+        assert batch.conditioned is circ.conditioned
 
 
 @_SETTINGS
