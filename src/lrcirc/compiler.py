@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -506,6 +508,48 @@ class CompiledCircuit:
     log: list[str]
     logical_stats: dict
     aux_groups: list[tuple[str, Block]]
+
+    @cached_property
+    def snapshot_pairs(self) -> np.ndarray:
+        """Leakable event pairs that observe one code block within a single
+        snapshot, as a read-only (P, 2) int64 array, decided on first use.
+
+        A snapshot is a maximal gate interval in which no register of the
+        block is written, so the two events sample positions of one
+        codeword state; each block's snapshots come in gate order, and
+        within one the pairs (a, b), a < b, in ascending order.  Two leaks
+        in one error-correction period are the construction's documented
+        failure order, and the pairs that do leak lie outside this set: an
+        affine-form audit of the level-1 one-Toffoli finds 68, none within
+        a snapshot and all in the Toffoli's exRec (44 pair a CNOT of the
+        prep-zero of ancilla block a1 or a2 with a CNOT of the following EC
+        of block a or b, 12 a COPY of that prep-zero with a CNOT of the same
+        EC, and 12 a prep-plus CNOT with a CNOT of the toffoli span).  They
+        are left to the transcript-level estimators.
+        """
+        reg_block = {r: bi for bi, (_name, regs) in enumerate(self.blocks) for r in regs}
+        circuit = self.circuit
+        window = [0] * len(self.blocks)
+        snapshot_events: dict[tuple[int, int], list[int]] = {}
+        for rid, eid in circuit.input_events.items():
+            bi = reg_block.get(rid)
+            if bi is not None:
+                snapshot_events.setdefault((bi, 0), []).append(eid)
+        for g, eids in zip(circuit.gates, circuit.gate_events):
+            for port, ev in enumerate(eids):
+                bi = reg_block.get(g.args[port])
+                if bi is None:
+                    continue
+                if port == g.kind.write_port:
+                    window[bi] += 1
+                if ev not in circuit.leak_free:
+                    snapshot_events.setdefault((bi, window[bi]), []).append(ev)
+        # each snapshot's events were appended in ascending id order
+        pairs = np.fromiter(chain.from_iterable(
+            chain.from_iterable(combinations(events, 2))
+            for events in snapshot_events.values()), dtype=np.int64).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
 
     def location_counts(self) -> list[tuple[str, str, int]]:
         """(kind, source, locations) per gadget: emitted gates plus the

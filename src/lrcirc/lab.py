@@ -9,9 +9,9 @@ between two secrets at a fixed public input is measured three ways:
 * mc_advantage samples masks and estimates the per-mask value-distribution
   TV from paired tape samples, reporting an explicit upward-bias bound for
   the inner empirical TV,
-* marginal_independence bounds the best single-event (or within-block
-  pair) distinguisher, which is where the codeword pair-uniformity does
-  its work.
+* marginal_independence bounds the best single-event (or within-snapshot
+  pair, CompiledCircuit.snapshot_pairs) distinguisher, which is where the
+  codeword pair-uniformity does its work.
 
 A target is a raw circuit or a CompiledCircuit, and every estimator runs
 one path for both: a raw circuit is an encoding of level 0, whose secret
@@ -38,19 +38,22 @@ which encodes the secret on the seed planes (compiler.encode_seed_planes)
 and passes the result and the tape planes to circuits.evaluate_batch, and
 reads the resulting EventBatch bit-planes; two secrets evaluated on one
 set of planes share every seed and tape bit.  The marginals count symbols
-by popcount; every other path unpacks only what it reads with
-EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny the
-leakable columns, keyed into one int per row, and mc_advantage each mask's
-own events over that mask's own rows, keyed into one int64 per row with a
-rank fold (_empirical_tv).  Both TV estimators tally a chunk of masks at
-once with one per-mask grouped sum over int64 keys, _abs_group_sums: half
-the sum, over a mask's distinct masked rows, of |count under y0 - count
-under y1|.
+by popcount, and read an event's presence plane only when it is
+conditioned (every other event ran in all rows), so an order-2 pair of
+unconditioned events takes one AND-popcount; every other path unpacks
+only what it reads with EventBatch.matrix: run_rounds the masked event
+columns, exact_tv_tiny the leakable columns, keyed into one int per row,
+and mc_advantage each mask's own events over that mask's own rows, keyed
+into one int64 per row with a rank fold (_empirical_tv).  Both TV
+estimators tally a chunk of masks at once with one per-mask grouped sum
+over int64 keys, _abs_group_sums: half the sum, over a mask's distinct
+masked rows, of |count under y0 - count under y1|.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -464,7 +467,7 @@ def _dense_ranks(keys: np.ndarray) -> np.ndarray:
 
 def marginal_independence(target, y0, y1, x, order: int, samples: int,
                           seed: int) -> AdvantageReport:
-    """Best single-event (order 1) or within-block pair (order 2) TV.
+    """Best single-event (order 1) or within-snapshot pair (order 2) TV.
 
     Counts are exact per cell over `samples` independently drawn tapes per
     secret.  The bias bound is a union Hoeffding bound at level 1e-3 over
@@ -483,8 +486,10 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     if order == 1:
         targets = circuit.leakable
         symbols = 3
+    elif compiled is None:
+        raise EvalError("order-2 marginals need a compiled target with blocks")
     else:
-        targets = _within_block_pairs(circuit, compiled)
+        targets = compiled.snapshot_pairs
         symbols = 9
 
     counts0, counts1 = (_symbol_counts(circuit, level, y, x, samples, gen, targets, order)
@@ -493,7 +498,7 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
         i = int(np.argmax(tv))
-        estimate, worst = float(tv[i]), [int(targets[i])] if order == 1 else list(targets[i])
+        estimate, worst = float(tv[i]), np.atleast_1d(targets[i]).tolist()
         # plug-in standard error of the worst comparison's empirical TV
         p_hat, q_hat = counts0[i] / samples, counts1[i] / samples
         var = (p_hat * (1 - p_hat) + q_hat * (1 - q_hat)).sum() / samples
@@ -516,49 +521,6 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
     )
 
 
-def _within_block_pairs(circuit: Circuit, compiled: CompiledCircuit | None):
-    """Event pairs that observe one code block within a single snapshot.
-
-    A snapshot is a maximal gate interval in which no register of the block
-    is written, so the two events sample positions of one codeword state.
-    Pairs straddling a write observe two causally different block states;
-    those correlate with the secret at second order by design (two leaks in
-    one error-correction period are the construction's allowed failure
-    mode) and belong to the transcript-level estimators, not to the
-    pair-uniformity check.
-    """
-    if compiled is None:
-        raise EvalError("order-2 marginals need a compiled target with blocks")
-    reg_block: dict[int, int] = {}
-    for bi, (_name, regs) in enumerate(compiled.blocks):
-        for r in regs:
-            reg_block[r] = bi
-
-    window = [0] * len(compiled.blocks)
-    snapshot_events: dict[tuple[int, int], list[int]] = {}
-    for rid, eid in circuit.input_events.items():
-        bi = reg_block.get(rid)
-        if bi is not None:
-            snapshot_events.setdefault((bi, 0), []).append(eid)
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        for port, ev in enumerate(eids):
-            rid = g.args[port]
-            bi = reg_block.get(rid)
-            if bi is None:
-                continue
-            if port == g.kind.write_port:
-                window[bi] += 1
-            if ev not in circuit.leak_free:
-                snapshot_events.setdefault((bi, window[bi]), []).append(ev)
-    pairs = []
-    for events in snapshot_events.values():
-        events.sort()
-        for i in range(len(events)):
-            for j in range(i + 1, len(events)):
-                pairs.append((events[i], events[j]))
-    return pairs
-
-
 def _symbol_counts(circuit, level, secret, x, samples, np_rng, targets, order) -> np.ndarray:
     """Counts per target of each symbol over all samples, evaluated in
     batches of _MARGINAL_CHUNK_ROWS seed-and-tape rows (see `_plane_counts`)."""
@@ -577,33 +539,57 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     """Per target, the number of rows showing each symbol, by popcount.
 
     A target is an event id at order 1 (`targets` an int64 array) and a
-    pair of them at order 2.  A symbol is an event value v in {-1, 0, 1}
-    (-1 = skipped), counted in column v + 1; an order-2 symbol codes the
-    pair (a, b) as (a + 1) * 3 + b, counted in column (a + 1) * 3 + b + 1.
-    Order 1 reads each event's ones, and the rows a conditioned event ran
-    in (any other ran in all).  Order 2 takes four AND-popcounts
-    per pair, of a's ones or ran rows with b's ones or ran rows, and derives
-    the other five cells from the two events' own counts: a skipped event's
-    value bit is 0, so an event's ones lie inside its ran rows.
+    pair of them at order 2 (a (P, 2) array or a list of pairs).  A symbol
+    is an event value v in {-1, 0, 1} (-1 = skipped), counted in column
+    v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
+    counted in column (a + 1) * 3 + b + 1.  Each event's ones are
+    popcounted once, and the rows it ran in only if it is conditioned (any
+    other ran in all).  Order 2 derives all nine cells from the two
+    events' own counts and four AND-counts, of a's ones or ran rows with
+    b's ones or ran rows (a skipped event's value bit is 0, so an event's
+    ones lie inside its ran rows).  Every pair popcounts ones & ones; an
+    unconditioned event's ran rows are all rows, so a pair popcounts an
+    AND with an event's presence plane only when that event is conditioned.
     """
-    rows, values, presence = events.rows, events.values, events.presence
+    rows = events.rows
     if order == 1:
-        ones = np.fromiter(map(int.bit_count, map(values.__getitem__, targets.tolist())),
-                           dtype=np.int64, count=len(targets))
-        ran = np.full(len(targets), rows, dtype=np.int64)
-        skips = np.flatnonzero(events.conditioned[targets])
-        ran[skips] = [presence[e].bit_count() for e in targets[skips].tolist()]
+        ones, ran = _event_counts(events, targets)
         return np.stack([rows - ran, ran - ones, ones], axis=1)
 
-    # per event its (ones, ran rows); a pair's row is a's pair then b's
-    used = {e for pair in targets for e in pair}
-    counts = {e: (values[e].bit_count(), presence[e].bit_count()) for e in used}
-    one_a, ran_a, one_b, ran_b = np.array(
-        [counts[a] + counts[b] for a, b in targets], dtype=np.int64).reshape(-1, 4).T
-    oo, op, po, pp = np.array(
-        [((values[a] & values[b]).bit_count(), (values[a] & presence[b]).bit_count(),
-          (presence[a] & values[b]).bit_count(), (presence[a] & presence[b]).bit_count())
-         for a, b in targets], dtype=np.int64).reshape(-1, 4).T
+    pairs = np.asarray(targets, dtype=np.int64).reshape(-1, 2)
+    used, slot = np.unique(pairs, return_inverse=True)
+    ones, ran = _event_counts(events, used)
+    slot = slot.reshape(pairs.shape)
+    (one_a, one_b), (ran_a, ran_b) = ones[slot].T, ran[slot].T
+    values, presence = events.values, events.presence
+    cond_a, cond_b = events.conditioned[pairs].T
+    a, b = pairs.T
+    oo = _and_counts(values, values, a, b)
+    # op = |ones_a & ran_b|, po = |ran_a & ones_b| and pp = |ran_a & ran_b|,
+    # where an unconditioned event's ran rows are all rows
+    op, po, pp = one_a.copy(), one_b.copy(), np.minimum(ran_a, ran_b)
+    op[cond_b] = _and_counts(values, presence, a[cond_b], b[cond_b])
+    po[cond_a] = _and_counts(presence, values, a[cond_a], b[cond_a])
+    both = cond_a & cond_b
+    pp[both] = _and_counts(presence, presence, a[both], b[both])
     return np.stack([rows - ran_a - ran_b + pp, ran_b - one_b - pp + po, one_b - po,
                      ran_a - one_a - pp + op, pp - op - po + oo, po - oo,
                      one_a - op, op - oo, oo], axis=1)
+
+
+def _event_counts(events: EventBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per event of the int64 array `ids`, its ones and the rows it ran in;
+    presence is popcounted only for conditioned events."""
+    ones = np.fromiter(map(int.bit_count, map(events.values.__getitem__, ids.tolist())),
+                       dtype=np.int64, count=len(ids))
+    ran = np.full(len(ids), events.rows, dtype=np.int64)
+    skips = np.flatnonzero(events.conditioned[ids])
+    ran[skips] = [events.presence[e].bit_count() for e in ids[skips].tolist()]
+    return ones, ran
+
+
+def _and_counts(left: list[int], right: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per j, the popcount of left[a[j]] & right[b[j]]."""
+    return np.fromiter(map(int.bit_count, map(operator.and_, map(left.__getitem__, a.tolist()),
+                                              map(right.__getitem__, b.tolist()))),
+                       dtype=np.int64, count=len(a))

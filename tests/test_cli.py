@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, determinism, artifact round trips."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -322,6 +323,27 @@ def test_analyze_byte_identical_reports(capsys, tmp_path, toffoli_netlist):
         assert code == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+# sha256 prefix of the level-2 one-Toffoli pairwise report below
+L2_PAIRWISE_DIGEST = "f97e8a8337f9f92c"
+
+
+def test_level2_pairwise_reports_are_byte_identical(capsys, tmp_path, compiled_files):
+    reports = []
+    for name in ("r1.json", "r2.json"):
+        path = tmp_path / name
+        code, _, _ = run_cli(
+            capsys, "analyze", "--circuit", compiled_files["l2"],
+            "--gadgets", compiled_files["l2.json"], "--mode", "pairwise",
+            "--y0", "01", "--y1", "10", "--leak-p", "0.01",
+            "--samples", "64", "--seed", "1", "--out", path,
+        )
+        assert code == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["details"]["comparisons"] == 72226
+    assert hashlib.sha256(reports[0]).hexdigest()[:16] == L2_PAIRWISE_DIGEST
 
 
 def test_pairwise_on_raw_circuit_is_an_error(capsys, toffoli_netlist):

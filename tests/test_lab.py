@@ -344,8 +344,7 @@ def test_mc_spare_bits_never_reach_a_plane(monkeypatch):
 @pytest.mark.parametrize("order", [1, 2])
 def test_marginal_spare_bits_never_reach_a_plane(monkeypatch, order):
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1)
-    targets = (lab._within_block_pairs(comp.circuit, comp) if order == 2 else
-               comp.circuit.leakable)
+    targets = comp.snapshot_pairs if order == 2 else comp.circuit.leakable
     seen = _spy_on_planes(monkeypatch)
     counts = lab._symbol_counts(comp.circuit, 1, [1, 0], [], 21, np.random.default_rng(8),
                                 targets, order)

@@ -1,8 +1,8 @@
 """Properties on generated inputs: the level-1 compiler on reversible
 circuits, the batch evaluator and truth tables against the scalar
 evaluate, the array secret encoder, the row tally, the Monte-Carlo
-estimator, the transcript sampler and the name allocator against their
-loop references, and the size guards."""
+estimator, the transcript sampler, the name allocator and the snapshot
+pairs against their loop references, and the size guards."""
 
 import json
 import math
@@ -49,7 +49,6 @@ from lrcirc.lab import (
     _evaluate_rows,
     _plane_counts,
     _unpack,
-    _within_block_pairs,
     encoded_secret_rows,
     exact_tv_tiny,
     mc_advantage,
@@ -266,7 +265,7 @@ def test_four_and_pair_counts_equal_nine_cell_counts(name):
         events = range(circ.num_events)
         pairs = [(a, b) for a in events for b in events if a < b]
     else:
-        pairs = _within_block_pairs(circ, compiled)
+        pairs = compiled.snapshot_pairs
     width = seed_count(len(secret), level) + circ.rand_count
     skipped = False
     for rows in (1, 9, 64, 4097):
@@ -277,6 +276,76 @@ def test_four_and_pair_counts_equal_nine_cell_counts(name):
         assert got.tolist() == nine_cell_counts(batch, pairs)
         assert (got.sum(axis=1) == rows).all()
     assert skipped
+
+
+
+@pytest.fixture(scope="module")
+def toffoli_l2():
+    return compile_circuit(parse_netlist(_SKIPPING["toffoli_l1"][0]), level=2)
+
+
+@pytest.mark.parametrize("rows", [9, 64])
+def test_presence_aware_pair_counts_equal_nine_cell_counts_at_level_2(toffoli_l2, rows):
+    # every snapshot pair that touches a conditioned event, and a seeded
+    # sample of 2,000 of the others, read off one count over all 72,226
+    circ, pairs = toffoli_l2.circuit, toffoli_l2.snapshot_pairs
+    cond = circ.conditioned[pairs]
+    touched = np.flatnonzero(cond.any(axis=1))
+    others = np.random.default_rng(22).choice(
+        np.flatnonzero(~cond.any(axis=1)), size=2000, replace=False)
+    chosen = np.sort(np.concatenate([touched, others]))
+    assert touched.size and cond.all(axis=1).any()
+    width = seed_count(2, 2) + circ.rand_count
+    batch = _evaluate_rows(circ, 2, [0, 1], [], _draw_planes(
+        np.random.default_rng(rows), rows, width))
+    assert any(batch.presence[e] != batch.full for e in np.flatnonzero(circ.conditioned))
+    got = _plane_counts(batch, pairs, 2)
+    assert (got.sum(axis=1) == rows).all()
+    assert got[chosen].tolist() == nine_cell_counts(batch, pairs[chosen].tolist())
+
+
+def _reference_snapshot_pairs(compiled):
+    """The pair list rebuilt gate by gate: each block's events, leak-free
+    ones excepted, grouped by how many writes to the block precede them."""
+    reg_block = {}
+    for bi, (_name, regs) in enumerate(compiled.blocks):
+        for r in regs:
+            reg_block[r] = bi
+    circuit = compiled.circuit
+    window = [0] * len(compiled.blocks)
+    snapshot_events = {}
+    for rid, eid in circuit.input_events.items():
+        bi = reg_block.get(rid)
+        if bi is not None:
+            snapshot_events.setdefault((bi, 0), []).append(eid)
+    for g, eids in zip(circuit.gates, circuit.gate_events):
+        for port, ev in enumerate(eids):
+            bi = reg_block.get(g.args[port])
+            if bi is None:
+                continue
+            if port == g.kind.write_port:
+                window[bi] += 1
+            if ev not in circuit.leak_free:
+                snapshot_events.setdefault((bi, window[bi]), []).append(ev)
+    pairs = []
+    for events in snapshot_events.values():
+        events.sort()
+        for i in range(len(events)):
+            for j in range(i + 1, len(events)):
+                pairs.append((events[i], events[j]))
+    return pairs
+
+
+@pytest.mark.parametrize("level,count", [(1, 1148), (2, 72226)])
+def test_snapshot_pairs_are_decided_once(toffoli_l2, level, count):
+    comp = (toffoli_l2 if level == 2 else
+            compile_circuit(parse_netlist(_SKIPPING["toffoli_l1"][0]), level=1))
+    pairs = comp.snapshot_pairs
+    assert comp.snapshot_pairs is pairs
+    assert pairs.dtype == np.int64 and pairs.shape == (count, 2)
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 0
+    assert list(map(tuple, pairs.tolist())) == _reference_snapshot_pairs(comp)
 
 
 def _eval_error(fn, *args):
