@@ -6,7 +6,8 @@ random-bit source RAND, and a readout fan-out COPY.  Every circuit input
 declaration and every gate output port gets one *wire event*: the unit to
 which leakage applies.  Event ids are dense and assigned in program order,
 inputs first (in declaration order), then one block of ids per gate, ordered
-by the gate's operand order.
+by the gate's operand order.  `Register` and `Gate` are plain records;
+`Circuit` checks them.
 
 Gates may carry a classical condition: a wire-event id whose runtime value
 gates execution.  A skipped gate updates no register and records no values;
@@ -133,12 +134,6 @@ class Gate:
     args: tuple[int, ...]
     cond: int | None = None  # wire-event id; gate runs only if its value is 1
 
-    def __post_init__(self):
-        if len(self.args) != self.kind.arity:
-            raise CircuitError(f"{self.kind.value} takes {self.kind.arity} operands")
-        if len(set(self.args)) != len(self.args):
-            raise CircuitError(f"duplicate operand in {self.kind.value} gate")
-
 
 @dataclass(frozen=True)
 class RandomTape:
@@ -164,27 +159,43 @@ class Trace:
 
 
 class Circuit:
-    """Immutable register/gate program with a derived wire-event table."""
+    """Immutable register/gate program with a derived wire-event table.
+
+    The one owner of every structural rule: it raises `CircuitError`,
+    naming the gate or register at fault, for a sparse register id, a
+    repeated register name, a wrong operand count, a repeated or undeclared
+    operand, a condition that does not precede its gate, or an output that
+    no gate writes.
+    """
 
     def __init__(self, registers: list[Register], gates: list[Gate]):
         self.registers = tuple(registers)
         self.gates = tuple(gates)
-        self._validate_registers()
-
         self.secret_regs = tuple(r for r in self.registers if r.role is Role.SECRET)
         self.public_regs = tuple(r for r in self.registers if r.role is Role.PUBLIC)
         self.output_regs = tuple(r for r in self.registers if r.role is Role.OUTPUT)
 
         # event table: inputs first, then one event per gate operand
         self.input_events: dict[int, int] = {}  # register id -> event id
-        eid = 0
-        for reg in self.registers:
+        names, eid = set(), 0
+        for i, reg in enumerate(self.registers):
+            if reg.id != i:
+                raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
+                                   register=i)
+            if reg.name in names:
+                raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
+            names.add(reg.name)
             if reg.role in (Role.SECRET, Role.PUBLIC):
                 self.input_events[reg.id] = eid
                 eid += 1
         nregs = len(self.registers)
         gate_events, cond_events = [], []
         for gi, g in enumerate(self.gates):
+            if len(g.args) != g.kind.arity:
+                raise CircuitError(f"{g.kind.value} takes {g.kind.arity} operand(s), "
+                                   f"got {len(g.args)}", gate=gi)
+            if len(set(g.args)) != len(g.args):
+                raise CircuitError(f"duplicate operand in {g.kind.value} gate", gate=gi)
             for a in g.args:
                 if not 0 <= a < nregs:
                     raise CircuitError(f"gate references undeclared register {a}", gate=gi)
@@ -212,18 +223,6 @@ class Circuit:
             if reg.id not in written:
                 raise CircuitError(f"output register {reg.name!r} is never written",
                                    register=reg.id)
-
-    # -- validation -------------------------------------------------------
-
-    def _validate_registers(self):
-        names = set()
-        for i, reg in enumerate(self.registers):
-            if reg.id != i:
-                raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
-                                   register=i)
-            if reg.name in names:
-                raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
-            names.add(reg.name)
 
     # -- introspection ----------------------------------------------------
 

@@ -55,20 +55,17 @@ def _dump(obj, path: str | None) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
-def _load_circuit(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
-
-
-def _load_gadgets(path: str, circuit) -> CompiledCircuit:
-    """The gadget index in `path`, checked against `circuit` unless None."""
-    with open(path, encoding="utf-8") as fh:
+def _load_target(circuit_path: str | None, gadgets_path: str | None = None):
+    """The netlist at `circuit_path` (None without one) or, given a gadget
+    index, that index checked against the netlist unless it is None."""
+    circuit = None
+    if circuit_path is not None:
+        with open(circuit_path, encoding="utf-8") as fh:
+            circuit = parse_netlist(fh.read())
+    if gadgets_path is None:
+        return circuit
+    with open(gadgets_path, encoding="utf-8") as fh:
         return CompiledCircuit.from_json_dict(circuit, json.load(fh))
-
-
-def _load_target(circuit_path: str, gadgets_path: str | None):
-    circuit = _load_circuit(circuit_path)
-    return circuit if gadgets_path is None else _load_gadgets(gadgets_path, circuit)
 
 
 def _bits(text: str) -> list[int]:
@@ -154,7 +151,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "compile":
         compiled = compile_circuit(
-            _load_circuit(args.infile), level=args.level, ec=args.ec == "on"
+            _load_target(args.infile), level=args.level, ec=args.ec == "on"
         )
         _write(serialize_netlist(compiled.circuit), args.outfile)
         if args.gadgets:
@@ -205,8 +202,7 @@ def _dispatch(args) -> int:
         return 0 if ok else 2
 
     if args.cmd == "report":
-        circuit = _load_circuit(args.circuit) if args.circuit else None
-        _dump(location_report(_load_gadgets(args.gadgets, circuit)), args.outfile)
+        _dump(location_report(_load_target(args.circuit or None, args.gadgets)), args.outfile)
         return 0
 
     raise UsageError(f"unknown command {args.cmd!r}")

@@ -96,8 +96,6 @@ class CircuitBuilder:
         return name
 
     def new_reg(self, name: str, role: Role = Role.INTERNAL) -> int:
-        if name in self._names:
-            raise CompileError(f"register name collision: {name}")
         if role in (Role.SECRET, Role.PUBLIC):
             if self.gates:
                 raise CompileError("inputs must be declared before gates")

@@ -198,6 +198,27 @@ def test_completeness_enforced():
         Channel(((1.0, bad),), 2)
 
 
+_LEAK1 = LeakageFunction(1, (0, 1))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: LeakageFunction(1, (0, 1, 0)), ValueError, "cover all 2"),
+    (lambda: Channel(((1.0, np.eye(3, dtype=complex)),), 2), DimensionError, "operator shape"),
+    (lambda: mixture_channel([]), ValueError, "empty request list"),
+    (lambda: mixture_channel([(_LEAK1, 0.5), (LeakageFunction(2, (0, 1, 1, 0)), 0.5)]),
+     DimensionError, "share a wire count"),
+    (lambda: assert_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])), ValueError,
+     "not Hermitian"),
+    (lambda: assert_density_matrix(np.eye(2)), ValueError, "trace is not 1"),
+    (lambda: assert_density_matrix(np.diag([1.5, -0.5])), ValueError,
+     "not positive semidefinite"),
+], ids=["table-length", "term-shape", "empty-mixture", "mixed-wire-counts",
+        "non-hermitian", "trace-2", "not-psd"])
+def test_malformed_inputs_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_non_diagonal_terms_are_refused():
     # H^dag H = I, so the completeness check alone accepts the Hadamard
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -11,6 +11,7 @@ from lrcirc.circuits import (
     EvalError,
     Gate,
     GateKind,
+    Planes,
     RandomTape,
     Register,
     Role,
@@ -107,6 +108,12 @@ def test_input_length_mismatch():
         evaluate(circ, [1], [], EMPTY)
 
 
+def test_public_input_length_mismatch():
+    circ = parse_netlist("in secret s\nin public x\nout o\ngate CNOT x o\n")
+    with pytest.raises(EvalError, match="expected 1 public bits, got 2"):
+        evaluate(circ, [1], [0, 1], EMPTY)
+
+
 def test_conditioned_gate_skip_and_fire():
     # event 0 = s input; cgate on it
     circ = parse_netlist("in secret s\nout o\ncgate 0 NOT o\n")
@@ -123,11 +130,6 @@ def test_skipped_rand_still_consumes_tape():
     assert tr.outputs["o"] == 0
     with pytest.raises(EvalError):
         evaluate(circ, [0], [], EMPTY)  # bit is consumed even when skipped
-
-
-def test_duplicate_operand_rejected():
-    with pytest.raises(CircuitError):
-        Gate(GateKind.CNOT, (1, 1))
 
 
 def test_output_never_written_rejected():
@@ -147,6 +149,10 @@ _S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
 @pytest.mark.parametrize("regs, gates, match, gate, register", [
     ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 5))],
      "undeclared register 5", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (1, 1))],
+     "duplicate operand in CNOT gate", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (1,))],
+     r"CNOT takes 2 operand\(s\), got 1", 1, None),
     ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (1,), cond=2),
                 Gate(GateKind.NOT, (1,), cond=4)],
      "condition event 4 does not precede", 2, None),
@@ -156,8 +162,8 @@ _S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
      "duplicate register name 's'", None, 2),
     ([_S, _O, Register(3, "t", Role.INTERNAL)], [Gate(GateKind.CNOT, (0, 1))],
      "dense, got 3 at 2", None, 2),
-], ids=["undeclared-register", "late-condition", "unwritten-output", "duplicate-name",
-        "sparse-id"])
+], ids=["undeclared-register", "duplicate-operand", "operand-count", "late-condition",
+        "unwritten-output", "duplicate-name", "sparse-id"])
 def test_circuit_error_names_the_failing_gate_or_register(regs, gates, match, gate, register):
     # netlist error lines come from these attributes; each case fails past
     # the first gate or register
@@ -306,6 +312,26 @@ def test_event_windows_of_conditioned_gates_match_scalar_evaluate(secret):
     got = events.matrix(cols, starts, 9)
     assert got.T.tolist() == [want[s0:s0 + 9, c].tolist() for c, s0 in zip(cols, starts)]
     assert (got[:, [0, 2, 5]] == -1).any() == (secret == "partly ones")
+
+
+_TAPES = np.zeros((4, 1), dtype=np.int8)
+
+
+@pytest.mark.parametrize("secret, public, tapes, match", [
+    ([1], [0], np.zeros(4, dtype=np.int8), r"tape batch must have shape \(n, 1\)"),
+    ([1], [0], np.zeros((4, 2), dtype=np.int8), r"tape batch must have shape \(n, 1\)"),
+    (Planes.pack(np.zeros((3, 1), dtype=np.int8)), [0], _TAPES,
+     r"secret matrix must have shape \(4, 1\)"),
+    ([[1], [0, 1], [1], [0]], [0], _TAPES, "secret rows must each have 1 bits"),
+    ([1, 0], [0], _TAPES, "expected 1 secret bits, got 2"),
+    ([1], np.zeros((4, 2), dtype=np.int8), _TAPES, r"public matrix must have shape \(4, 1\)"),
+], ids=["1-d-tapes", "tape-width", "planes-shape", "ragged-rows", "shared-row-length",
+        "matrix-shape"])
+def test_evaluate_batch_refuses_misshapen_inputs(secret, public, tapes, match):
+    circ = parse_netlist("in secret s\nin public x\nreg a\nout o\n"
+                         "gate RAND a\ngate CNOT a o\ngate CNOT x o\n")
+    with pytest.raises(EvalError, match=match):
+        evaluate_batch(circ, secret, public, tapes)
 
 
 def test_batch_outputs_reads_the_last_touch_that_ran():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lrcirc
+from lrcirc import faults
 from lrcirc.cli import main
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -57,6 +58,27 @@ def test_audit_shor_lists_four_classes(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["multi_error_classes"] == [[1, 2], [1, 2, 3], [5, 6, 7], [6, 7]]
+
+
+def test_audit_shor_failure_exits_2(capsys, monkeypatch):
+    def fail():
+        raise faults.FaultAuditError("classes [6, 7] and [5, 6, 7] share syndrome [6, 7]")
+
+    monkeypatch.setattr(faults, "enumerate_single_faults", fail)
+    code, out, err = run_cli(capsys, "audit", "shor")
+    assert (code, out) == (2, "")
+    assert err == "audit failed: classes [6, 7] and [5, 6, 7] share syndrome [6, 7]\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--mode", "marginal", "--y0", "0a", "--y1", "10", "--leak-p", "0.01",
+      "--seed", "2"], "bit string expected, got '0a'"),
+    (["audit", "transversality"], "audit transversality needs --circuit and --gadgets"),
+], ids=["bad-bits", "transversality-without-gadgets"])
+def test_usage_errors_exit_1(capsys, toffoli_netlist, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--circuit", toffoli_netlist)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
 
 
 def test_compile_run_analyze_pipeline(capsys, tmp_path, toffoli_netlist):

@@ -23,6 +23,7 @@ from lrcirc.compiler import (
     CompileError,
     compile_circuit,
     emit_measure_x,
+    encode_seed_planes,
     location_report,
     prep_plus_gadget,
     prep_zero_gadget,
@@ -474,6 +475,17 @@ def test_compile_rejects_rand():
     logical = parse_netlist("reg a\nout c\ngate RAND a\ngate CNOT a c\n")
     with pytest.raises(CompileError, match="unsupported"):
         compile_circuit(logical)
+
+
+def test_compile_rejects_conditioned_gates():
+    logical = parse_netlist("in secret s\nout o\ncgate 0 CNOT s o\n")
+    with pytest.raises(CompileError, match="conditioned gates are not compilable"):
+        compile_circuit(logical)
+
+
+def test_encode_seed_planes_refuses_too_few_seed_columns():
+    with pytest.raises(ValueError, match="need 3 seed columns, got 2"):
+        encode_seed_planes([1], (0, 1), level=1, rows=4)
 
 
 def test_compiled_netlist_roundtrip():

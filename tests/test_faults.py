@@ -107,6 +107,21 @@ def test_audit_raises_on_degenerate_decoder():
         enumerate_single_faults(SHOR_PREP, blind)
 
 
+def test_audit_raises_on_unexpected_multi_error_classes():
+    from lrcirc.faults import CliffordCircuit, FaultAuditError
+
+    short = CliffordCircuit(7, SHOR_PREP.cnots[:-1], SHOR_PREP.prep, {})
+    with pytest.raises(FaultAuditError, match="unexpected multi-error classes"):
+        enumerate_single_faults(prep=short)
+
+
+def test_cnot_on_one_wire_is_refused():
+    from lrcirc.faults import CliffordCircuit
+
+    with pytest.raises(ValueError, match=r"bad CNOT \(1,1\)"):
+        CliffordCircuit(2, ((1, 1),), {}, {})
+
+
 def test_single_error_syndromes_distinct():
     singles = [syndrome_of(zmask(w)) for w in range(1, 8)]
     assert len(set(singles)) == 7
@@ -140,6 +155,12 @@ def test_transversality_whitelist():
         circ, [("blk", (0, 1, 2, 3, 4, 5, 6))], whitelist_gates=frozenset({0})
     )
     assert report["clean"]
+
+
+def test_transversality_refuses_a_register_in_two_blocks():
+    circ = _tiny_circuit([Gate(GateKind.CNOT, (0, 7))])
+    with pytest.raises(ValueError, match="register 6 assigned to two blocks"):
+        transversality_audit(circ, [("a", tuple(range(7))), ("b", tuple(range(6, 13)))])
 
 
 def test_transversality_position_mismatch():

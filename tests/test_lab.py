@@ -427,6 +427,14 @@ def test_report_band_validation():
                                "method": "exact-tiny", "samples": 1, **fields})
 
 
+def test_unknown_method_and_order_are_refused():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        AdvantageReport(estimate=0.5, std_error=0.1, bias_bound=0.0, method="bogus", samples=1)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        marginal_independence(parse_netlist(SECRET_WIRE), [0], [1], [], order=3,
+                              samples=100, seed=0)
+
+
 def test_report_accepts_every_possible_value():
     for estimate, std_error in ((1.0, 0.2), (0.0, 0.5), (0.01, 1.0), (1.0 + 1e-13, 0.0)):
         AdvantageReport(estimate=estimate, std_error=std_error, bias_bound=3.0,

@@ -97,6 +97,10 @@ def test_cgate_parses_condition():
         ("in secret s\nout o\ncgate \uff11 NOT o\n", "line 3.*bad event reference"),
         # more digits than int() converts by default
         ("in secret s\nout o\ncgate " + "1" * 5000 + " NOT o\n", "line 3.*bad event reference"),
+        ("in secret s\ncgate 0\n", "line 2: expected: cgate"),
+        ("gate\n", "line 1: expected: gate"),
+        ("out a b\n", "line 1: expected: out"),
+        ("in secret 9x\n", "line 1: bad register name '9x'"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, pattern):

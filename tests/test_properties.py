@@ -2,11 +2,13 @@
 circuits, the batch evaluator and truth tables against the scalar
 evaluate, the array secret encoder, the row tally, the Monte-Carlo
 estimator, the transcript sampler, the name allocator and the snapshot
-pairs against their loop references, and the size guards."""
+pairs against their loop references, netlist errors on generated circuits
+with one injected fault, and the size guards."""
 
 import json
 import math
 import random
+import re
 from collections import Counter
 from datetime import timedelta
 from itertools import product
@@ -55,7 +57,7 @@ from lrcirc.lab import (
     run_rounds,
 )
 from lrcirc.faults import transversality_audit
-from lrcirc.netlist import parse_netlist, serialize_netlist
+from lrcirc.netlist import NetlistError, parse_netlist, serialize_netlist
 from lrcirc.steane import encode_codeword
 
 _LOGICAL = (GateKind.NOT, GateKind.CNOT, GateKind.TOF, GateKind.Z, GateKind.CZ)
@@ -416,6 +418,69 @@ def test_truth_table_matches_scalar_enumeration(text):
         )
         want[(sec, pub)] = {k: v / 2 ** circ.rand_count for k, v in counts.items()}
     assert repr(truth_table(circ)) == repr(want)
+
+
+# -- structural faults on generated circuits ------------------------------------
+
+
+_FAULTS = ("repeated-operand", "operand-count", "undeclared-operand", "late-condition",
+           "repeated-name", "unwritten-output")
+
+
+@st.composite
+def netlists_with_one_fault(draw):
+    """(text, line number, message): a `raw_netlists()` text with one new
+    line that holds exactly one structural fault, and the start of the
+    message that names it."""
+    lines = draw(raw_netlists()).splitlines()
+    decls = [line.split() for line in lines if line.split()[0] in ("in", "reg", "out")]
+    names = [tok[2] if tok[0] == "in" else tok[1] for tok in decls]
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "repeated-name":
+        at = draw(st.integers(1, len(decls)))
+        name = draw(st.sampled_from(names[:at]))
+        line = draw(st.sampled_from([f"in public {name}", f"reg {name}", f"out {name}"]))
+        message = f"duplicate register name {name!r}"
+    elif fault == "unwritten-output":
+        at = draw(st.integers(0, len(decls)))
+        line, message = "out spare", "output register 'spare' is never written"
+    else:
+        at = draw(st.integers(len(decls), len(lines)))
+        events = sum(tok[0] == "in" for tok in decls)
+        events += sum(len(tok) - (3 if tok[0] == "cgate" else 2)
+                      for tok in map(str.split, lines[len(decls):at]))
+        least = 2 if fault == "repeated-operand" else 1
+        kind = draw(st.sampled_from([k for k in GateKind if least <= k.arity <= len(names)]))
+        ops = draw(st.permutations(names))[:kind.arity]
+        cond = draw(st.none() | st.integers(0, events - 1))
+        if fault == "repeated-operand":
+            i, j = sorted(draw(st.permutations(range(kind.arity)))[:2])
+            ops[j] = ops[i]
+            message = f"duplicate operand in {kind.value} gate"
+        elif fault == "operand-count":
+            count = draw(st.sampled_from([c for c in range(min(3, len(names)) + 1)
+                                          if c != kind.arity]))
+            ops = draw(st.permutations(names))[:count]
+            message = f"{kind.value} takes {kind.arity} operand(s), got {count}"
+        elif fault == "undeclared-operand":
+            ops[draw(st.integers(0, kind.arity - 1))] = "ghost"
+            message = "reference to undeclared register 'ghost'"
+        else:
+            cond = events + draw(st.integers(0, 3))
+            message = f"condition event {cond} does not precede the gate"
+        head = "gate" if cond is None else f"cgate {cond}"
+        line = " ".join([head, kind.value, *ops])
+    lines.insert(at, line)
+    return "\n".join(lines) + "\n", at + 1, message
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(netlists_with_one_fault())
+def test_one_injected_fault_is_reported_at_its_line(case):
+    text, line_no, message = case
+    with pytest.raises(NetlistError, match=re.escape(f"line {line_no}: {message}")) as info:
+        parse_netlist(text)
+    assert info.value.line_no == line_no
 
 
 # -- array code against its loop references ------------------------------------

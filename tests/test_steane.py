@@ -66,6 +66,11 @@ def test_logical_value(w, expected):
     assert logical_value(word(w)) == expected
 
 
+def test_word_refuses_a_short_string():
+    with pytest.raises(ValueError, match="not a 7-bit word: '0101'"):
+        word("0101")
+
+
 def test_encode_codeword_examples():
     assert encode_codeword(0, (0, 0, 0)) == word("0000000")
     assert encode_codeword(1, (0, 0, 0)) == word("1110000")
