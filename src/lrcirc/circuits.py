@@ -188,6 +188,7 @@ class Circuit:
             if reg.role in (Role.SECRET, Role.PUBLIC):
                 self.input_events[reg.id] = eid
                 eid += 1
+        del names  # 512 KB at level 2, freed before the gate tables grow
         nregs = len(self.registers)
         gate_events, cond_events = [], []
         for gi, g in enumerate(self.gates):
