@@ -45,9 +45,13 @@ only what it reads with EventBatch.matrix: run_rounds the masked event
 columns, exact_tv_tiny the leakable columns, keyed into one int per row,
 and mc_advantage each mask's own events over that mask's own rows, keyed
 into one int64 per row with a rank fold (_empirical_tv).  Both TV
-estimators tally a chunk of masks at once with one per-mask grouped sum
-over int64 keys, _abs_group_sums: half the sum, over a mask's distinct
-masked rows, of |count under y0 - count under y1|.
+estimators tally with one grouped sum per row of int64 keys,
+_abs_group_sums: the sum, over a row's distinct keys, of |count under y0 -
+count under y1|, which is twice a mask's masked-value TV times the row
+count.  mc_advantage runs it once per sampled mask.  exact_tv_tiny runs it
+once per subset of leak classes (_leak_classes), not per mask: events
+that split the distinct keys alike share a class, so a mask's grouping
+depends only on the classes it hits, and each mask reads its subset's sum.
 """
 
 from __future__ import annotations
@@ -270,9 +274,17 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     decomposes as the mask-weighted sum of masked-value TVs; the seed x
     tape rows (no seeds for a raw circuit) and the masks are both enumerated.
     Each secret's seed x tape rows are evaluated in one batch and each row
-    is keyed by one int over its leakable events; per chunk of masks,
-    _abs_group_sums groups each mask's projected keys, each weighing its
-    count under y0 minus its count under y1.
+    is keyed by one int over its leakable events, each distinct key
+    weighing its count under y0 minus its count under y1.
+
+    A mask's masked-value TV depends only on how it splits the distinct
+    keys, so the events are first sorted into leak classes
+    (_leak_classes): events that split the keys alike share a class, and an
+    event that splits nothing has none.  _abs_group_sums then groups the
+    keys once per subset of the C classes, on one event per class, and
+    each mask reads the sum of the subset its events hit.  That is 2^C
+    grouped sums in place of 2^n; the size guards still count the 2^n x m
+    work of grouping every mask on its own.
     """
     circuit, _, level = _unpack(target, y0, y1)
     n = circuit.leakable.size
@@ -296,18 +308,30 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
         raise EvalError("size guard exceeded: mask enumeration too large")
     diff = np.bincount(codes[:rows], minlength=m) - np.bincount(codes[rows:], minlength=m)
 
+    # One grouped sum per subset of classes, keyed on each class's
+    # representative event; a key's projection under mask M is
+    # key & (M | M << n).  Subsets go _MASK_CHUNK_CELLS subset-key cells (a
+    # few MB) or one subset at a time.  A sum is at most 2 * rows <= 2^21.
+    class_bit, reps = _leak_classes(distinct, n)
+    subset_key = _bit_or((np.int64(1) << reps) | (np.int64(1) << (reps + n)))
+    subset_sums = np.empty(1 << len(reps), dtype=np.int32)
+    step = max(1, _MASK_CHUNK_CELLS // m)
+    for lo in range(0, len(subset_sums), step):
+        subsets = np.arange(lo, min(lo + step, len(subset_sums)), dtype=np.int64)
+        subset_sums[lo:lo + len(subsets)] = _abs_group_sums(
+            distinct & subset_key(subsets)[:, None], diff)
+
     # Every projected probability is a multiple of 1/rows with rows = 2^T,
     # so each mask's inner TV is exact whatever the summation order; only
-    # the weighted sum rounds, and it runs in ascending mask order.  Masks go
-    # _MASK_CHUNK_CELLS mask-key cells (a few MB) or one mask at a time.
+    # the weighted sum rounds, and it runs in ascending mask order, masks
+    # going _MASK_CHUNK_CELLS at a time.
     p = model.p
     weights = np.array([(p ** k) * ((1 - p) ** (n - k)) for k in range(n + 1)])
-    step = max(1, _MASK_CHUNK_CELLS // m)
+    subset_of = _bit_or(class_bit)
     tv = 0.0
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
-        # a key's projection under mask M is key & (M | M << n)
-        groups = _abs_group_sums(distinct & (masks | masks << n)[:, None], diff)
+    for lo in range(0, 1 << n, _MASK_CHUNK_CELLS):
+        masks = np.arange(lo, min(lo + _MASK_CHUNK_CELLS, 1 << n), dtype=np.int64)
+        groups = subset_sums[subset_of(masks)]
         w = weights[np.bitwise_count(masks)]
         terms = w * (0.5 * (groups / rows))
         # cumsum adds left to right, as `tv += term` over the masks would
@@ -320,6 +344,46 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
         samples=2 ** total_tape,
         details={"leakable_events": n, "tape_bits": total_tape, "p": p},
     )
+
+
+def _leak_classes(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leak classes of the n events keyed in the distinct int64 `keys` (bit
+    j an event's value, bit n + j that it ran).
+
+    Event j's column holds its symbol in each key, 0 (skipped), 1 (ran, 0)
+    or 2 (ran, 1), relabelled in order of first appearance.  Events with
+    equal relabelled columns split the keys alike and share a class; a
+    column of one symbol splits nothing and gets none.  Returns per event
+    1 << its class (0 for none), and per class one of its events."""
+    j = np.arange(n, dtype=np.int64)
+    symbols = (keys[:, None] >> j & 1) + (keys[:, None] >> (j + n) & 1)
+    seen = symbols == np.arange(3)[:, None, None]
+    first = np.where(seen.any(axis=1), seen.argmax(axis=1), len(keys))
+    # label[s, j]: how many of column j's symbols appear before symbol s
+    label = (first[None] < first[:, None]).sum(axis=1)
+    columns = label[symbols, j].T
+    split = np.flatnonzero(columns.any(axis=1))
+    _, first_event, cls = np.unique(columns[split], axis=0, return_index=True,
+                                    return_inverse=True)
+    class_bit = np.zeros(n, dtype=np.int64)
+    class_bit[split] = np.int64(1) << cls.ravel()
+    return class_bit, split[first_event]
+
+
+def _bit_or(bits: np.ndarray):
+    """The map from an int64 array x to, per int, the OR of bits[j] over
+    its set bits j, read from two tables, one per half of the positions."""
+    h = len(bits) // 2
+    low, high = _or_table(bits[:h]), _or_table(bits[h:])
+    return lambda x: low[x & ((1 << h) - 1)] | high[x >> h]
+
+
+def _or_table(bits: np.ndarray) -> np.ndarray:
+    """Entry M is the OR of bits[j] over the set bits j of M."""
+    table = np.zeros(1, dtype=np.int64)
+    for b in bits.tolist():
+        table = np.concatenate([table, table | b])
+    return table
 
 
 def _abs_group_sums(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from lrcirc.circuits import rows_per_batch, truth_table
+from lrcirc import lab
 from lrcirc.compiler import compile_circuit, location_report
 from lrcirc.lab import (
     LeakageModel,
@@ -276,16 +277,28 @@ RAW_MC = {
 }
 
 
+def _exact_json(target, y0, y1, x) -> str:
+    return _json([exact_tv_tiny(target, y0, y1, x, LeakageModel(p)).to_json_dict()
+                  for p in (0.01, 0.1, 0.3)])
+
+
 def _exact_reports(target, y0, y1, x) -> str:
-    reports = [exact_tv_tiny(target, y0, y1, x, LeakageModel(p)).to_json_dict()
-               for p in (0.01, 0.1, 0.3)]
-    return _sha(_json(reports))
+    return _sha(_exact_json(target, y0, y1, x))
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_CASES))
 def test_exact_reports_are_pinned(name):
     text, y0, y1, x = EXACT_CASES[name]
     assert _exact_reports(parse_netlist(text), y0, y1, x) == EXACT_DIGESTS[name]
+
+
+def test_exact_reports_do_not_depend_on_chunk_size(monkeypatch):
+    # at 4 cells a chunk, the leak-class pass and the mask pass of every
+    # case past a few events span several chunks; no report changes a byte
+    cases = [(parse_netlist(text), y0, y1, x) for text, y0, y1, x in EXACT_CASES.values()]
+    want = [_exact_json(*case) for case in cases]
+    monkeypatch.setattr(lab, "_MASK_CHUNK_CELLS", 4)
+    assert [_exact_json(*case) for case in cases] == want
 
 
 def test_compiled_exact_reports_are_pinned():

@@ -1,5 +1,6 @@
 """Leakage transcripts and distinguishing-advantage estimators."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -204,12 +205,51 @@ def _brute_force_transcript_tv(circ, y0, y1, p):
     return 0.5 * sum(abs(dists[0].get(k, 0.0) - dists[1].get(k, 0.0)) for k in keys)
 
 
+# events 4 (the Toffoli's target, s & r) and 5 (Z on r, run only when
+# s = 1) have equal value bits in every row, but event 5 is skipped where
+# event 4 reads 0: alone, event 4 has TV 1/2 and event 5 TV 1, so the two
+# must not share a leak class
+SKIP_VS_ZERO = "in secret s\nreg r\nreg c\ngate RAND r\ngate TOF s r c\ncgate 0 Z r\n"
+
+_ARITY = {"NOT": 1, "Z": 1, "CNOT": 2, "CZ": 2, "COPY": 2, "TOF": 3}
+_KINDS = ("NOT", "Z", "Z", "CNOT", "CZ", "COPY", "COPY", "TOF")  # Z and COPY twice as often
+
+
+def _random_raw_circuit(rng: random.Random) -> tuple[str, list[int], list[int]]:
+    """A raw circuit of at most 10 leakable events and 4 tape bits, and two
+    distinct secrets for it.  Gates act on random registers, so Z and COPY
+    repeat observations of one value and NOT complements it between them;
+    about a third are conditioned on an event that always runs (an input,
+    a tape bit or an unconditioned gate's port)."""
+    width, tape = rng.randint(1, 2), rng.randint(0, 4)
+    regs = [f"s{i}" for i in range(width)] + [f"r{i}" for i in range(tape)] + ["a", "b"]
+    lines = [f"in secret s{i}" for i in range(width)] + [f"reg {r}" for r in regs[width:]]
+    lines += [f"gate RAND r{i}" for i in range(tape)]
+    always = list(range(width + tape))
+    events, leaks, budget = width + tape, width, rng.randint(6, 10)
+    while leaks < budget:
+        kind = rng.choice([k for k in _KINDS if leaks + _ARITY[k] <= budget])
+        ops = " ".join(rng.sample(regs, _ARITY[kind]))
+        if rng.random() < 0.3:
+            lines.append(f"cgate {rng.choice(always)} {kind} {ops}")
+        else:
+            lines.append(f"gate {kind} {ops}")
+            always += range(events, events + _ARITY[kind])
+        events += _ARITY[kind]
+        leaks += _ARITY[kind]
+    y0, y1 = rng.sample([[(v >> k) & 1 for k in range(width)] for v in range(2 ** width)], 2)
+    return "\n".join(lines) + "\n", y0, y1
+
+
 @pytest.mark.parametrize("text,y0,y1", [
     (SECRET_WIRE, [0], [1]),
     (MASKED, [0], [1]),
     (ONE_TOFFOLI, [0, 1], [1, 0]),
     (ONE_TOFFOLI, [0, 0], [1, 1]),
     (CONDITIONED, [0], [1]),
+    pytest.param(SKIP_VS_ZERO, [0], [1], id="skip-vs-zero"),
+    *(pytest.param(*_random_raw_circuit(random.Random(seed)), id=f"generated-{seed}")
+      for seed in range(20)),
 ])
 def test_exact_tv_matches_full_transcript_enumeration(text, y0, y1):
     # dual route: the mask-decomposed oracle equals the direct transcript
