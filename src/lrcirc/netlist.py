@@ -92,6 +92,7 @@ def parse_netlist(text: str) -> Circuit:
         names[name] = len(registers)
         registers.append(Register(len(registers), name, role, init))
 
+    del names  # Circuit does not need it; free it before Circuit's tables
     try:
         return Circuit(registers, gates)
     except CircuitError as exc:
