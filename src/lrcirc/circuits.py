@@ -244,7 +244,7 @@ class Circuit:
         """Longest register-dependency chain through the gate list."""
         level = [0] * len(self.registers)
         for g in self.gates:
-            d = 1 + max(level[a] for a in g.args)
+            d = 1 + max(map(level.__getitem__, g.args))
             for a in g.args:
                 level[a] = d
         return max(level, default=0)
