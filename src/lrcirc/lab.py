@@ -5,7 +5,8 @@ round's transcript is the leaked set, the leaked values (null for events of
 skipped conditioned gates) and the decoded output.  Distinguishing power
 between two secrets at a fixed public input is measured three ways:
 
-* exact_tv_tiny enumerates tapes and masks outright (tiny circuits only),
+* exact_tv_tiny enumerates tapes and leak-class subsets outright (tiny
+  circuits only),
 * mc_advantage samples masks and estimates the per-mask value-distribution
   TV from paired tape samples, reporting an explicit upward-bias bound for
   the inner empirical TV,
@@ -51,7 +52,8 @@ count under y1|, which is twice a mask's masked-value TV times the row
 count.  mc_advantage runs it once per sampled mask.  exact_tv_tiny runs it
 once per subset of leak classes (_leak_classes), not per mask: events
 that split the distinct keys alike share a class, so a mask's grouping
-depends only on the classes it hits, and each mask reads its subset's sum.
+depends only on the set of classes it hits, and each subset is weighed
+by the closed-form probability that it is the set hit.
 """
 
 from __future__ import annotations
@@ -271,20 +273,23 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
     """Exact transcript TV between two secrets at fixed x, tiny circuits only.
 
     The mask distribution is secret-independent, so the transcript TV
-    decomposes as the mask-weighted sum of masked-value TVs; the seed x
-    tape rows (no seeds for a raw circuit) and the masks are both enumerated.
-    Each secret's seed x tape rows are evaluated in one batch and each row
-    is keyed by one int over its leakable events, each distinct key
-    weighing its count under y0 minus its count under y1.
+    decomposes as the mask-weighted sum of masked-value TVs.  The seed x
+    tape rows (no seeds for a raw circuit) are enumerated: each secret's
+    rows are evaluated in one batch and each row is keyed by one int over
+    its leakable events, each distinct key weighing its count under y0
+    minus its count under y1.
 
     A mask's masked-value TV depends only on how it splits the distinct
-    keys, so the events are first sorted into leak classes
-    (_leak_classes): events that split the keys alike share a class, and an
-    event that splits nothing has none.  _abs_group_sums then groups the
-    keys once per subset of the C classes, on one event per class, and
-    each mask reads the sum of the subset its events hit.  That is 2^C
-    grouped sums in place of 2^n; the size guards still count the 2^n x m
-    work of grouping every mask on its own.
+    keys, so the events are sorted into leak classes (_leak_classes):
+    events that split the keys alike share a class, and an event that
+    splits nothing has none.  A mask's TV is then that of the subset S of
+    the C classes it hits, and S is hit with probability P(S), the product
+    over the classes of 1 - (1 - p)^c for each class of c events in S and
+    (1 - p)^c for each one outside it.  So the TV is the sum over the 2^C
+    subsets of P(S) times S's TV, from one _abs_group_sums grouping per
+    subset on one event per class.  The size guards still count the 2^n x
+    m work of grouping every mask on its own.  details["leak_classes"]
+    gives C.
     """
     circuit, _, level = _unpack(target, y0, y1)
     n = circuit.leakable.size
@@ -308,41 +313,37 @@ def exact_tv_tiny(target, y0, y1, x, model: LeakageModel) -> AdvantageReport:
         raise EvalError("size guard exceeded: mask enumeration too large")
     diff = np.bincount(codes[:rows], minlength=m) - np.bincount(codes[rows:], minlength=m)
 
-    # One grouped sum per subset of classes, keyed on each class's
-    # representative event; a key's projection under mask M is
-    # key & (M | M << n).  Subsets go _MASK_CHUNK_CELLS subset-key cells (a
-    # few MB) or one subset at a time.  A sum is at most 2 * rows <= 2^21.
-    class_bit, reps = _leak_classes(distinct, n)
-    subset_key = _bit_or((np.int64(1) << reps) | (np.int64(1) << (reps + n)))
-    subset_sums = np.empty(1 << len(reps), dtype=np.int32)
-    step = max(1, _MASK_CHUNK_CELLS // m)
-    for lo in range(0, len(subset_sums), step):
-        subsets = np.arange(lo, min(lo + step, len(subset_sums)), dtype=np.int64)
-        subset_sums[lo:lo + len(subsets)] = _abs_group_sums(
-            distinct & subset_key(subsets)[:, None], diff)
-
-    # Every projected probability is a multiple of 1/rows with rows = 2^T,
-    # so each mask's inner TV is exact whatever the summation order; only
-    # the weighted sum rounds, and it runs in ascending mask order, masks
-    # going _MASK_CHUNK_CELLS at a time.
+    # per class of c events, quiet = (1 - p)^c and hit = 1 - quiet, through
+    # log1p and expm1 to stay accurate at small p; p = 1 takes log 0 = -inf.
+    # Scalar math on the few classes: NumPy's exp, expm1 and negative loops
+    # would map about 0.4 MB more of its library on first use.
+    reps, sizes = _leak_classes(distinct, n)
     p = model.p
-    weights = np.array([(p ** k) * ((1 - p) ** (n - k)) for k in range(n + 1)])
-    subset_of = _bit_or(class_bit)
-    tv = 0.0
-    for lo in range(0, 1 << n, _MASK_CHUNK_CELLS):
-        masks = np.arange(lo, min(lo + _MASK_CHUNK_CELLS, 1 << n), dtype=np.int64)
-        groups = subset_sums[subset_of(masks)]
-        w = weights[np.bitwise_count(masks)]
-        terms = w * (0.5 * (groups / rows))
-        # cumsum adds left to right, as `tv += term` over the masks would
-        tv = float(np.cumsum(np.concatenate(([tv], terms[w != 0.0])))[-1])
-    # the mask weights sum to 1, so a sum past 1 is rounding (up to ~2e-13
-    # when every leaking mask has TV 1)
-    tv = min(tv, 1.0)
+    log_1mp = math.log1p(-p) if p < 1 else -math.inf
+    log_quiet = [c * log_1mp for c in sizes.tolist()]
+    quiet = np.array([math.exp(v) for v in log_quiet])
+    hit = np.array([-math.expm1(v) for v in log_quiet])
+    rep_key = (np.int64(1) << reps) | (np.int64(1) << (reps + n))
+    # One grouped sum per subset S, keyed on each class's representative
+    # event: a key's projection on S is key & (inside @ rep_key), the
+    # classes' key bits being disjoint.  Subsets go _MASK_CHUNK_CELLS
+    # subset-key cells (a few MB) or one subset at a time.  Every projected
+    # probability is a multiple of 1/rows with rows = 2^T, so each inner TV
+    # is exact; fsum rounds the weighted sum once, whatever the chunks.
+    terms = np.empty(1 << len(reps))
+    step = max(1, _MASK_CHUNK_CELLS // m)
+    for lo in range(0, len(terms), step):
+        subsets = np.arange(lo, min(lo + step, len(terms)))
+        inside = (subsets[:, None] >> np.arange(len(reps)) & 1).astype(bool)
+        sums = _abs_group_sums(distinct & (inside @ rep_key)[:, None], diff)
+        terms[subsets] = np.where(inside, hit, quiet).prod(axis=1) * (0.5 * sums / rows)
+    # the subset probabilities sum to 1, so a sum past 1 is rounding
+    tv = min(math.fsum(terms), 1.0)
     return AdvantageReport(
         estimate=tv, std_error=0.0, bias_bound=0.0, method="exact-tiny",
         samples=2 ** total_tape,
-        details={"leakable_events": n, "tape_bits": total_tape, "p": p},
+        details={"leakable_events": n, "tape_bits": total_tape, "p": p,
+                 "leak_classes": len(reps)},
     )
 
 
@@ -353,8 +354,8 @@ def _leak_classes(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Event j's column holds its symbol in each key, 0 (skipped), 1 (ran, 0)
     or 2 (ran, 1), relabelled in order of first appearance.  Events with
     equal relabelled columns split the keys alike and share a class; a
-    column of one symbol splits nothing and gets none.  Returns per event
-    1 << its class (0 for none), and per class one of its events."""
+    column of one symbol splits nothing and gets none.  Returns per class
+    one of its events and its event count."""
     j = np.arange(n, dtype=np.int64)
     symbols = (keys[:, None] >> j & 1) + (keys[:, None] >> (j + n) & 1)
     seen = symbols == np.arange(3)[:, None, None]
@@ -365,25 +366,7 @@ def _leak_classes(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     split = np.flatnonzero(columns.any(axis=1))
     _, first_event, cls = np.unique(columns[split], axis=0, return_index=True,
                                     return_inverse=True)
-    class_bit = np.zeros(n, dtype=np.int64)
-    class_bit[split] = np.int64(1) << cls.ravel()
-    return class_bit, split[first_event]
-
-
-def _bit_or(bits: np.ndarray):
-    """The map from an int64 array x to, per int, the OR of bits[j] over
-    its set bits j, read from two tables, one per half of the positions."""
-    h = len(bits) // 2
-    low, high = _or_table(bits[:h]), _or_table(bits[h:])
-    return lambda x: low[x & ((1 << h) - 1)] | high[x >> h]
-
-
-def _or_table(bits: np.ndarray) -> np.ndarray:
-    """Entry M is the OR of bits[j] over the set bits j of M."""
-    table = np.zeros(1, dtype=np.int64)
-    for b in bits.tolist():
-        table = np.concatenate([table, table | b])
-    return table
+    return split[first_event], np.bincount(cls.ravel())
 
 
 def _abs_group_sums(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -9,10 +9,15 @@ byte-identical.  Changing any of them must be a deliberate decision.
 
 import hashlib
 import json
+import math
+import warnings
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from lrcirc.circuits import rows_per_batch, truth_table
+from lrcirc.circuits import RandomTape, evaluate, rows_per_batch, truth_table
 from lrcirc import lab
 from lrcirc.compiler import compile_circuit, location_report
 from lrcirc.lab import (
@@ -181,10 +186,11 @@ def test_level2_transcripts_are_pinned(one_toffoli_level2):
     assert _sha(_json([t.to_json_dict() for t in ts])) == LAB_DIGESTS["run_rounds_l2"]
 
 
-# Exact-oracle reports and truth tables, pinned while both still ran the
-# scalar evaluate once per row, and raw-circuit transcripts, pinned with
-# the level-1 and level-2 ones.  The conditioned fixtures end their
-# outputs on conditioned touches.
+# Truth tables, pinned while they still ran the scalar evaluate once per
+# row; exact-oracle reports, pinned when the oracle began weighing each
+# subset of leak classes by its probability and reporting the class count;
+# and raw-circuit transcripts, pinned with the level-1 and level-2 ones.
+# The conditioned fixtures end their outputs on conditioned touches.
 MIXED_3REG = (
     "in secret s\nin public x\nout o\n"
     "gate NOT s\ngate CNOT x o\ngate TOF s x o\ngate NOT o\n"
@@ -201,11 +207,11 @@ CGATE_LAST = (
     "gate RAND r\ngate CNOT s o\ngate TOF t x q\n"
     "cgate 2 NOT o\ncgate 1 CNOT r q\n"
 )
-# Cases whose 2^n masks span several of exact_tv_tiny's mask chunks (4, 2
-# and 4), so each chunk's sum must carry into the next: the 17-event CNOT
-# chain of test_lab, and one random.Random(42) circuit each of perfbench's
+# Larger cases: the 17-event CNOT chain of test_lab, whose events all share
+# one leak class, and one random.Random(42) circuit each of perfbench's
 # (13, 13, 3) and (15, 12, 2) tiny shapes (leakable events, tape bits,
-# tape bits read by a leakable gate).
+# tape bits read by a leakable gate), of 6 leak classes each, whose 64
+# subsets go one chunk each at 4 cells a chunk.
 CNOT_CHAIN = ("in secret s\n" + "".join(f"reg a{i}\n" for i in range(8))
               + "gate CNOT s a0\n" + "".join(f"gate CNOT a{i} a{i + 1}\n" for i in range(7)))
 TINY_13_13_3 = (
@@ -242,17 +248,17 @@ EXACT_CASES = {
     "tiny_15_12_2": (TINY_15_12_2, [0, 1], [0, 0], []),
 }
 EXACT_DIGESTS = {
-    "wire": "da0653beae4d514f",
-    "masked": "45713324a88abd28",
-    "toffoli": "f9e6d0d4fd1f57e5",
-    "cgate_x0": "b4c920c728fdedb1",
-    "cgate_x1": "33af672a341cab72",
-    "cgate_last": "bd6a2e5c4c79b230",
-    "rand_only": "213f1acdac528cf5",
-    "compiled_wire": "a03a19620b296724",
-    "cnot_chain": "e9a94addc4a1fd7d",
-    "tiny_13_13_3": "4ea6b08cbc2b69ba",
-    "tiny_15_12_2": "bc36294a0b10761c",
+    "wire": "f4bc7089b3d572c7",
+    "masked": "906bf84ede48c627",
+    "toffoli": "7b4c8781536b259c",
+    "cgate_x0": "5da49ab165686f2e",
+    "cgate_x1": "49c0aac6e9def2ac",
+    "cgate_last": "e02a00b189f28f39",
+    "rand_only": "b208da12f3e6fdea",
+    "compiled_wire": "8e33afaedebb2274",
+    "cnot_chain": "c42ac52872f714bf",
+    "tiny_13_13_3": "be91f7151fbc7b4d",
+    "tiny_15_12_2": "7e02842115cb4ffa",
 }
 TRUTH_TABLES = {
     "one": (ONE_TOFFOLI, "450cc06aac76fd5c"),
@@ -293,12 +299,81 @@ def test_exact_reports_are_pinned(name):
 
 
 def test_exact_reports_do_not_depend_on_chunk_size(monkeypatch):
-    # at 4 cells a chunk, the leak-class pass and the mask pass of every
-    # case past a few events span several chunks; no report changes a byte
+    # at 4 cells a chunk, every case of more than one leak class spans
+    # several subset chunks; fsum rounds once, so no report changes a byte
     cases = [(parse_netlist(text), y0, y1, x) for text, y0, y1, x in EXACT_CASES.values()]
     want = [_exact_json(*case) for case in cases]
     monkeypatch.setattr(lab, "_MASK_CHUNK_CELLS", 4)
     assert [_exact_json(*case) for case in cases] == want
+
+
+def _l1_by_mask_size(circ, y0, y1, x, masks) -> list[int]:
+    """Per mask size k, the sum over the `masks` of k events (bit j for
+    leakable event j) of the L1 distance between the two secrets' counts of
+    masked values over every tape, from the scalar evaluate."""
+    leakable = circ.leakable.tolist()
+    tapes = list(product((0, 1), repeat=circ.rand_count))
+    rows = [[tuple(map(evaluate(circ, y, x, RandomTape.of(t)).values.__getitem__, leakable))
+             for t in tapes] for y in (y0, y1)]
+    by_size = [0] * (len(leakable) + 1)
+    for mask in masks:
+        picked = [j for j in range(len(leakable)) if mask >> j & 1]
+        counts = Counter(tuple(r[j] for j in picked) for r in rows[0])
+        counts.subtract(tuple(r[j] for j in picked) for r in rows[1])
+        by_size[len(picked)] += sum(map(abs, counts.values()))
+    return by_size
+
+
+def _rational_tv(circ, by_size, p) -> Fraction:
+    """The transcript TV in exact rationals at leak rate p, from the
+    per-mask-size sums of _l1_by_mask_size over every mask."""
+    n, p = len(by_size) - 1, Fraction(p)
+    total = sum(p ** k * (1 - p) ** (n - k) * s for k, s in enumerate(by_size))
+    return total / (2 * 2 ** circ.rand_count)
+
+
+def _ulps_off(got: float, want: Fraction) -> float:
+    """|got - want| in units of the last place of want as a float."""
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(float(want))))
+
+
+# the cases small enough to brute-force over masks and tapes
+_RATIONAL_CASES = sorted(name for name, (text, *_) in EXACT_CASES.items()
+                         for circ in [parse_netlist(text)]
+                         if circ.leakable.size <= 13 and circ.rand_count <= 6)
+
+
+@pytest.mark.parametrize("name", _RATIONAL_CASES)
+def test_exact_reports_are_accurate_to_a_few_ulps(name):
+    text, y0, y1, x = EXACT_CASES[name]
+    circ = parse_netlist(text)
+    by_size = _l1_by_mask_size(circ, y0, y1, x, range(1 << circ.leakable.size))
+    for p in (0.01, 0.1, 0.3):
+        got = exact_tv_tiny(circ, y0, y1, x, LeakageModel(p)).estimate
+        assert _ulps_off(got, _rational_tv(circ, by_size, p)) <= 4, p
+
+
+def test_cnot_chain_report_is_accurate_to_a_few_ulps():
+    # every leaking mask has TV 1, so the TV is 1 - (1 - p)^17
+    text, y0, y1, x = EXACT_CASES["cnot_chain"]
+    circ = parse_netlist(text)
+    for p in (0.01, 0.1, 0.3):
+        got = exact_tv_tiny(circ, y0, y1, x, LeakageModel(p)).estimate
+        assert _ulps_off(got, 1 - (1 - Fraction(p)) ** 17) <= 4, p
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_exact_reports_at_the_edge_rates(name):
+    # nothing leaks at p = 0; at p = 1 every event leaks, so the TV is the
+    # full mask's, a multiple of 2^-(T + 1) and so exact in a float
+    text, y0, y1, x = EXACT_CASES[name]
+    circ = parse_netlist(text)
+    full = (1 << circ.leakable.size) - 1
+    want = _rational_tv(circ, _l1_by_mask_size(circ, y0, y1, x, [full]), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact_tv_tiny(circ, y0, y1, x, LeakageModel(0.0)).estimate == 0.0
+        assert exact_tv_tiny(circ, y0, y1, x, LeakageModel(1.0)).estimate == want
 
 
 def test_compiled_exact_reports_are_pinned():
