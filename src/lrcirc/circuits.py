@@ -9,14 +9,15 @@ inputs first (in declaration order), then one block of ids per gate, ordered
 by the gate's operand order.  `Register` and `Gate` are plain records;
 `Circuit` checks them.
 
-Gates may carry a classical condition: a wire-event id whose runtime value
-gates execution.  A skipped gate updates no register and records no values;
-its event slots stay empty (no-op markers), so the skipped branch exposes
-nothing to leakage.  A skipped RAND still consumes its tape bit, which keeps
-tape consumption a static property of the circuit.  `Circuit` fixes two
-read-only arrays once: `leakable`, the ascending ids of the events that
-can leak (all but RAND's, which are leak-free), and `conditioned`, which
-flags the events of conditioned gates, the only ones a row can skip.
+Gates may carry a classical condition: an input's or unconditioned gate's
+event, a plain bit on every row, which gates execution.  A skipped gate
+updates no register and records no values; its event slots stay empty
+(no-op markers), so the skipped branch exposes nothing to leakage.  A
+skipped RAND still consumes its tape bit, which keeps tape consumption a
+static property of the circuit.  `Circuit` fixes two read-only arrays
+once: `leakable`, the ascending ids of the events that can leak (all but
+RAND's, which are leak-free), and `conditioned`, which flags the events of
+conditioned gates, the only ones a row can skip.
 
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
@@ -90,7 +91,7 @@ class CircuitError(ValueError):
 
 
 class EvalError(RuntimeError):
-    """Raised when evaluation cannot proceed (bad inputs, tape exhausted)."""
+    """Raised for inputs or a tape whose length does not fit the circuit."""
 
 
 @contextmanager
@@ -155,7 +156,6 @@ class Trace:
 
     values: tuple[int | None, ...]
     outputs: dict[str, int]
-    tape_used: int
 
 
 class Circuit:
@@ -163,9 +163,10 @@ class Circuit:
 
     The one owner of every structural rule: it raises `CircuitError`,
     naming the gate or register at fault, for a sparse register id, a
-    repeated register name, a wrong operand count, a repeated or undeclared
-    operand, a condition that does not precede its gate, or an output that
-    no gate writes.
+    repeated register name, an `init` other than 0 or 1 or an `init` of 1
+    outside an internal register, a wrong operand count, a repeated or
+    undeclared operand, a condition that does not precede its gate or that
+    is an event of a conditioned gate, or an output that no gate writes.
     """
 
     def __init__(self, registers: list[Register], gates: list[Gate]):
@@ -185,12 +186,15 @@ class Circuit:
             if reg.name in names:
                 raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
             names.add(reg.name)
+            if reg.init and (reg.init != 1 or reg.role is not Role.INTERNAL):
+                raise CircuitError(f"register {reg.name!r} cannot have init {reg.init}: only "
+                                   "an internal register may start at 1", register=i)
             if reg.role in (Role.SECRET, Role.PUBLIC):
                 self.input_events[reg.id] = eid
                 eid += 1
         del names  # 512 KB at level 2, freed before the gate tables grow
         nregs = len(self.registers)
-        gate_events, cond_events = [], []
+        gate_events, skippable = [], set()
         for gi, g in enumerate(self.gates):
             if len(g.args) != g.kind.arity:
                 raise CircuitError(f"{g.kind.value} takes {g.kind.arity} operand(s), "
@@ -205,7 +209,10 @@ class Circuit:
                 if not 0 <= g.cond < eid:
                     raise CircuitError(f"condition event {g.cond} does not precede the gate "
                                        "it controls", gate=gi)
-                cond_events.extend(events)
+                if g.cond in skippable:
+                    raise CircuitError(f"condition event {g.cond} is an event of a "
+                                       "conditioned gate, which a run may skip", gate=gi)
+                skippable.update(events)
             gate_events.append(tuple(events))
             eid += len(g.args)
         self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
@@ -216,7 +223,7 @@ class Circuit:
         self.rand_count = len(self.leak_free)
         # decided once for every estimator and batch (see the module docstring)
         self.leakable = np.delete(np.arange(eid), list(self.leak_free))
-        self.conditioned = np.isin(np.arange(eid), cond_events)
+        self.conditioned = np.isin(np.arange(eid), list(skippable))
         self.leakable.flags.writeable = self.conditioned.flags.writeable = False
         written = {g.args[g.kind.write_port] for g in self.gates
                    if g.kind.write_port is not None}
@@ -261,10 +268,10 @@ def evaluate(circuit: Circuit, secret, public, tape: RandomTape) -> Trace:
     arguments: NOT/CNOT/TOF act as the usual boolean maps, Z and CZ leave
     values unchanged (their events record the operand values), RAND
     overwrites its target with the next tape bit, COPY duplicates a value.
+    A tape of other than `rand_count` bits is refused before a gate runs.
     """
     vals, events = _run(circuit, secret, public, tape)
-    outputs = {r.name: vals[r.id] for r in circuit.output_regs}
-    return Trace(tuple(events), outputs, circuit.rand_count)
+    return Trace(tuple(events), {r.name: vals[r.id] for r in circuit.output_regs})
 
 
 def register_file(circuit: Circuit, secret, public, tape: RandomTape) -> tuple[int, ...]:
@@ -284,6 +291,8 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
         raise EvalError(
             f"expected {len(circuit.public_regs)} public bits, got {len(public)}"
         )
+    if len(tape.bits) != circuit.rand_count:
+        raise EvalError(f"expected {circuit.rand_count} tape bits, got {len(tape.bits)}")
 
     vals = [r.init for r in circuit.registers]
     for reg, bit in zip(circuit.secret_regs, secret):
@@ -295,19 +304,12 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
     for rid, eid in circuit.input_events.items():
         events[eid] = vals[rid]
 
-    cursor = 0
+    tape_bits = iter(tape.bits)
     for g, eids in zip(circuit.gates, circuit.gate_events):
         if g.kind is GateKind.RAND:
-            if cursor >= len(tape.bits):
-                raise EvalError("random tape exhausted")
-            fresh = tape.bits[cursor]
-            cursor += 1
-        if g.cond is not None:
-            c = events[g.cond]
-            if c is None:
-                raise EvalError(f"condition references skipped event {g.cond}")
-            if c == 0:
-                continue  # no-op marker: event slots stay None
+            fresh = next(tape_bits)
+        if g.cond is not None and events[g.cond] == 0:
+            continue  # no-op marker: event slots stay None
         a = g.args
         if g.kind is GateKind.NOT:
             vals[a[0]] ^= 1
@@ -360,7 +362,8 @@ class EventBatch:
     is 0.  Input events and events of unconditioned gates share the
     all-ones int `full` as their presence; the circuit's bool array
     `conditioned` marks the events of conditioned gates, the only ones
-    whose presence can differ from it.  `registers[i]` is register i's
+    whose presence can differ from it; a condition's event is never one of
+    them, so its presence is always `full`.  `registers[i]` is register i's
     final value plane.  Consumers read the planes directly (popcounts,
     masks) or unpack the events they need, over all rows or one row window
     per event, with `matrix`.
@@ -456,8 +459,6 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
                 for rid, ev in zip(a, eids):
                     values[ev] = vals[rid]
             continue
-        if presence[g.cond] != full:
-            raise EvalError(f"condition references skipped event {g.cond}")
         run = values[g.cond]  # the rows where the gate runs
         if kind is CNOT:
             vals[a[1]] ^= vals[a[0]] & run

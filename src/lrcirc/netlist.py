@@ -12,8 +12,8 @@ Grammar (UTF-8, one statement per line, '#' starts a comment):
 
 All declarations must precede all gates, so wire-event ids (inputs first,
 then gate ports in program order) match line order.  `cgate` prefixes any
-gate form with the wire-event id (ASCII decimal digits) whose runtime value
-conditions execution.
+gate form with the id (ASCII decimal digits) of the wire event whose value
+conditions execution: an input's or an unconditioned gate's event.
 Lines end only at \n, \r\n or \r, the line ends that open() reads in
 text mode; other characters that str.splitlines() breaks at (\v, \f,
 \x1c-\x1e, \x85, U+2028, U+2029) separate tokens like spaces, and inside a

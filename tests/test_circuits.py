@@ -96,10 +96,19 @@ def test_determinism():
     assert evaluate(circ, [1], [], t) == evaluate(circ, [1], [], t)
 
 
+class _NoGateMayRun(tuple):
+    def __iter__(self):
+        raise AssertionError("a gate ran")
+
+
 def test_tape_exhausted():
+    # a short tape and a long tape are both refused before any gate runs
     circ = parse_netlist("reg a\ngate RAND a\ngate RAND a\n")
-    with pytest.raises(EvalError, match="tape exhausted"):
-        evaluate(circ, [], [], RandomTape.of([1]))
+    circ.gates = _NoGateMayRun(circ.gates)
+    for bits in ([1], [1, 0, 1]):
+        for run in (evaluate, register_file):
+            with pytest.raises(EvalError, match=f"expected 2 tape bits, got {len(bits)}"):
+                run(circ, [], [], RandomTape.of(bits))
 
 
 def test_input_length_mismatch():
@@ -162,8 +171,20 @@ _S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
      "duplicate register name 's'", None, 2),
     ([_S, _O, Register(3, "t", Role.INTERNAL)], [Gate(GateKind.CNOT, (0, 1))],
      "dense, got 3 at 2", None, 2),
+    # event 3 is the port of a conditioned NOT, which the rows with o = 0 skip
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (1,), cond=2),
+                Gate(GateKind.NOT, (1,), cond=3)],
+     "condition event 3 is an event of a conditioned gate", 2, None),
+    ([_S, _O, Register(2, "t", Role.INTERNAL, init=2)], [Gate(GateKind.CNOT, (0, 1))],
+     "register 't' cannot have init 2", None, 2),
+    ([_S, _O, Register(2, "p", Role.OUTPUT, init=1)],
+     [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 2))],
+     "register 'p' cannot have init 1", None, 2),
+    ([_S, _O, Register(2, "x", Role.PUBLIC, init=1)], [Gate(GateKind.CNOT, (0, 1))],
+     "register 'x' cannot have init 1", None, 2),
 ], ids=["undeclared-register", "duplicate-operand", "operand-count", "late-condition",
-        "unwritten-output", "duplicate-name", "sparse-id"])
+        "unwritten-output", "duplicate-name", "sparse-id", "skippable-condition",
+        "init-2", "output-init-1", "input-init-1"])
 def test_circuit_error_names_the_failing_gate_or_register(regs, gates, match, gate, register):
     # netlist error lines come from these attributes; each case fails past
     # the first gate or register

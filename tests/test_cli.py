@@ -333,6 +333,39 @@ def test_bad_netlist_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+# line 7 conditions a CNOT on event 2, the port of line 6's conditioned
+# NOT, which the runs with r = 0 skip
+_SKIPPABLE = ("in secret s\nreg r\nreg a\nout o\ngate RAND r\n"
+              "cgate 1 NOT a\ncgate 2 CNOT a o\ngate CNOT s o\n")
+
+
+def test_a_skippable_condition_fails_every_run_at_its_line(capsys, tmp_path):
+    # `run` used to exit 0 for 5 of these 12 seeds and round counts, since
+    # the evaluator raised only when a sampled row skipped event 2, and both
+    # commands named no line when they failed
+    net = tmp_path / "skippable.net"
+    net.write_text(_SKIPPABLE)
+    out = tmp_path / "rounds.jsonl"
+    for seed in range(6):
+        for rounds in ("1", "3"):
+            code, stdout, err = run_cli(
+                capsys, "run", "--circuit", net, "--secret", "0", "--rounds", rounds,
+                "--leak-p", "0.5", "--seed", seed, "--out", out,
+            )
+            assert (code, stdout) == (1, "")
+            assert err.startswith("error: line 7: ")
+            assert not out.exists()
+    errors = set()
+    for y0 in ("0", "1"):
+        code, stdout, err = run_cli(
+            capsys, "analyze", "--circuit", net, "--mode", "exact", "--y0", y0,
+            "--y1", "1", "--leak-p", "0.5", "--seed", "0",
+        )
+        assert (code, stdout) == (1, "")
+        errors.add(err)
+    assert len(errors) == 1 and errors.pop().startswith("error: line 7: ")
+
+
 def test_analyze_byte_identical_reports(capsys, tmp_path, toffoli_netlist):
     reports = []
     for name in ("r1.json", "r2.json"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcirc.circuits import Gate, GateKind, Register, Role
+from lrcirc.circuits import Circuit, CircuitError, Gate, GateKind, Register, Role
 from lrcirc.netlist import NetlistError, parse_netlist, serialize_netlist
 
 # 20-line canonical fixture exercising every statement form
@@ -98,6 +98,9 @@ def test_cgate_parses_condition():
         # more digits than int() converts by default
         ("in secret s\nout o\ncgate " + "1" * 5000 + " NOT o\n", "line 3.*bad event reference"),
         ("in secret s\ncgate 0\n", "line 2: expected: cgate"),
+        # event 1 is the port of the NOT that the runs with s = 0 skip
+        ("in secret s\nout o\ncgate 0 NOT o\ncgate 1 NOT o\n",
+         "line 4: condition event 1 is an event of a conditioned gate"),
         ("gate\n", "line 1: expected: gate"),
         ("out a b\n", "line 1: expected: out"),
         ("in secret 9x\n", "line 1: bad register name '9x'"),
@@ -179,11 +182,13 @@ _COMMENTS = st.text(alphabet=" \tgate#1" + "".join(_NOT_LINE_ENDS),
 
 @st.composite
 def decorated_netlists(draw):
-    """(text, canonical text, registers, gates): a valid netlist over every
-    statement form, written with spaces, tabs, comments (which may hold
-    characters that str.splitlines() breaks at), blank lines and \\n, \\r\\n
-    or \\r endings, and the Register and Gate tuples it declares, built
-    directly."""
+    """(text, canonical text, registers, gates, refused): a netlist over
+    every statement form, written with spaces, tabs, comments (which may
+    hold characters that str.splitlines() breaks at), blank lines and \\n,
+    \\r\\n or \\r endings, and the Register and Gate tuples it declares,
+    built directly.  A condition may be any earlier event; `refused` is
+    (gate index, line number) of the first one that is an event of a
+    conditioned gate, or None when there is none."""
     names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True),
                           min_size=1, max_size=6, unique=True))
     registers, statements = [], []
@@ -207,17 +212,24 @@ def decorated_netlists(draw):
     drawn = [(kind, draw(st.permutations(range(len(names))))[:kind.arity])
              for kind in draw(st.lists(st.sampled_from(kinds), max_size=6))]
     drawn += [(GateKind.NOT, [r.id]) for r in registers if r.role is Role.OUTPUT]
+    skippable, refused = set(), None
     for kind, args in drawn:
         cond = draw(st.none() | st.integers(0, events - 1)) if events else None
+        if cond is not None:
+            if cond in skippable and refused is None:
+                refused = len(gates)
+            skippable.update(range(events, events + kind.arity))
         gates.append(Gate(kind, tuple(args), cond))
         ops = [names[a] for a in args]
         tok = ["gate", kind.value, *ops] if cond is None else ["cgate", str(cond), kind.value, *ops]
         statements.append((tok, tok))
         events += kind.arity
 
-    lines = []
+    lines, gate_lines = [], []
     for tok, _ in statements:
         lines += draw(st.lists(_MARGINS | _COMMENTS, max_size=2))
+        if tok[0] in ("gate", "cgate"):
+            gate_lines.append(len(lines))
         line = draw(_MARGINS) + tok[0]
         for word in tok[1:]:
             line += draw(_GAPS) + word
@@ -225,16 +237,32 @@ def decorated_netlists(draw):
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
+    if refused is not None:
+        # count the line ends before the refused gate's line as open() reads them
+        start = sum(len(line + end) for line, end in zip(lines[:gate_lines[refused]], ends))
+        head = text[:start].replace("\r\n", "\n").replace("\r", "\n")
+        refused = refused, head.count("\n") + 1
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
     canonical = "".join(" ".join(canon) + "\n" for _, canon in statements)
-    return text, canonical, tuple(registers), tuple(gates)
+    return text, canonical, tuple(registers), tuple(gates), refused
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(decorated_netlists())
 def test_parse_equals_direct_construction_and_serializes_canonically(case):
-    text, canonical, registers, gates = case
+    text, canonical, registers, gates, refused = case
+    if refused is not None:
+        # parsing, of either text, and direct construction refuse it alike
+        at, line_no = refused
+        with pytest.raises(CircuitError, match="is an event of a conditioned gate") as built:
+            Circuit(registers, gates)
+        assert built.value.gate == at
+        for source, line in ((text, line_no), (canonical, len(registers) + at + 1)):
+            with pytest.raises(NetlistError) as parsed:
+                parse_netlist(source)
+            assert (parsed.value.line_no, str(parsed.value)) == (line, f"line {line}: {built.value}")
+        return
     circ = parse_netlist(text)
     assert circ.registers == registers
     assert circ.gates == gates

@@ -3,7 +3,8 @@ circuits, the batch evaluator and truth tables against the scalar
 evaluate, the array secret encoder, the row tally, the Monte-Carlo
 estimator, the transcript sampler, the name allocator and the snapshot
 pairs against their loop references, netlist errors on generated circuits
-with one injected fault, and the size guards."""
+with one injected fault, refusals of skippable conditions, the netlist
+round trip of directly built circuits, and the size guards."""
 
 import json
 import math
@@ -20,13 +21,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrcirc.circuits import (
+    Circuit,
+    CircuitError,
     EvalError,
+    Gate,
     GateKind,
     RandomTape,
+    Register,
+    Role,
     batch_outputs,
     bit_rows,
     evaluate,
     evaluate_batch,
+    register_file,
     rows_per_batch,
     truth_table,
 )
@@ -130,7 +137,7 @@ def raw_netlists(draw, any_condition=False):
     gate, including each output's final write, may be conditioned on an
     earlier event that always runs (an input or an unconditioned gate's
     port), or with `any_condition` on any earlier event, so a condition
-    may read an event its own gate's condition skipped."""
+    may be an event of a conditioned gate, which Circuit refuses."""
     secret = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
     public = [f"x{i}" for i in range(draw(st.integers(0, 2)))]
     inits = draw(st.lists(st.integers(0, 1), max_size=2))
@@ -350,42 +357,80 @@ def test_snapshot_pairs_are_decided_once(toffoli_l2, level, count):
     assert list(map(tuple, pairs.tolist())) == _reference_snapshot_pairs(comp)
 
 
-def _eval_error(fn, *args):
-    try:
-        fn(*args)
-    except EvalError as exc:
-        return str(exc)
+def raw_records(text):
+    """The Register and Gate records of a `raw_netlists` text, built
+    without parse_netlist."""
+    registers, gates, ids = [], [], {}
+    for tok in map(str.split, text.splitlines()):
+        if tok[0] in ("gate", "cgate"):
+            cond = int(tok.pop(1)) if tok[0] == "cgate" else None
+            gates.append(Gate(GateKind(tok[1]), tuple(ids[n] for n in tok[2:]), cond))
+            continue
+        if tok[0] == "in":
+            name, role = tok[2], Role.SECRET if tok[1] == "secret" else Role.PUBLIC
+        else:
+            name, role = tok[1], Role.OUTPUT if tok[0] == "out" else Role.INTERNAL
+        ids[name] = len(registers)
+        registers.append(Register(len(registers), name, role, int(tok[-2:] == ["init", "1"])))
+    return registers, gates
+
+
+def skippable_condition(registers, gates):
+    """Index of the first gate whose condition is an event of an earlier
+    conditioned gate, or None."""
+    events = sum(r.role in (Role.SECRET, Role.PUBLIC) for r in registers)
+    skippable = set()
+    for gi, g in enumerate(gates):
+        if g.cond is not None:
+            if g.cond in skippable:
+                return gi
+            skippable.update(range(events, events + len(g.args)))
+        events += len(g.args)
     return None
+
+
+# event 2 is the port of `cgate 1 NOT a`, which the rows with r = 0 skip
+_SKIPPABLE = ("in secret s\nreg r\nreg a\nout o\ngate RAND r\n"
+              "cgate 1 NOT a\ncgate 2 CNOT a o\ngate CNOT s o\n")
 
 
 @_SETTINGS
 @given(raw_netlists(any_condition=True))
-def test_condition_on_a_skipped_event_raises_like_evaluate(text):
+@example(_SKIPPABLE)
+def test_a_skippable_condition_is_refused_when_built(text):
+    registers, gates = raw_records(text)
+    at = skippable_condition(registers, gates)
+    if at is not None:
+        # the k-th gate is on line k after the declarations
+        line_no = len(registers) + at + 1
+        with pytest.raises(NetlistError) as parsed:
+            parse_netlist(text)
+        assert parsed.value.line_no == line_no
+        with pytest.raises(CircuitError, match="is an event of a conditioned gate") as built:
+            Circuit(registers, gates)
+        assert built.value.gate == at
+        assert str(parsed.value) == f"line {line_no}: {built.value}"
+        return
     circ = parse_netlist(text)
+    assert (circ.registers, circ.gates) == (tuple(registers), tuple(gates))
+    # every condition is a plain bit: each row runs under both evaluators
     ns, npub = len(circ.secret_regs), len(circ.public_regs)
     rows = bit_rows(ns + npub + circ.rand_count)
     secs, pubs, tapes = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
-    errors = []
-    for i in range(len(rows)):
-        want = _eval_error(evaluate, circ, secs[i], pubs[i], RandomTape.of(tapes[i]))
-        # a one-row batch fails exactly when, and with the message, evaluate does
-        got = _eval_error(evaluate_batch, circ, secs[i:i + 1], pubs[i:i + 1], tapes[i:i + 1])
-        assert got == want
-        errors.append(want)
-    # the whole batch fails when any row does, with one of the rows' errors
-    got = _eval_error(evaluate_batch, circ, secs, pubs, tapes)
-    if any(errors):
-        assert got is not None and got in errors
-        assert got.startswith("condition references skipped event")
-    else:
-        assert got is None
+    batch = evaluate_batch(circ, secs, pubs, tapes)
+    assert all(batch.presence[g.cond] == batch.full for g in gates if g.cond is not None)
+    for sec, pub, tape in zip(secs, pubs, tapes):
+        evaluate(circ, sec, pub, RandomTape.of(tape))
 
 
 @_SETTINGS
 @given(raw_netlists(any_condition=True), logical_netlists(), st.booleans())
 def test_circuit_owns_its_leakable_and_conditioned_events(raw, logical, ec):
     compiled = compile_circuit(parse_netlist(logical), level=1, ec=ec).circuit
-    for circ, text in ((parse_netlist(raw), raw), (compiled, serialize_netlist(compiled))):
+    built = [(compiled, serialize_netlist(compiled))]
+    if skippable_condition(*raw_records(raw)) is None:  # the others are refused
+        built.insert(0, (parse_netlist(raw), raw))
+    for circ, text in built:
         assert circ.leakable.dtype == np.int64
         assert circ.leakable.tolist() == [e for e in range(circ.num_events)
                                           if e not in circ.leak_free]
@@ -481,6 +526,60 @@ def test_one_injected_fault_is_reported_at_its_line(case):
     with pytest.raises(NetlistError, match=re.escape(f"line {line_no}: {message}")) as info:
         parse_netlist(text)
     assert info.value.line_no == line_no
+
+
+@st.composite
+def built_circuits(draw):
+    """(registers, gates) for direct construction: 1-5 registers of any
+    role, internal ones with init 0 or 1 and one register of any role maybe
+    with init 1 or 2, and up to 6 gates of any kind, each maybe conditioned
+    on an earlier event that every row runs, then a NOT on each output."""
+    roles = draw(st.lists(st.sampled_from(list(Role)), min_size=1, max_size=5))
+    inits = [draw(st.integers(0, 1)) if role is Role.INTERNAL else 0 for role in roles]
+    odd = draw(st.none() | st.integers(0, len(roles) - 1))
+    if odd is not None:
+        inits[odd] = draw(st.integers(1, 2))
+    registers = [Register(i, f"r{i}", role, init)
+                 for i, (role, init) in enumerate(zip(roles, inits))]
+    always = list(range(sum(role in (Role.SECRET, Role.PUBLIC) for role in roles)))
+    events = len(always)
+    kinds = [k for k in GateKind if k.arity <= len(roles)]
+    drawn = [(kind, draw(st.permutations(range(len(roles))))[:kind.arity])
+             for kind in draw(st.lists(st.sampled_from(kinds), max_size=6))]
+    drawn += [(GateKind.NOT, [i]) for i, role in enumerate(roles) if role is Role.OUTPUT]
+    gates = []
+    for kind, args in drawn:
+        cond = draw(st.none() | st.sampled_from(always)) if always else None
+        if cond is None:
+            always.extend(range(events, events + kind.arity))
+        gates.append(Gate(kind, tuple(args), cond))
+        events += kind.arity
+    return registers, gates
+
+
+_S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
+
+
+@_SETTINGS
+@given(built_circuits())
+@example(([_S, Register(1, "o", Role.OUTPUT, init=1)], [Gate(GateKind.CNOT, (0, 1))]))
+@example(([_S, _O, Register(2, "t", Role.INTERNAL, init=2)], [Gate(GateKind.CNOT, (2, 1))]))
+def test_a_built_circuit_round_trips_to_the_same_evaluation(case):
+    try:
+        circ = Circuit(*case)
+    except CircuitError:
+        return
+    parsed = parse_netlist(serialize_netlist(circ))
+    ns, npub = len(circ.secret_regs), len(circ.public_regs)
+    rows = bit_rows(ns + npub + circ.rand_count)
+    for row in rows.tolist():
+        args = row[:ns], row[ns:ns + npub], RandomTape.of(row[ns + npub:])
+        assert evaluate(parsed, *args) == evaluate(circ, *args)
+        assert register_file(parsed, *args) == register_file(circ, *args)
+    args = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
+    want, got = evaluate_batch(circ, *args), evaluate_batch(parsed, *args)
+    assert (got.values, got.presence, got.registers) == (want.values, want.presence,
+                                                        want.registers)
 
 
 # -- array code against its loop references ------------------------------------
