@@ -6,8 +6,9 @@ random-bit source RAND, and a readout fan-out COPY.  Every circuit input
 declaration and every gate output port gets one *wire event*: the unit to
 which leakage applies.  Event ids are dense and assigned in program order,
 inputs first (in declaration order), then one block of ids per gate, ordered
-by the gate's operand order.  `Register` and `Gate` are plain records;
-`Circuit` checks them.
+by the gate's operand order.  `Register` and `Gate` are plain records,
+frozen and hashable, whose inits set their slots directly for speed;
+`Circuit` checks them, in one pass over the gates.
 
 Gates may carry a classical condition: an input's or unconditioned gate's
 event, a plain bit on every row, which gates execution.  A skipped gate
@@ -120,20 +121,41 @@ def collector_paused():
 
 # Registers and gates have slots: a level-2 circuit holds tens of thousands
 # of them, and without a __dict__ each is smaller and quicker to build (the
-# level-2 one-Toffoli circuit takes 1.8 MB less).
-@dataclass(frozen=True, slots=True)
+# level-2 one-Toffoli circuit takes 1.8 MB less).  Their inits store each
+# field through its slot's descriptor, which costs about half of the
+# generated frozen init's object.__setattr__ calls; the records stay frozen,
+# since assignment and deletion still go through dataclass's guards, and
+# keep its __eq__, __hash__ and __repr__.
+@dataclass(frozen=True, slots=True, init=False)
 class Register:
     id: int
     name: str
     role: Role
     init: int = 0
 
+    def __init__(self, id: int, name: str, role: Role, init: int = 0):
+        _set_register_id(self, id)
+        _set_register_name(self, name)
+        _set_register_role(self, role)
+        _set_register_init(self, init)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     kind: GateKind
     args: tuple[int, ...]
     cond: int | None = None  # wire-event id; gate runs only if its value is 1
+
+    def __init__(self, kind: GateKind, args: tuple[int, ...], cond: int | None = None):
+        _set_gate_kind(self, kind)
+        _set_gate_args(self, args)
+        _set_gate_cond(self, cond)
+
+
+_set_register_id, _set_register_name, _set_register_role, _set_register_init = (
+    Register.id.__set__, Register.name.__set__, Register.role.__set__, Register.init.__set__)
+_set_gate_kind, _set_gate_args, _set_gate_cond = (
+    Gate.kind.__set__, Gate.args.__set__, Gate.cond.__set__)
 
 
 @dataclass(frozen=True)
@@ -172,9 +194,12 @@ class Circuit:
     def __init__(self, registers: list[Register], gates: list[Gate]):
         self.registers = tuple(registers)
         self.gates = tuple(gates)
-        self.secret_regs = tuple(r for r in self.registers if r.role is Role.SECRET)
-        self.public_regs = tuple(r for r in self.registers if r.role is Role.PUBLIC)
-        self.output_regs = tuple(r for r in self.registers if r.role is Role.OUTPUT)
+        # an enum member read through its class costs about 180 ns on
+        # CPython 3.11, so the loops below read them from locals
+        SECRET, PUBLIC, OUTPUT, INTERNAL = Role.SECRET, Role.PUBLIC, Role.OUTPUT, Role.INTERNAL
+        self.secret_regs = tuple([r for r in self.registers if r.role is SECRET])
+        self.public_regs = tuple([r for r in self.registers if r.role is PUBLIC])
+        self.output_regs = tuple([r for r in self.registers if r.role is OUTPUT])
 
         # event table: inputs first, then one event per gate operand
         self.input_events: dict[int, int] = {}  # register id -> event id
@@ -183,54 +208,66 @@ class Circuit:
             if reg.id != i:
                 raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
                                    register=i)
-            if reg.name in names:
-                raise CircuitError(f"duplicate register name {reg.name!r}", register=i)
-            names.add(reg.name)
-            if reg.init and (reg.init != 1 or reg.role is not Role.INTERNAL):
-                raise CircuitError(f"register {reg.name!r} cannot have init {reg.init}: only "
+            name, role = reg.name, reg.role
+            if name in names:
+                raise CircuitError(f"duplicate register name {name!r}", register=i)
+            names.add(name)
+            if reg.init and (reg.init != 1 or role is not INTERNAL):
+                raise CircuitError(f"register {name!r} cannot have init {reg.init}: only "
                                    "an internal register may start at 1", register=i)
-            if reg.role in (Role.SECRET, Role.PUBLIC):
-                self.input_events[reg.id] = eid
+            if role is SECRET or role is PUBLIC:
+                self.input_events[i] = eid
                 eid += 1
         del names  # 512 KB at level 2, freed before the gate tables grow
         nregs = len(self.registers)
-        gate_events, skippable = [], set()
+        gate_events, skippable, rand_events, written = [], set(), [], set()
+        RAND = GateKind.RAND
+        # one pass; within a gate the rules run in this order: operand
+        # count, distinct operands, operand range, condition
         for gi, g in enumerate(self.gates):
-            if len(g.args) != g.kind.arity:
-                raise CircuitError(f"{g.kind.value} takes {g.kind.arity} operand(s), "
-                                   f"got {len(g.args)}", gate=gi)
-            if len(set(g.args)) != len(g.args):
-                raise CircuitError(f"duplicate operand in {g.kind.value} gate", gate=gi)
-            for a in g.args:
+            kind, args, cond = g.kind, g.args, g.cond
+            n = len(args)
+            if n != kind.arity:
+                raise CircuitError(f"{kind.value} takes {kind.arity} operand(s), "
+                                   f"got {n}", gate=gi)
+            if n > 1 and len(set(args)) != n:
+                raise CircuitError(f"duplicate operand in {kind.value} gate", gate=gi)
+            for a in args:
                 if not 0 <= a < nregs:
                     raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-            events = range(eid, eid + len(g.args))
-            if g.cond is not None:
-                if not 0 <= g.cond < eid:
-                    raise CircuitError(f"condition event {g.cond} does not precede the gate "
+            # a tuple display is about 5x cheaper than tuple(range(..)), and
+            # (eid,) shares its int with rand_events
+            events = ((eid, eid + 1) if n == 2 else (eid,) if n == 1
+                      else tuple(range(eid, eid + n)))
+            if cond is not None:
+                if not 0 <= cond < eid:
+                    raise CircuitError(f"condition event {cond} does not precede the gate "
                                        "it controls", gate=gi)
-                if g.cond in skippable:
-                    raise CircuitError(f"condition event {g.cond} is an event of a "
+                if cond in skippable:
+                    raise CircuitError(f"condition event {cond} is an event of a "
                                        "conditioned gate, which a run may skip", gate=gi)
                 skippable.update(events)
-            gate_events.append(tuple(events))
-            eid += len(g.args)
-        self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
-        self.num_events = eid
-        self.leak_free: frozenset[int] = frozenset(
-            ev[0] for g, ev in zip(self.gates, self.gate_events) if g.kind is GateKind.RAND
-        )
-        self.rand_count = len(self.leak_free)
-        # decided once for every estimator and batch (see the module docstring)
-        self.leakable = np.delete(np.arange(eid), list(self.leak_free))
-        self.conditioned = np.isin(np.arange(eid), list(skippable))
-        self.leakable.flags.writeable = self.conditioned.flags.writeable = False
-        written = {g.args[g.kind.write_port] for g in self.gates
-                   if g.kind.write_port is not None}
+            port = kind.write_port
+            if port is not None:
+                written.add(args[port])
+                if kind is RAND:
+                    rand_events.append(eid)
+            gate_events.append(events)
+            eid += n
         for reg in self.output_regs:
             if reg.id not in written:
                 raise CircuitError(f"output register {reg.name!r} is never written",
                                    register=reg.id)
+        del written  # 512 KB at level 2, freed before the arrays below
+        self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
+        self.num_events = eid
+        self.leak_free: frozenset[int] = frozenset(rand_events)
+        self.rand_count = len(rand_events)
+        # decided once for every estimator and batch (see the module docstring)
+        self.leakable = np.delete(np.arange(eid), rand_events)
+        self.conditioned = np.zeros(eid, dtype=bool)
+        self.conditioned[list(skippable)] = True
+        self.leakable.flags.writeable = self.conditioned.flags.writeable = False
 
     # -- introspection ----------------------------------------------------
 
@@ -251,8 +288,14 @@ class Circuit:
         """Longest register-dependency chain through the gate list."""
         level = [0] * len(self.registers)
         for g in self.gates:
-            d = 1 + max(map(level.__getitem__, g.args))
-            for a in g.args:
+            args = g.args
+            if len(args) == 2:  # CNOT, CZ and COPY: most of a compiled circuit
+                a, b = args
+                la, lb = level[a], level[b]
+                level[a] = level[b] = (la if la > lb else lb) + 1
+                continue
+            d = 1 + max(map(level.__getitem__, args))
+            for a in args:
                 level[a] = d
         return max(level, default=0)
 

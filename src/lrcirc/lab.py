@@ -260,7 +260,7 @@ def _draw_rounds(gen: np.random.Generator, rows: int, nbits: int, nuni: int, p: 
     for lo in range(0, rows, per_block):
         u = gen.random((min(per_block, rows - lo), width))
         bits[lo:lo + len(u)] = u[:, :nbits] < 0.5
-        r, c = np.nonzero(u[:, nbits:] < p)
+        r, c = np.divmod(np.flatnonzero(u[:, nbits:] < p), nuni)
         hit_rows.append(r + lo)
         hit_cols.append(c)
     return bits, np.concatenate(hit_rows), np.concatenate(hit_cols)

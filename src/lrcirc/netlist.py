@@ -65,7 +65,7 @@ def parse_netlist(text: str) -> Circuit:
             if kind is None:
                 raise NetlistError(line_no, f"unknown gate kind {tok[1]!r}")
             try:
-                gates.append(Gate(kind, tuple([names[t] for t in tok[2:]]), cond=cond))
+                gates.append(Gate(kind, tuple([names[t] for t in tok[2:]]), cond))
             except KeyError as exc:
                 raise NetlistError(
                     line_no, f"reference to undeclared register {exc.args[0]!r}"

@@ -1,5 +1,6 @@
 """Core IR semantics: evaluation, wire events, tapes, truth tables."""
 
+from dataclasses import MISSING, FrozenInstanceError, fields
 from itertools import product
 
 import numpy as np
@@ -182,15 +183,68 @@ _S, _O = Register(0, "s", Role.SECRET), Register(1, "o", Role.OUTPUT)
      "register 'p' cannot have init 1", None, 2),
     ([_S, _O, Register(2, "x", Role.PUBLIC, init=1)], [Gate(GateKind.CNOT, (0, 1))],
      "register 'x' cannot have init 1", None, 2),
+    # one gate that breaks two rules reports the first in this order: operand
+    # count, distinct operands, operand range, condition
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (1, 1, 1))],
+     r"CNOT takes 2 operand\(s\), got 3", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (0, 9))],
+     r"NOT takes 1 operand\(s\), got 2", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (1, 1), cond=9)],
+     "duplicate operand in CNOT gate", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (7, 7))],
+     "duplicate operand in CNOT gate", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (5,), cond=9)],
+     "undeclared register 5", 1, None),
+    ([_S, _O], [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (1,), cond=2),
+                Gate(GateKind.CNOT, (1, 5), cond=3)],
+     "undeclared register 5", 2, None),
+    # a gate's fault is reported before an output that no gate writes
+    ([_S, _O, Register(2, "p", Role.OUTPUT)],
+     [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 1), cond=7)],
+     "condition event 7 does not precede", 1, None),
 ], ids=["undeclared-register", "duplicate-operand", "operand-count", "late-condition",
         "unwritten-output", "duplicate-name", "sparse-id", "skippable-condition",
-        "init-2", "output-init-1", "input-init-1"])
+        "init-2", "output-init-1", "input-init-1", "count-before-duplicate",
+        "count-before-range", "duplicate-before-condition", "duplicate-before-range",
+        "range-before-condition", "range-before-skippable-condition",
+        "gate-before-unwritten-output"])
 def test_circuit_error_names_the_failing_gate_or_register(regs, gates, match, gate, register):
     # netlist error lines come from these attributes; each case fails past
     # the first gate or register
     with pytest.raises(CircuitError, match=match) as info:
         build(regs, gates)
     assert (info.value.gate, info.value.register) == (gate, register)
+
+
+def test_records_are_frozen_hashable_dataclasses():
+    regs = [Register(3, "r", Role.INTERNAL, 0), Register(3, "r", Role.INTERNAL),
+            Register(id=3, name="r", role=Role.INTERNAL, init=0),
+            Register(3, "r", role=Role.INTERNAL)]
+    gates = [Gate(GateKind.CNOT, (0, 1), None), Gate(GateKind.CNOT, (0, 1)),
+             Gate(kind=GateKind.CNOT, args=(0, 1), cond=None),
+             Gate(GateKind.CNOT, args=(0, 1))]
+    for records in (regs, gates):
+        assert all(r == records[0] for r in records)
+        assert len({hash(r) for r in records}) == 1
+    assert Register(3, "r", Role.INTERNAL) != Register(3, "r", Role.INTERNAL, 1)
+    assert Gate(GateKind.NOT, (0,), 4) != Gate(GateKind.NOT, (0,))
+    assert [(f.name, f.default) for f in fields(Register)] == [
+        ("id", MISSING), ("name", MISSING), ("role", MISSING), ("init", 0)]
+    assert [(f.name, f.default) for f in fields(Gate)] == [
+        ("kind", MISSING), ("args", MISSING), ("cond", None)]
+    assert repr(regs[0]) == "Register(id=3, name='r', role=<Role.INTERNAL: 'internal'>, init=0)"
+    assert repr(Gate(GateKind.CNOT, (0, 1), 4)) == \
+        "Gate(kind=<GateKind.CNOT: 'CNOT'>, args=(0, 1), cond=4)"
+    for record in (regs[0], gates[0]):
+        assert not hasattr(record, "__dict__")
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+    assert regs[0] == regs[1] and gates[0].args == (0, 1)  # unchanged by the attempts
+    with pytest.raises(TypeError):
+        Gate(GateKind.NOT)
 
 
 def test_truth_table_deterministic_point_masses():

@@ -169,6 +169,30 @@ def raw_netlists(draw, any_condition=False):
     return "\n".join(lines) + "\n"
 
 
+def reference_depth(circuit):
+    """Circuit.depth's rule as a plain loop: each gate sits one level above
+    the deepest of its operands, and so do its operands afterwards."""
+    level = [0] * len(circuit.registers)
+    for g in circuit.gates:
+        d = 1 + max(level[a] for a in g.args)
+        for a in g.args:
+            level[a] = d
+    return max(level, default=0)
+
+
+@given(raw_netlists())
+def test_depth_equals_the_reference_loop(text):
+    circ = parse_netlist(text)
+    assert circ.depth() == reference_depth(circ)
+
+
+@pytest.mark.parametrize("ec", [True, False])
+def test_depth_of_the_compiled_toffoli_equals_the_reference_loop(ec):
+    circ = compile_circuit(parse_netlist("in secret a\nin secret b\nout c\ngate TOF a b c\n"),
+                           level=1, ec=ec).circuit
+    assert circ.depth() == reference_depth(circ) > 1
+
+
 def _inputs(circ):
     return product(product((0, 1), repeat=len(circ.secret_regs)),
                    product((0, 1), repeat=len(circ.public_regs)))
