@@ -95,12 +95,16 @@ class Channel:
     multiplier: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for _, op in self.terms:
-            if op.shape != (self.dim, self.dim):
-                raise DimensionError("operator shape does not match channel dim")
-            if np.count_nonzero(op - np.diag(np.diag(op))):
-                raise ValueError("operator-sum terms must be diagonal")
-        diags = np.array([np.diag(op) for _, op in self.terms], dtype=complex).reshape(-1, self.dim)
+        ops = [op for _, op in self.terms]
+        # the refusal a term-by-term check (shape, then diagonal) gives: a
+        # non-diagonal term before the first misshapen one is named first
+        fit = next((i for i, op in enumerate(ops) if op.shape != (self.dim, self.dim)), len(ops))
+        stack = np.array(ops[:fit], dtype=complex).reshape(fit, self.dim, self.dim)
+        if np.count_nonzero(stack[:, ~np.eye(self.dim, dtype=bool)]):
+            raise ValueError("operator-sum terms must be diagonal")
+        if fit < len(ops):
+            raise DimensionError("operator shape does not match channel dim")
+        diags = np.diagonal(stack, axis1=1, axis2=2)
         weights = np.array([w for w, _ in self.terms], dtype=float)
         m = (weights[:, None] * diags).T @ diags.conj()
         if np.abs(np.diag(m) - 1.0).max() > _COMPLETENESS_TOL:
@@ -111,14 +115,19 @@ class Channel:
         return self.multiplier * rho
 
 
+def _diagonal_terms(weight: float, diags: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
+    """One term (weight, diag(d)) per row d of `diags`, built as one array."""
+    k, dim = diags.shape
+    ops = np.zeros((k, dim, dim), dtype=complex)
+    ops[:, np.arange(dim), np.arange(dim)] = diags
+    return tuple((weight, op) for op in ops)
+
+
 def leakage_channel(l: LeakageFunction) -> Channel:
     """Isometry-then-discard form: one projector per realized leak value."""
-    ranks = l.ranks()
-    terms = []
-    for v in range(l.alphabet_size):
-        diag = np.array([1.0 if r == v else 0.0 for r in ranks])
-        terms.append((1.0, np.diag(diag).astype(complex)))
-    return Channel(tuple(terms), l.dim)
+    ranks = np.array(l.ranks())
+    projectors = np.arange(l.alphabet_size)[:, None] == ranks
+    return Channel(_diagonal_terms(1.0, projectors), l.dim)
 
 
 def dephasing_channel(l: LeakageFunction) -> Channel:
@@ -126,10 +135,7 @@ def dephasing_channel(l: LeakageFunction) -> Channel:
     d = l.alphabet_size
     omega = np.exp(2j * np.pi / d)
     ranks = np.array(l.ranks())
-    terms = []
-    for k in range(d):
-        terms.append((1.0 / d, np.diag(omega ** (k * ranks)).astype(complex)))
-    return Channel(tuple(terms), l.dim)
+    return Channel(_diagonal_terms(1.0 / d, omega ** (np.arange(d)[:, None] * ranks)), l.dim)
 
 
 def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:

@@ -95,6 +95,12 @@ class EvalError(RuntimeError):
     """Raised for inputs or a tape whose length does not fit the circuit."""
 
 
+# Young-generation count above which a paused build is promoted on resume:
+# a level-2 build leaves about 100k tracked objects, a level-1 build 2-7k
+# and a tiny parse about 100.
+_PROMOTE_AT = 20_000
+
+
 @contextmanager
 def collector_paused():
     """Pause Python's cyclic garbage collector for the duration of the block
@@ -103,12 +109,23 @@ def collector_paused():
     Building a level-2 circuit creates tens of thousands of registers, gates
     and tuples, which would push the collector through about 150 passes, one
     of them over the whole heap, that find nothing: these objects hold only
-    ints, strs, enum members and tuples, so they form no reference cycle, and
-    reference counting frees them.  Once resumed, the collector makes one
-    pass over its youngest generation, which then holds the build.  Nested
-    pauses leave the collector off until the outermost one ends.  The switch
-    is process-wide, so pauses that overlap in two threads can turn it back
-    on before the later one ends; that costs time, never the restored state.
+    ints, strs, enum members and tuples, so they form no reference cycle,
+    and reference counting frees them.  When the outermost pause ends with
+    the collector enabled and the young generation holds more than
+    `_PROMOTE_AT` objects, `gc.freeze()` then `gc.unfreeze()` moves them
+    straight to the oldest generation, so neither the young pass due on
+    resume nor the next middle pass walks the build again.  Whatever else
+    sat in the young and middle generations moves with it and waits for a
+    full collection, so a build should not follow work that leaves cyclic
+    garbage behind (the CLI's writers leave none).  Smaller builds are left
+    where they are: promoting a tiny parse would reset the young count each
+    time, and a loop of them would then never reach a full collection.
+    Nothing is promoted while the caller holds frozen objects
+    (`gc.get_freeze_count()`), since `gc.unfreeze()` would thaw them too.
+    Nested pauses leave the collector off, and promote nothing, until the
+    outermost one ends.  The switch is process-wide, so pauses that overlap
+    in two threads can turn it back on before the later one ends; that costs
+    time, never the restored state.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -116,6 +133,9 @@ def collector_paused():
         yield
     finally:
         if enabled:
+            if gc.get_count()[0] > _PROMOTE_AT and not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -126,25 +126,30 @@ def _line_of(text: str, exc: CircuitError) -> int:
     return [n for n, tok in _statements(text) if tok[0] in heads][index]
 
 
+# Line prefixes keyed by the enum member's `_value_`: an enum's own hash and
+# its `.value` property are Python-level calls, about 100 ns each, which a
+# level-2 circuit's 46k records would pay once per line.
+_REG_PREFIX = {Role.SECRET.value: "in secret ", Role.PUBLIC.value: "in public ",
+               Role.INTERNAL.value: "reg ", Role.OUTPUT.value: "out "}
+_GATE_PREFIX = {kind.value: f"gate {kind.value} " for kind in GateKind}
+
+
 def serialize_netlist(circuit: Circuit) -> str:
-    """Canonical netlist text: declarations in register order, then gates."""
+    """Canonical netlist text: declarations in register order, then gates.
+
+    `Circuit` allows init 1 only on an internal register, so only a `reg`
+    line can carry `init 1`.
+    """
+    reg_prefix, gate_prefix = _REG_PREFIX, _GATE_PREFIX
     lines = []
-    names = [reg.name for reg in circuit.registers]
     for reg in circuit.registers:
-        if reg.role is Role.SECRET:
-            lines.append(f"in secret {reg.name}")
-        elif reg.role is Role.PUBLIC:
-            lines.append(f"in public {reg.name}")
-        elif reg.role is Role.OUTPUT:
-            lines.append(f"out {reg.name}")
-        elif reg.init:
-            lines.append(f"reg {reg.name} init 1")
-        else:
-            lines.append(f"reg {reg.name}")
+        line = reg_prefix[reg.role._value_] + reg.name
+        lines.append(line + " init 1" if reg.init else line)
+    name_of = [reg.name for reg in circuit.registers].__getitem__
     for g in circuit.gates:
-        ops = " ".join([names[a] for a in g.args])
+        ops = " ".join(map(name_of, g.args))
         if g.cond is None:
-            lines.append(f"gate {g.kind.value} {ops}")
+            lines.append(gate_prefix[g.kind._value_] + ops)
         else:
-            lines.append(f"cgate {g.cond} {g.kind.value} {ops}")
+            lines.append(f"cgate {g.cond} {g.kind._value_} {ops}")
     return "\n".join(lines) + "\n"

@@ -226,6 +226,50 @@ def test_non_diagonal_terms_are_refused():
         Channel(((1.0, h),), 2)
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_I2, _I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+
+
+@pytest.mark.parametrize("terms, error, match", [
+    (((0.5, _I2), (0.5, _H)), ValueError, "must be diagonal"),
+    (((0.5, _I2), (0.5, _I3)), DimensionError, "operator shape"),
+    (((0.5, _H), (0.5, _I3)), ValueError, "must be diagonal"),
+    (((0.5, _I3), (0.5, _H)), DimensionError, "operator shape"),
+    (((0.5, _I2), (0.5, _H), (0.5, _I3)), ValueError, "must be diagonal"),
+    (((0.5, _I2), (0.25, _I2)), ValueError, "trace preserving"),
+    ((), ValueError, "trace preserving"),
+], ids=["second-not-diagonal", "second-misshapen", "not-diagonal-then-misshapen",
+        "misshapen-then-not-diagonal", "first-fault-wins", "weights-short", "no-terms"])
+def test_terms_are_refused_in_order(terms, error, match):
+    # term by term, shape before diagonal; the trace only once all terms pass
+    with pytest.raises(error, match=match):
+        Channel(terms, 2)
+
+
+def _terms_one_by_one(l: LeakageFunction, phases: bool):
+    """Reference: each channel's terms built one diagonal at a time."""
+    ranks, d = np.array(l.ranks()), l.alphabet_size
+    if phases:
+        omega = np.exp(2j * np.pi / d)
+        return [(1.0 / d, np.diag(omega ** (k * ranks)).astype(complex)) for k in range(d)]
+    return [(1.0, np.diag((ranks == v).astype(float)).astype(complex)) for v in range(d)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_channel_terms_equal_the_one_by_one_construction(n):
+    rng = np.random.default_rng(40 + n)
+    functions = [LeakageFunction.random(n, int(rng.integers(1, 2 ** n + 1)), rng)
+                 for _ in range(20)]
+    for l in [*functions, LeakageFunction.constant(n), LeakageFunction.parity(n)]:
+        for build, phases in ((leakage_channel, False), (dephasing_channel, True)):
+            ch, expected = build(l), _terms_one_by_one(l, phases)
+            assert len(ch.terms) == len(expected)
+            for (w, op), (w_ref, op_ref) in zip(ch.terms, expected):
+                assert w == w_ref and op.dtype == op_ref.dtype
+                assert op.tobytes() == op_ref.tobytes()
+            assert ch.multiplier.tobytes() == Channel(tuple(expected), l.dim).multiplier.tobytes()
+
+
 def test_schur_multiplier_matches_operator_sum_on_random_diagonal_channels():
     rng = np.random.default_rng(12)
     for dim in (1, 2, 4, 8, 16):

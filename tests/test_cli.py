@@ -1,17 +1,23 @@
 """End-to-end CLI behavior: exit codes, determinism, artifact round trips."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrcirc
-from lrcirc import faults
+from lrcirc import cli, faults
 from lrcirc.cli import main
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -445,7 +451,9 @@ def test_help_lists_every_subcommand(capsys):
 @pytest.mark.parametrize("argv", [["audit", "steane"], ["run", "--frobnicate"]])
 def test_main_leaves_no_parser_garbage(capsys, argv):
     # main reuses one parser; a parser built per call is a web of reference
-    # cycles (hundreds of objects) that only a collector pass frees
+    # cycles (hundreds of objects) that only a collector pass frees.  The
+    # report writer leaves none either: json.dumps with an indent would
+    # leave its encoder's closures (about 33 objects) per report.
     main(argv)  # the first call builds the parser
     gc.collect()
     before = len(gc.garbage)
@@ -453,11 +461,11 @@ def test_main_leaves_no_parser_garbage(capsys, argv):
     try:
         main(argv)
         gc.collect()
-        modules = {type(obj).__module__ for obj in gc.garbage[before:]}
+        leftover = [type(obj).__name__ for obj in gc.garbage[before:]]
     finally:
         gc.set_debug(0)
         del gc.garbage[before:]
-    assert not modules & {"argparse", "lrcirc.cli"}
+    assert leftover == []
 
 
 def _module_env() -> dict:
@@ -541,3 +549,88 @@ def test_out_to_piped_stdout_prints_the_report(capsys):
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[1].stdout == runs[0].stdout == _steane_report(capsys)
+
+
+# -- the report writer ----------------------------------------------------------
+
+class _StrKey(str):
+    pass
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70)
+                 | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+                 | st.text(st.characters(codec=None)) | st.text("\x00\x1f\x7f\"\\\n\t é€𝄞"))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"b": [1, {"a": ()}], "a": {}, "é": -0.0})
+def test_dump_writes_json_dumps_bytes(obj):
+    expected = json.dumps(obj, sort_keys=True, indent=2)
+    assert cli._indented(obj, "\n") == expected  # no hand-off to json.dumps
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._dump(obj, None)
+    assert out.getvalue() == expected + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "int key"}, {"a": {2.5: None}}, [faults], {"x": [np.int64(3)]}, [np.float64(0.5)],
+    {"a": True, "b": [float("nan")], "s": _StrKey("k")},
+], ids=["int-key", "float-key", "module", "numpy-int", "numpy-float", "str-subclass-key"])
+def test_dump_hands_values_it_does_not_list_to_json(capsys, obj):
+    try:
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            cli._dump(obj, None)
+        return
+    cli._dump(obj, None)
+    assert capsys.readouterr().out == expected
+
+
+def test_every_report_writes_json_dumps_bytes(capsys, tmp_path, compiled_files, monkeypatch):
+    dumped, json_text = [], cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: dumped.append(obj) or json_text(obj))
+    analyze = ["analyze", "--circuit", compiled_files["l1"], "--gadgets",
+               compiled_files["l1.json"], "--y0", "01", "--y1", "10", "--leak-p", "0.01",
+               "--samples", "1000", "--seed", "1", "--mode"]
+    exact = tmp_path / "exact.net"
+    exact.write_text("in secret a\nin secret b\nreg r\nout o\n"
+                     "gate RAND r\ngate CNOT a r\ngate CNOT r o\ngate CNOT b o\n")
+    runs = {
+        "compile": ["compile", "--in", compiled_files["raw"], "--out", tmp_path / "l2.net",
+                    "--level", "2", "--dump-gadgets", tmp_path / "l2.json"],
+        "analyze-tv": [*analyze, "tv"],
+        "analyze-marginal": [*analyze, "marginal"],
+        "analyze-pairwise": [*analyze, "pairwise"],
+        "analyze-exact": ["analyze", "--circuit", exact, "--mode", "exact", "--y0", "01",
+                          "--y1", "10", "--leak-p", "0.1", "--seed", "1"],
+        "audit-steane": ["audit", "steane"],
+        "audit-shor": ["audit", "shor"],
+        "audit-transversality": ["audit", "transversality", "--circuit", compiled_files["l2"],
+                                 "--gadgets", compiled_files["l2.json"]],
+        "noise-equiv": ["noise-equiv", "--wires", "2", "--trials", "3", "--seed", "4"],
+        "report": ["report", "--gadgets", compiled_files["l2.json"],
+                   "--circuit", compiled_files["l2"]],
+    }
+    for name, argv in runs.items():
+        dumped.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (name, err)
+        assert len(dumped) == 1, name
+        expected = json.dumps(dumped[0], sort_keys=True, indent=2)
+        assert cli._indented(dumped[0], "\n") == expected, name
+        if name == "compile":
+            assert (tmp_path / "l2.json").read_text() == expected + "\n"
+            assert (tmp_path / "l2.json").read_bytes() == compiled_files["l2.json"].read_bytes()
+        else:
+            assert out == expected + "\n", name

@@ -1,7 +1,8 @@
 """The cyclic garbage collector is paused while a circuit is built.
 
 parse_netlist and compile_circuit run with the collector off and hand its
-state back unchanged, whether they return or raise.
+state back unchanged, whether they return or raise.  A large build is moved
+to the oldest generation as the collector resumes; a small one is not.
 """
 
 import gc
@@ -11,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from lrcirc import circuits
 from lrcirc.circuits import collector_paused
 from lrcirc.compiler import CompileError, compile_circuit
 from lrcirc.netlist import NetlistError, parse_netlist, serialize_netlist
@@ -96,18 +98,81 @@ def test_collector_is_off_inside_and_nested_pauses_restore_once():
 
 
 def test_level2_build_runs_no_collection():
-    # no collection runs while a level-2 circuit is built; the one pass that
-    # may run is the young generation's, as the collector resumes at the end
+    # no collection runs while a level-2 circuit is built, nor as the
+    # collector resumes: the build goes straight to the oldest generation
     compile_body, parse_body = inspect.unwrap(compile_circuit), inspect.unwrap(parse_netlist)
     logical = parse_netlist(ONE_TOFFOLI)
     with collector(True):
         compiled, runs, inside = collections_during(
             lambda: compile_circuit(logical, level=2), compile_body)
-        assert inside == [] and len(runs) <= 1
+        assert inside == [] and runs == []
         text = serialize_netlist(compiled.circuit)
         circuit, runs, inside = collections_during(lambda: parse_netlist(text), parse_body)
-        assert inside == [] and len(runs) <= 1
+        assert inside == [] and runs == []
         assert len(circuit.gates) == 28_219
         # control: the same parse without the pause runs the collector
         _, _, inside = collections_during(lambda: parse_body(text), parse_body)
         assert inside
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """The list that every gc.freeze() call from here on appends to."""
+    calls = []
+    freeze = gc.freeze
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1) or freeze())
+    return calls
+
+
+def _tracked(n: int) -> list:
+    """n objects the collector tracks (empty lists)."""
+    return [[] for _ in range(n)]
+
+
+def test_small_build_keeps_the_young_count(freezes):
+    # promoting every tiny parse would reset the young count each time, and
+    # a loop of them would never reach a full collection
+    with collector(True):
+        gc.collect()
+        before = gc.get_count()[0]
+        circuit = parse_netlist(ONE_TOFFOLI)
+        assert gc.get_count()[0] > before
+    assert freezes == [] and circuit.gates
+
+
+def test_nested_pauses_promote_once(freezes):
+    with collector(True):
+        with collector_paused():
+            outer = _tracked(circuits._PROMOTE_AT + 1)
+            with collector_paused():
+                inner = _tracked(circuits._PROMOTE_AT + 1)
+            assert freezes == []
+        assert freezes == [1]
+    assert gc.get_freeze_count() == 0 and len(outer) == len(inner)
+
+
+def test_nothing_is_promoted_with_the_collector_disabled(freezes):
+    logical = parse_netlist(ONE_TOFFOLI)
+    with collector(False):
+        compiled = compile_circuit(logical, level=2)
+        assert gc.get_count()[0] > circuits._PROMOTE_AT
+    assert freezes == [] and compiled.circuit.gates
+
+
+def test_objects_the_caller_froze_stay_frozen(freezes):
+    # gc.unfreeze() would thaw the caller's objects along with the build,
+    # so the build is left to the young pass
+    compile_body = inspect.unwrap(compile_circuit)
+    logical = parse_netlist(ONE_TOFFOLI)
+    with collector(True):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            _, runs, inside = collections_during(
+                lambda: compile_circuit(logical, level=2), compile_body)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+    assert freezes == [1]  # the test's own freeze
+    assert inside == [] and runs
