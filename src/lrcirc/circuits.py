@@ -8,7 +8,12 @@ which leakage applies.  Event ids are dense and assigned in program order,
 inputs first (in declaration order), then one block of ids per gate, ordered
 by the gate's operand order.  `Register` and `Gate` are plain records,
 frozen and hashable, whose inits set their slots directly for speed;
-`Circuit` checks them, in one pass over the gates.
+`Circuit` checks them: every register name against the netlist grammar
+in one regex match, so a circuit that builds serializes to text that
+reads back, then each gate in one pass.  In that pass, fast paths accept
+a valid unconditioned NOT, Z or RAND and a valid CNOT, COPY or CZ, nearly
+every gate of a compiled circuit; any other gate, a faulty one included,
+falls through to the general checks, which write every refusal.
 
 Gates may carry a classical condition: an input's or unconditioned gate's
 event, a plain bit on every row, which gates execution.  A skipped gate
@@ -37,6 +42,7 @@ rows, with -1 for a skipped event.  The scalar `evaluate` and
 from __future__ import annotations
 
 import gc
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -200,15 +206,30 @@ class Trace:
     outputs: dict[str, int]
 
 
+_NAMES = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*(?:\n[A-Za-z_][A-Za-z0-9_.]*)*")
+
+
+def _names_ok(names: list[str]) -> bool:
+    """Whether there are names and every one matches the netlist grammar's
+    `[A-Za-z_][A-Za-z0-9_.]*`, tested with one regex pass over all of them."""
+    try:
+        text = "\n".join(names)
+    except TypeError:  # a name that is not a str
+        return False
+    # a name holding a newline would read as two names of the pattern
+    return _NAMES.fullmatch(text) is not None and text.count("\n") == len(names) - 1
+
+
 class Circuit:
     """Immutable register/gate program with a derived wire-event table.
 
     The one owner of every structural rule: it raises `CircuitError`,
-    naming the gate or register at fault, for a sparse register id, a
-    repeated register name, an `init` other than 0 or 1 or an `init` of 1
-    outside an internal register, a wrong operand count, a repeated or
-    undeclared operand, a condition that does not precede its gate or that
-    is an event of a conditioned gate, or an output that no gate writes.
+    naming the gate or register at fault, for a sparse register id, a name
+    outside the netlist grammar, a repeated register name, an `init` other
+    than 0 or 1 or an `init` of 1 outside an internal register, a wrong
+    operand count, a repeated or undeclared operand, a condition that does
+    not precede its gate or that is an event of a conditioned gate, or an
+    output that no gate writes.
     """
 
     def __init__(self, registers: list[Register], gates: list[Gate]):
@@ -223,12 +244,17 @@ class Circuit:
 
         # event table: inputs first, then one event per gate operand
         self.input_events: dict[int, int] = {}  # register id -> event id
+        # one regex pass accepts every name of a valid circuit; only if it
+        # fails does the loop below check each name, to find the first bad one
+        names_ok = _names_ok([r.name for r in self.registers])
         names, eid = set(), 0
         for i, reg in enumerate(self.registers):
             if reg.id != i:
                 raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
                                    register=i)
             name, role = reg.name, reg.role
+            if not names_ok and not _names_ok([name]):
+                raise CircuitError(f"bad register name {name!r}", register=i)
             if name in names:
                 raise CircuitError(f"duplicate register name {name!r}", register=i)
             names.add(name)
@@ -241,12 +267,42 @@ class Circuit:
         del names  # 512 KB at level 2, freed before the gate tables grow
         nregs = len(self.registers)
         gate_events, skippable, rand_events, written = [], set(), [], set()
-        RAND = GateKind.RAND
-        # one pass; within a gate the rules run in this order: operand
-        # count, distinct operands, operand range, condition
+        add_event, add_written = gate_events.append, written.add
+        NOT, CNOT, Z, CZ, RAND, COPY = (GateKind.NOT, GateKind.CNOT, GateKind.Z, GateKind.CZ,
+                                        GateKind.RAND, GateKind.COPY)
         for gi, g in enumerate(self.gates):
             kind, args, cond = g.kind, g.args, g.cond
             n = len(args)
+            # fast paths for the gates that make up nearly all of a compiled
+            # circuit; they accept only a gate that passes every rule below,
+            # and leave anything else to the general checks, the one place
+            # that refuses a gate
+            if n == 2:
+                a, b = args
+                if ((kind is CNOT or kind is COPY or kind is CZ) and a != b
+                        and 0 <= a < nregs and 0 <= b < nregs
+                        and (cond is None or 0 <= cond < eid and cond not in skippable)):
+                    if kind is not CZ:
+                        add_written(b)
+                    # a tuple display is about 5x cheaper than tuple(range(..))
+                    events = (eid, eid + 1)
+                    if cond is not None:
+                        skippable.update(events)
+                    add_event(events)
+                    eid += 2
+                    continue
+            elif n == 1 and cond is None:
+                a, = args
+                if (kind is RAND or kind is NOT or kind is Z) and 0 <= a < nregs:
+                    if kind is not Z:
+                        add_written(a)
+                        if kind is RAND:
+                            rand_events.append(eid)
+                    add_event((eid,))  # shares its int with rand_events
+                    eid += 1
+                    continue
+            # general checks; within a gate the rules run in this order:
+            # operand count, distinct operands, operand range, condition
             if n != kind.arity:
                 raise CircuitError(f"{kind.value} takes {kind.arity} operand(s), "
                                    f"got {n}", gate=gi)
@@ -255,10 +311,7 @@ class Circuit:
             for a in args:
                 if not 0 <= a < nregs:
                     raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-            # a tuple display is about 5x cheaper than tuple(range(..)), and
-            # (eid,) shares its int with rand_events
-            events = ((eid, eid + 1) if n == 2 else (eid,) if n == 1
-                      else tuple(range(eid, eid + n)))
+            events = tuple(range(eid, eid + n))
             if cond is not None:
                 if not 0 <= cond < eid:
                     raise CircuitError(f"condition event {cond} does not precede the gate "
@@ -269,10 +322,10 @@ class Circuit:
                 skippable.update(events)
             port = kind.write_port
             if port is not None:
-                written.add(args[port])
+                add_written(args[port])
                 if kind is RAND:
                     rand_events.append(eid)
-            gate_events.append(events)
+            add_event(events)
             eid += n
         for reg in self.output_regs:
             if reg.id not in written:

@@ -138,9 +138,14 @@ class CircuitBuilder:
 
     def transversal(self, kind: GateKind, *blocks: Block, cond: int | None = None) -> None:
         """One `kind` gate per position of the equally long `blocks`, whose
-        operands are that position of each block, in block order."""
-        for args in zip(*blocks, strict=True):
-            self.emit(kind, *args, cond=cond)
+        operands are that position of each block, in block order: what one
+        `emit` per position would append, in one list extension.  Blocks of
+        unequal length raise ValueError before a gate is appended."""
+        gates = [Gate(kind, args, cond) for args in zip(*blocks, strict=True)]
+        self.gates += gates
+        self._event += len(gates) * len(blocks)
+        if kind is _RAND:
+            self._tape += len(gates)
 
     def logical_x(self, block: Block, *control: int, cond: int | None = None) -> None:
         """Logical X on `block`: NOT, or CNOT from the register `control`, at

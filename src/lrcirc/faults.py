@@ -191,13 +191,20 @@ def transversality_audit(circuit, blocks: list[tuple[str, tuple[int, ...]]],
             owner[r] = (name, pos)
 
     flags = []
+    owner_of = owner.get
     for i, g in enumerate(circuit.gates):
-        if len(g.args) < 2 or i in whitelist_gates:
+        args = g.args
+        if len(args) < 2 or i in whitelist_gates:
             continue
+        if len(args) == 2:  # most gates: decide from the two owners alone
+            hit_a, hit_b = owner_of(args[0]), owner_of(args[1])
+            if hit_a is None or hit_b is None or (
+                    hit_a[1] == hit_b[1] and hit_a[0] != hit_b[0]):
+                continue  # at most one block, or two blocks at one position
         seen: dict[str, int] = {}
         positions: set[int] = set()
-        for a in g.args:
-            hit = owner.get(a)
+        for a in args:
+            hit = owner_of(a)
             if hit is None:
                 continue
             b, pos = hit

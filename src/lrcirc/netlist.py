@@ -24,11 +24,8 @@ gates; parse/serialize round-trip on canonical text.
 
 from __future__ import annotations
 
-import re
-
 from .circuits import Circuit, CircuitError, Gate, GateKind, Register, Role, collector_paused
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _KINDS = {kind.value: kind for kind in GateKind}
 
 
@@ -45,7 +42,10 @@ def parse_netlist(text: str) -> Circuit:
     registers: list[Register] = []
     names: dict[str, int] = {}
     gates: list[Gate] = []
-    for line_no, tok in _statements(text):
+    name_of = names.__getitem__
+    for line_no, tok in enumerate(map(str.split, _lines(text)), 1):
+        if not tok:
+            continue
         head = tok[0]
         if head in ("gate", "cgate"):
             cond = None
@@ -64,8 +64,8 @@ def parse_netlist(text: str) -> Circuit:
             kind = _KINDS.get(tok[1])
             if kind is None:
                 raise NetlistError(line_no, f"unknown gate kind {tok[1]!r}")
-            try:
-                gates.append(Gate(kind, tuple([names[t] for t in tok[2:]]), cond))
+            try:  # the KeyError carries the undeclared name
+                gates.append(Gate(kind, tuple(map(name_of, tok[2:])), cond))
             except KeyError as exc:
                 raise NetlistError(
                     line_no, f"reference to undeclared register {exc.args[0]!r}"
@@ -87,26 +87,29 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistError(line_no, f"unknown statement {head!r}")
         if gates:
             raise NetlistError(line_no, "declarations must precede gates")
-        if not _NAME.match(name):
-            raise NetlistError(line_no, f"bad register name {name!r}")
-        names[name] = len(registers)
-        registers.append(Register(len(registers), name, role, init))
+        names[name] = rid = len(registers)
+        registers.append(Register(rid, name, role, init))
 
-    del names  # Circuit does not need it; free it before Circuit's tables
+    del names, name_of  # Circuit does not need them; free them before its tables
     try:
         return Circuit(registers, gates)
     except CircuitError as exc:
         raise NetlistError(_line_of(text, exc), str(exc)) from exc
 
 
-def _statements(text: str):
-    """(line number, tokens) of every line that is not blank or comment."""
+def _lines(text: str) -> list[str]:
+    """Every line of `text`, comments cut off, in order (line k at index k - 1)."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        tok = raw.split()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line[:line.index("#")] if "#" in line else line for line in lines]
+    return lines
+
+
+def _statements(text: str):
+    """(line number, tokens) of every line that is not blank or comment."""
+    for line_no, tok in enumerate(map(str.split, _lines(text)), 1):
         if tok:
             yield line_no, tok
 

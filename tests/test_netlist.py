@@ -111,6 +111,15 @@ def test_syntax_errors_carry_line_numbers(text, pattern):
         parse_netlist(text)
 
 
+def test_a_bad_name_is_reported_at_its_line_once_the_text_has_parsed():
+    with pytest.raises(NetlistError, match=r"^line 3: bad register name '9y'") as info:
+        parse_netlist("in secret s\n# note\nreg 9y\nout o\ngate CNOT s o\n")
+    assert info.value.line_no == 3
+    # a later malformed line is reported first, as for every structural fault
+    with pytest.raises(NetlistError, match=r"^line 3: unknown gate kind 'NOPE'"):
+        parse_netlist("in secret 9x\nout o\ngate NOPE o\n")
+
+
 def test_error_line_number_attribute():
     try:
         parse_netlist("in secret s\nout o\ngate NOPE o\n")
