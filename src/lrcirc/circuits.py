@@ -10,10 +10,7 @@ by the gate's operand order.  `Register` and `Gate` are plain records,
 frozen and hashable, whose inits set their slots directly for speed;
 `Circuit` checks them: every register name against the netlist grammar
 in one regex match, so a circuit that builds serializes to text that
-reads back, then each gate in one pass.  In that pass, fast paths accept
-a valid unconditioned NOT, Z or RAND and a valid CNOT, COPY or CZ, nearly
-every gate of a compiled circuit; any other gate, a faulty one included,
-falls through to the general checks, which write every refusal.
+reads back, then each gate in one pass.
 
 Gates may carry a classical condition: an input's or unconditioned gate's
 event, a plain bit on every row, which gates execution.  A skipped gate
@@ -268,65 +265,57 @@ class Circuit:
         nregs = len(self.registers)
         gate_events, skippable, rand_events, written = [], set(), [], set()
         add_event, add_written = gate_events.append, written.add
-        NOT, CNOT, Z, CZ, RAND, COPY = (GateKind.NOT, GateKind.CNOT, GateKind.Z, GateKind.CZ,
-                                        GateKind.RAND, GateKind.COPY)
-        for gi, g in enumerate(self.gates):
-            kind, args, cond = g.kind, g.args, g.cond
-            n = len(args)
-            # fast paths for the gates that make up nearly all of a compiled
-            # circuit; they accept only a gate that passes every rule below,
-            # and leave anything else to the general checks, the one place
-            # that refuses a gate
-            if n == 2:
-                a, b = args
-                if ((kind is CNOT or kind is COPY or kind is CZ) and a != b
-                        and 0 <= a < nregs and 0 <= b < nregs
-                        and (cond is None or 0 <= cond < eid and cond not in skippable)):
-                    if kind is not CZ:
-                        add_written(b)
+        RAND = GateKind.RAND
+        # within a gate the rules run in this order: operand count, distinct
+        # operands, operand range, condition, tested unrolled for one and two
+        # operands (nearly all of a compiled circuit); the handler names the
+        # gate at fault, so the loop keeps no index
+        try:
+            for g in self.gates:
+                kind, args, cond = g.kind, g.args, g.cond
+                n = len(args)
+                if n != kind.arity:
+                    raise CircuitError(f"{kind.value} takes {kind.arity} operand(s), got {n}")
+                if n == 2:
+                    a, b = args
+                    if a == b:
+                        raise CircuitError(f"duplicate operand in {kind.value} gate")
+                    if not 0 <= a < nregs:
+                        raise CircuitError(f"gate references undeclared register {a}")
+                    if not 0 <= b < nregs:
+                        raise CircuitError(f"gate references undeclared register {b}")
                     # a tuple display is about 5x cheaper than tuple(range(..))
                     events = (eid, eid + 1)
-                    if cond is not None:
-                        skippable.update(events)
-                    add_event(events)
-                    eid += 2
-                    continue
-            elif n == 1 and cond is None:
-                a, = args
-                if (kind is RAND or kind is NOT or kind is Z) and 0 <= a < nregs:
-                    if kind is not Z:
-                        add_written(a)
-                        if kind is RAND:
-                            rand_events.append(eid)
-                    add_event((eid,))  # shares its int with rand_events
-                    eid += 1
-                    continue
-            # general checks; within a gate the rules run in this order:
-            # operand count, distinct operands, operand range, condition
-            if n != kind.arity:
-                raise CircuitError(f"{kind.value} takes {kind.arity} operand(s), "
-                                   f"got {n}", gate=gi)
-            if n > 1 and len(set(args)) != n:
-                raise CircuitError(f"duplicate operand in {kind.value} gate", gate=gi)
-            for a in args:
-                if not 0 <= a < nregs:
-                    raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-            events = tuple(range(eid, eid + n))
-            if cond is not None:
-                if not 0 <= cond < eid:
-                    raise CircuitError(f"condition event {cond} does not precede the gate "
-                                       "it controls", gate=gi)
-                if cond in skippable:
-                    raise CircuitError(f"condition event {cond} is an event of a "
-                                       "conditioned gate, which a run may skip", gate=gi)
-                skippable.update(events)
-            port = kind.write_port
-            if port is not None:
-                add_written(args[port])
-                if kind is RAND:
-                    rand_events.append(eid)
-            add_event(events)
-            eid += n
+                elif n == 1:
+                    a, = args
+                    if not 0 <= a < nregs:
+                        raise CircuitError(f"gate references undeclared register {a}")
+                    events = (eid,)  # shares its int with rand_events
+                else:
+                    if len(set(args)) != n:
+                        raise CircuitError(f"duplicate operand in {kind.value} gate")
+                    for a in args:
+                        if not 0 <= a < nregs:
+                            raise CircuitError(f"gate references undeclared register {a}")
+                    events = tuple(range(eid, eid + n))
+                if cond is not None:
+                    if not 0 <= cond < eid:
+                        raise CircuitError(f"condition event {cond} does not precede the "
+                                           "gate it controls")
+                    if cond in skippable:
+                        raise CircuitError(f"condition event {cond} is an event of a "
+                                           "conditioned gate, which a run may skip")
+                    skippable.update(events)
+                port = kind.write_port
+                if port is not None:
+                    add_written(args[port])
+                    if kind is RAND:
+                        rand_events.append(eid)
+                add_event(events)
+                eid += n
+        except CircuitError as exc:
+            exc.gate = len(gate_events)  # one entry per gate before it
+            raise
         for reg in self.output_regs:
             if reg.id not in written:
                 raise CircuitError(f"output register {reg.name!r} is never written",

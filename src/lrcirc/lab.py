@@ -201,7 +201,7 @@ def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
     circuit (level 0) gets the secret itself and draws no seed bits, which
     leaves `np_rng` untouched.  For callers outside the estimators, which
     encode their own seed columns in _evaluate_rows."""
-    level = _unpack(target)[2]
+    level = _unpack(target, secret)[2]
     seeds = np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level)))
     return encode_seed_rows(secret, seeds, level)
 

@@ -1,6 +1,8 @@
-"""The per-gate fast paths against reference copies of the general loops:
-`Circuit`'s checks and event tables, `CircuitBuilder.transversal` against
-one `emit` per position, and `transversality_audit`'s flags."""
+"""Code tuned for speed against plain reference copies: `Circuit`'s one
+check path per gate, unrolled for one and two operands, and its event
+tables against `reference_tables`, the general rules in their order;
+`CircuitBuilder.transversal` against one `emit` per position; and
+`transversality_audit`'s flags against one general loop over every gate."""
 
 import re
 
@@ -89,6 +91,15 @@ def outcome(build, *args):
 
 _GATE_FAULTS = ("operand-count", "duplicate-operand", "operand-range", "late-condition",
                 "skippable-condition")
+# two faults in one gate, the earlier rule first (one condition cannot be both late and
+# skippable)
+_GATE_FAULT_PAIRS = tuple(f"{f}+{g}" for i, f in enumerate(_GATE_FAULTS)
+                          for g in _GATE_FAULTS[i + 1:]
+                          if (f, g) != ("late-condition", "skippable-condition"))
+# what the refusal of each gate fault says
+_REFUSALS = dict(zip(_GATE_FAULTS, (" operand(s), got ", "duplicate operand in ",
+                                    "undeclared register ", " does not precede ",
+                                    " is an event of a conditioned gate")))
 _REGISTER_FAULTS = ("sparse-id", "duplicate-name", "init", "unwritten-output")
 _BAD_NAMES = ("9x", "a init 1", "", "a-b", "x\ny", "a\n", "\na", "tab\there", "é", "a#b", 7)
 
@@ -98,7 +109,9 @@ def generated_circuits(draw, fault=None):
     """(registers, gates): 3-6 registers, the first a secret input, and
     1-8 gates of every kind, each maybe conditioned on an earlier event
     that every row runs, then a NOT (maybe conditioned) on each output;
-    with `fault`, one register or gate then breaks that one rule."""
+    with `fault`, one register or gate then breaks that one rule, or with
+    two gate faults joined by "+", one gate of any kind that can hold
+    both, maybe conditioned, breaks both rules."""
     roles = [Role.SECRET] + draw(st.lists(st.sampled_from(list(Role)), min_size=2, max_size=5))
     registers = [Register(i, f"r{i}", role, draw(st.integers(0, 1)) if role is Role.INTERNAL
                           else 0) for i, role in enumerate(roles)]
@@ -119,31 +132,46 @@ def generated_circuits(draw, fault=None):
         (always if cond is None else skippable).extend(range(eid, eid + kind.arity))
         gates.append(Gate(kind, args, cond))
         eid += kind.arity
-    if fault in _GATE_FAULTS:
+    faults = fault.split("+") if fault else []
+    if faults and faults[0] in _GATE_FAULTS:
         gi = draw(st.integers(0, len(gates) - 1))
         g = gates[gi]
         kind, args, cond = g.kind, list(g.args), g.cond
-        if fault == "operand-count":
-            count = draw(st.sampled_from([c for c in range(5) if c != kind.arity]))
+        if len(faults) > 1:
+            # a duplicate needs two operands, unless a wrong count supplies them
+            two = "duplicate-operand" in faults and "operand-count" not in faults
+            kind = draw(st.sampled_from([k for k in GateKind if k.arity > 1 or not two]))
+            args = draw(st.permutations(range(nregs)))[:kind.arity]
+            cond = draw(st.none() | st.sampled_from(
+                [e for e in range(starts[gi]) if e not in skippable_before[gi]]))
+        if "operand-count" in faults:
+            fewest = 2 if "duplicate-operand" in faults else 1 if "operand-range" in faults else 0
+            count = draw(st.sampled_from([c for c in range(fewest, 5) if c != kind.arity]))
             args = draw(st.lists(st.integers(0, nregs - 1), min_size=count, max_size=count,
                                  unique=count <= nregs))
-        elif fault == "duplicate-operand":
-            kind = draw(st.sampled_from([GateKind.CNOT, GateKind.CZ, GateKind.COPY,
-                                         GateKind.TOF]))
-            args = draw(st.permutations(range(nregs)))[:kind.arity]
-            i, j = sorted(draw(st.permutations(range(kind.arity)))[:2])
+        if "duplicate-operand" in faults:
+            if len(faults) == 1:
+                kind = draw(st.sampled_from([GateKind.CNOT, GateKind.CZ, GateKind.COPY,
+                                             GateKind.TOF]))
+                args = draw(st.permutations(range(nregs)))[:kind.arity]
+            i, j = sorted(draw(st.permutations(range(len(args))))[:2])
             args[j] = args[i]
-        elif fault == "operand-range":
-            args[draw(st.integers(0, len(args) - 1))] = draw(
-                st.sampled_from([-1, nregs, nregs + 5]))
-        elif fault == "late-condition":
+        if "operand-range" in faults:
+            # one or more operands go out of range, each to its own value and with
+            # every copy, so a duplicate stays one and no new duplicate appears
+            chosen = sorted({args[k] for k in draw(st.sets(st.integers(0, len(args) - 1),
+                                                            min_size=1))})
+            bad = dict(zip(chosen, draw(st.permutations([-1, nregs, nregs + 5, nregs + 9]))))
+            args = [bad.get(a, a) for a in args]
+        if "late-condition" in faults:
             cond = draw(st.sampled_from([-1, starts[gi], starts[gi] + 1, starts[gi] + 9]))
-        elif skippable_before[gi]:
-            cond = draw(st.sampled_from(skippable_before[gi]))
-        else:  # no earlier conditioned gate: add one, then a gate conditioned on it
-            gates.append(Gate(GateKind.NOT, (nregs - 1,), 0))
-            gi, cond = len(gates), eid
-            gates.append(g)
+        if "skippable-condition" in faults:
+            if skippable_before[gi]:
+                cond = draw(st.sampled_from(skippable_before[gi]))
+            else:  # no earlier conditioned gate: add one, then a gate conditioned on it
+                gates.append(Gate(GateKind.NOT, (nregs - 1,), 0))
+                gi, cond = len(gates), eid
+                gates.append(g)
         gates[gi] = Gate(kind, tuple(args), cond)
     elif fault in _REGISTER_FAULTS or fault == "name":
         ri = draw(st.integers(1 if fault == "duplicate-name" else 0, nregs - 1))
@@ -173,13 +201,14 @@ def test_a_valid_circuit_has_the_reference_tables(case):
     assert outcome(Circuit, *case)[0] == "built"
 
 
-@pytest.mark.parametrize("fault", _GATE_FAULTS + _REGISTER_FAULTS)
+@pytest.mark.parametrize("fault", _GATE_FAULTS + _REGISTER_FAULTS + _GATE_FAULT_PAIRS)
 @_SETTINGS
 @given(data=st.data())
 def test_a_faulty_circuit_gets_the_reference_refusal(fault, data):
     case = data.draw(generated_circuits(fault))
     want = outcome(reference_tables, *case)
     assert want[0] == "refused"
+    assert _REFUSALS.get(fault.split("+")[0], "") in want[1]
     assert outcome(Circuit, *case) == want
 
 

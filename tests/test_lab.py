@@ -512,11 +512,13 @@ def _run_estimator(name, target, y0, y1):
         return exact_tv_tiny(target, y0, y1, [], LeakageModel(0.1))
     if name == "mc":
         return mc_advantage(target, y0, y1, [], LeakageModel(0.1), samples=1000, seed=0)
+    if name == "encode":
+        return encoded_secret_rows(target, y0, 4, np.random.default_rng(0))
     return marginal_independence(target, y0, y1, [], order=int(name[-1]), samples=10, seed=0)
 
 
-_WIDTH_CASES = [("run_rounds", "y0")] + [(name, bad) for name in ("exact", "mc", "marginal1", "marginal2")
-                                          for bad in ("y0", "y1")]
+_WIDTH_CASES = [("run_rounds", "y0"), ("encode", "y0")] + [
+    (name, bad) for name in ("exact", "mc", "marginal1", "marginal2") for bad in ("y0", "y1")]
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
