@@ -20,7 +20,9 @@ skipped RAND still consumes its tape bit, which keeps tape consumption a
 static property of the circuit.  `Circuit` fixes two read-only arrays
 once: `leakable`, the ascending ids of the events that can leak (all but
 RAND's, which are leak-free), and `conditioned`, which flags the events of
-conditioned gates, the only ones a row can skip.
+conditioned gates, the only ones a row can skip.  A third, `plane_of`,
+which names for each event the first event sharing its planes in every
+row, is built on first use.
 
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
@@ -44,6 +46,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -244,7 +247,7 @@ class Circuit:
         # one regex pass accepts every name of a valid circuit; only if it
         # fails does the loop below check each name, to find the first bad one
         names_ok = _names_ok([r.name for r in self.registers])
-        names, eid = set(), 0
+        names, eid, init_ones = set(), 0, []
         for i, reg in enumerate(self.registers):
             if reg.id != i:
                 raise CircuitError(f"register ids must be dense, got {reg.id} at {i}",
@@ -255,13 +258,16 @@ class Circuit:
             if name in names:
                 raise CircuitError(f"duplicate register name {name!r}", register=i)
             names.add(name)
-            if reg.init and (reg.init != 1 or role is not INTERNAL):
-                raise CircuitError(f"register {name!r} cannot have init {reg.init}: only "
-                                   "an internal register may start at 1", register=i)
+            if reg.init:
+                if reg.init != 1 or role is not INTERNAL:
+                    raise CircuitError(f"register {name!r} cannot have init {reg.init}: "
+                                       "only an internal register may start at 1", register=i)
+                init_ones.append(i)
             if role is SECRET or role is PUBLIC:
                 self.input_events[i] = eid
                 eid += 1
         del names  # 512 KB at level 2, freed before the gate tables grow
+        self.init_ones = tuple(init_ones)  # ids of the registers that start at 1
         nregs = len(self.registers)
         gate_events, skippable, rand_events, written = [], set(), [], set()
         add_event, add_written = gate_events.append, written.add
@@ -330,6 +336,44 @@ class Circuit:
         self.conditioned = np.zeros(eid, dtype=bool)
         self.conditioned[list(skippable)] = True
         self.leakable.flags.writeable = self.conditioned.flags.writeable = False
+
+    @cached_property
+    def plane_of(self) -> np.ndarray:
+        """Per event, the first event whose value and presence planes equal
+        its own in every row of every batch, as a read-only int64 array,
+        decided on first use from one static pass over the gates.
+
+        A port that reads a register without writing it shares the plane
+        of that register's input or last unconditioned write (or of the
+        first event to read it, before any); a COPY target shares its
+        source's; every other write starts a new plane.  Every port of a
+        conditioned gate holds `value & run` and starts a new plane, and so
+        does the register that gate writes, whose next reader starts one.
+        So plane_of[e] <= e, and events that share a plane share every
+        count and every affine form."""
+        plane = list(range(self.num_events))
+        held = [-1] * len(self.registers)  # register id -> event of its plane
+        for rid, eid in self.input_events.items():
+            held[rid] = eid
+        COPY = GateKind.COPY
+        for g, events in zip(self.gates, self.gate_events):
+            args, port = g.args, g.kind.write_port
+            if g.cond is not None:
+                if port is not None:
+                    held[args[port]] = -1
+                continue
+            for i, (rid, e) in enumerate(zip(args, events)):
+                if i == port:
+                    if g.kind is COPY:
+                        plane[e] = plane[events[0]]
+                    held[rid] = plane[e]
+                elif held[rid] < 0:
+                    held[rid] = e
+                else:
+                    plane[e] = held[rid]
+        table = np.array(plane, dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     # -- introspection ----------------------------------------------------
 
@@ -533,7 +577,9 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     public = _input_planes(public, len(circuit.public_regs), batch, "public")
     fresh = iter(tapes.planes)
 
-    vals = [full if r.init else 0 for r in circuit.registers]
+    vals = [0] * len(circuit.registers)
+    for rid in circuit.init_ones:
+        vals[rid] = full
     for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
         vals[reg.id] = plane
     values = [0] * circuit.num_events
@@ -549,8 +595,9 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
         # run mask; this branch halves the per-gate cost at 256 rows
         if g.cond is None:
             if kind is CNOT:
-                values[e] = vals[a[0]]
-                values[e + 1] = vals[a[1]] = vals[a[1]] ^ vals[a[0]]
+                c, t = a
+                values[e] = x = vals[c]
+                values[e + 1] = vals[t] = vals[t] ^ x
             elif kind is RAND:
                 values[e] = vals[a[0]] = next(fresh)
             elif kind is COPY:

@@ -29,10 +29,11 @@ a chunk's bits straight into bit-planes (_draw_planes): one Generator.bytes
 call of ceil(rows / 8) bytes per column, column after column, seed columns
 first.  Byte b of a column holds its rows 8b .. 8b + 7, row 8b + k in bit k,
 so the column's plane is the bytes read as one little-endian int, and the
-bits past the chunk's last row are dropped.  run_rounds takes one row of
-uniforms u per round: a seed or tape bit is u < 0.5 and a leakable event
-leaks when u < p; it and exact_tv_tiny (which enumerates the rows) pack
-their int8 bit rows into planes once.
+bits past the chunk's last row are dropped: the draw is masked as one
+(columns, bytes) array and read in one int.from_bytes pass.  run_rounds
+takes one row of uniforms u per round: a seed or tape bit is u < 0.5 and a
+leakable event leaks when u < p; it and exact_tv_tiny (which enumerates the
+rows) pack their int8 bit rows into planes once.
 
 Every path evaluates its [seed | tape] bit-planes with _evaluate_rows,
 which encodes the secret on the seed planes (compiler.encode_seed_planes)
@@ -41,11 +42,13 @@ reads the resulting EventBatch bit-planes; two secrets evaluated on one
 set of planes share every seed and tape bit.  The marginals count symbols
 by popcount, and read an event's presence plane only when it is
 conditioned (every other event ran in all rows), so an order-2 pair of
-unconditioned events takes one AND-popcount; every other path unpacks
-only what it reads with EventBatch.matrix: run_rounds the masked event
-columns, exact_tv_tiny the leakable columns, keyed into one int per row,
-and mc_advantage each mask's own events over that mask's own rows, keyed
-into one int64 per row with a rank fold (_empirical_tv).  Both TV
+unconditioned events takes one AND-popcount; at order 1 they popcount one
+event per distinct plane (Circuit.plane_of) and broadcast its counts to
+the events that share it.  Every other path unpacks only what it reads
+with EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny
+the leakable columns, keyed into one int per row, and mc_advantage each
+mask's own events over that mask's own rows, keyed into one int64 per row
+with a rank fold (_empirical_tv).  Both TV
 estimators tally with one grouped sum per row of int64 keys,
 _abs_group_sums: the sum, over a row's distinct keys, of |count under y0 -
 count under y1|, which is twice a mask's masked-value TV times the row
@@ -62,6 +65,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -184,15 +188,20 @@ def _draw_planes(np_rng, rows: int, width: int) -> Planes:
     """`width` columns of `rows` uniform bits, from one np_rng.bytes draw of
     ceil(rows / 8) bytes per column, column after column.  Byte b of a
     column holds its rows 8b .. 8b + 7, row 8b + k in bit k (a
-    little-endian int), and the bits past the last row are dropped.  No
+    little-endian int).  The draw is viewed as a (width, nbytes) byte
+    array; when rows is not a multiple of 8 the bits past the last row are
+    cleared in its last byte column, and then one map(int.from_bytes, ..)
+    pass over its rows, each one V{nbytes} item, reads every plane.  No
     columns draw nothing."""
     if not width:
         return Planes(rows, ())
     nbytes = (rows + 7) // 8
-    buf = np_rng.bytes(nbytes * width)
-    full = (1 << rows) - 1
-    return Planes(rows, tuple(int.from_bytes(buf[j * nbytes:(j + 1) * nbytes], "little") & full
-                              for j in range(width)))
+    cols = np.frombuffer(np_rng.bytes(nbytes * width), dtype=np.uint8).reshape(width, nbytes)
+    if rows % 8:
+        cols = cols.copy()  # the drawn buffer is read-only
+        cols[:, -1] &= (1 << rows % 8) - 1
+    return Planes(rows, tuple(map(int.from_bytes, cols.view(f"V{nbytes}").ravel().tolist(),
+                                  repeat("little"))))
 
 
 def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
@@ -539,15 +548,25 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         targets = compiled.snapshot_pairs
         symbols = 9
 
-    counts0, counts1 = (_symbol_counts(circuit, level, y, x, samples, gen, targets, order)
+    # counts row slot[j] holds target j's counts
+    counted, slot = targets, np.arange(len(targets))
+    if order == 1:
+        # events that share a plane share their counts, so one event per
+        # distinct plane is counted (21,909 of the level-2 one-Toffoli's
+        # 42,781) and each target reads its plane's row
+        planes = circuit.plane_of[targets]
+        seen = np.zeros(circuit.num_events, dtype=bool)
+        seen[planes] = True
+        counted, slot = np.flatnonzero(seen), np.cumsum(seen)[planes] - 1
+    counts0, counts1 = (_symbol_counts(circuit, level, y, x, samples, gen, counted, order)
                         for y, gen in ((y0, rng0), (y1, rng1)))
-    tv = 0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples
+    tv = (0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples)[slot]
     estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
         i = int(np.argmax(tv))
         estimate, worst = float(tv[i]), np.atleast_1d(targets[i]).tolist()
         # plug-in standard error of the worst comparison's empirical TV
-        p_hat, q_hat = counts0[i] / samples, counts1[i] / samples
+        p_hat, q_hat = counts0[slot[i]] / samples, counts1[slot[i]] / samples
         var = (p_hat * (1 - p_hat) + q_hat * (1 - q_hat)).sum() / samples
         std_error = 0.5 * math.sqrt(var)
     # union Hoeffding bound over every cell of every comparison
@@ -591,12 +610,15 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
     counted in column (a + 1) * 3 + b + 1.  Each event's ones are
     popcounted once, and the rows it ran in only if it is conditioned (any
-    other ran in all).  Order 2 derives all nine cells from the two
-    events' own counts and four AND-counts, of a's ones or ran rows with
-    b's ones or ran rows (a skipped event's value bit is 0, so an event's
-    ones lie inside its ran rows).  Every pair popcounts ones & ones; an
-    unconditioned event's ran rows are all rows, so a pair popcounts an
-    AND with an event's presence plane only when that event is conditioned.
+    other ran in all).  At order 1 marginal_independence passes one event
+    per distinct plane (Circuit.plane_of), and each event that shares the
+    plane reads its counts; order-2 targets stay per event.  Order 2 derives
+    all nine cells from the two events' own counts and four AND-counts, of
+    a's ones or ran rows with b's ones or ran rows (a skipped event's value
+    bit is 0, so an event's ones lie inside its ran rows).  Every pair
+    popcounts ones & ones; an unconditioned event's ran rows are all rows,
+    so a pair popcounts an AND with an event's presence plane only when
+    that event is conditioned.
     """
     rows = events.rows
     if order == 1:

@@ -137,6 +137,10 @@ LAB_DIGESTS = {
     "run_rounds_l1": "e34a100b524c3657",
     "mc_l2": "7af6123e999b5615",
     "run_rounds_l2": "5e54be569a9dda97",
+    # row counts that are not whole bytes: the last byte of each drawn
+    # column is masked, and every event's counts still come out exact
+    "marginal_l2_250": "998fb501051511c6",
+    "marginal_l1_17001": "08e9e5dd75bde8f9",
 }
 
 
@@ -169,6 +173,19 @@ def test_level2_marginal_report_is_pinned(one_toffoli_level2):
     report = marginal_independence(one_toffoli_level2, [0, 0], [1, 0], [], order=1,
                                    samples=256, seed=13)
     assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l2"]
+
+
+def test_level2_marginal_report_on_a_partial_byte_is_pinned(one_toffoli_level2):
+    report = marginal_independence(one_toffoli_level2, [0, 1], [1, 0], [], order=1,
+                                   samples=250, seed=15)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l2_250"]
+
+
+def test_level1_marginal_report_past_one_chunk_is_pinned(one_toffoli_level1):
+    # one 16,384-row chunk, then 617 rows
+    report = marginal_independence(one_toffoli_level1, [0, 1], [0, 0], [], order=1,
+                                   samples=17_001, seed=16)
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l1_17001"]
 
 
 def test_level1_transcripts_are_pinned(one_toffoli_level1):

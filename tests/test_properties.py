@@ -60,6 +60,7 @@ from lrcirc.lab import (
     _unpack,
     encoded_secret_rows,
     exact_tv_tiny,
+    marginal_independence,
     mc_advantage,
     run_rounds,
 )
@@ -263,6 +264,55 @@ def test_popcount_symbol_counts_equal_matrix_counts(text):
         for targets, order in ((singles, 1), (pairs, 2)):
             got = _plane_counts(batch, targets, order)
             assert got.tolist() == counts_by_matrix(matrix, targets, order).tolist()
+
+
+def assert_planes_shared(circ, batch):
+    """Circuit.plane_of against one evaluated batch: each event's value and
+    presence planes equal those of its plane's event, which is no later."""
+    plane_of = circ.plane_of
+    assert not plane_of.flags.writeable and plane_of.shape == (circ.num_events,)
+    assert (plane_of <= np.arange(circ.num_events)).all()
+    for e, p in enumerate(plane_of.tolist()):
+        assert batch.values[e] == batch.values[p]
+        assert batch.presence[e] == batch.presence[p]
+
+
+@_SETTINGS
+@given(raw_netlists())
+def test_events_share_the_planes_of_their_plane_events(text):
+    circ = parse_netlist(text)
+    for args in _row_batches(circ):
+        assert_planes_shared(circ, evaluate_batch(circ, *args))
+
+
+@_SETTINGS
+@given(raw_netlists(), st.sampled_from([1, 9, 64]), st.integers(0, 2 ** 32 - 1))
+def test_order1_marginals_equal_counting_every_event_alone(text, samples, seed):
+    shared, alone = parse_netlist(text), parse_netlist(text)
+    alone.plane_of = np.arange(alone.num_events)  # every event its own plane
+    rng = random.Random(seed)
+    y0, y1 = ([rng.getrandbits(1) for _ in shared.secret_regs] for _ in range(2))
+    x = [rng.getrandbits(1) for _ in shared.public_regs]
+    reports = [marginal_independence(c, y0, y1, x, order=1, samples=samples, seed=seed)
+               for c in (shared, alone)]
+    assert reports[0] == reports[1]
+
+
+# distinct planes among the leakable events of the compiled one-Toffoli
+_COMPILED_PLANES = {(1, True): 512, (1, False): 365, (2, True): 21_909}
+
+
+@pytest.mark.parametrize("level,ec", sorted(_COMPILED_PLANES))
+def test_compiled_events_share_the_planes_of_their_plane_events(level, ec):
+    comp = compile_circuit(parse_netlist(_SKIPPING["toffoli_l1"][0]), level=level, ec=ec)
+    circ = comp.circuit
+    width = seed_count(2, level) + circ.rand_count
+    for rows, secret in ((64, [0, 1]), (9, [1, 1])):
+        batch = _evaluate_rows(circ, level, secret, [], _draw_planes(
+            np.random.default_rng(rows), rows, width))
+        assert_planes_shared(circ, batch)
+    assert any(p != batch.full for p in batch.presence)  # some rows skip a gate
+    assert len(np.unique(circ.plane_of[circ.leakable])) == _COMPILED_PLANES[(level, ec)]
 
 
 def nine_cell_counts(events, pairs):
