@@ -6,11 +6,11 @@ random-bit source RAND, and a readout fan-out COPY.  Every circuit input
 declaration and every gate output port gets one *wire event*: the unit to
 which leakage applies.  Event ids are dense and assigned in program order,
 inputs first (in declaration order), then one block of ids per gate, ordered
-by the gate's operand order.  `Register` and `Gate` are plain records,
-frozen and hashable, whose inits set their slots directly for speed;
-`Circuit` checks them: every register name against the netlist grammar
-in one regex match, so a circuit that builds serializes to text that
-reads back, then each gate in one pass.
+by the gate's operand order and starting at its `Circuit.gate_start`.
+`Register` and `Gate` are plain records, frozen and hashable, whose inits
+set their slots directly for speed; `Circuit` checks them: every register
+name against the netlist grammar in one regex match, so a circuit that
+builds serializes to text that reads back, then each gate in one pass.
 
 Gates may carry a classical condition: an input's or unconditioned gate's
 event, a plain bit on every row, which gates execution.  A skipped gate
@@ -19,22 +19,21 @@ updates no register and records no values; its event slots stay empty
 skipped RAND still consumes its tape bit, which keeps tape consumption a
 static property of the circuit.  `Circuit` fixes two read-only arrays
 once: `leakable`, the ascending ids of the events that can leak (all but
-RAND's, which are leak-free), and `conditioned`, which flags the events of
-conditioned gates, the only ones a row can skip.  A third, `plane_of`,
-which names for each event the first event sharing its planes in every
-row, is built on first use.
+RAND's, which are leak-free), and `cond_of`, which gives each event of a
+conditioned gate, the only ones a row can skip, its condition event, and
+-1 to every other event.  A third, `plane_of`, which names for each event
+the first event sharing its planes in every row, is built on first use.
 
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each register and each event holds one Python int whose bit r
 is row r, so a gate costs a few big-int operations for the whole batch.  It
 takes per-row inputs and tapes as int8 matrices, which it packs into
 planes, or already packed as `Planes`, the lab's own layout.  It
-returns an `EventBatch`: a value plane per event, a presence plane
-marking the rows where a conditioned gate ran, and each register's final
-plane, from which `batch_outputs` reads the outputs.  Callers count on the
-planes directly or unpack what they read with `EventBatch.matrix`: an int8
-matrix of chosen events, each over all rows or over its own window of
-rows, with -1 for a skipped event.  The scalar `evaluate` and
+returns an `EventBatch`: a value plane per event and each register's
+final plane, from which `batch_outputs` reads the outputs.  Callers count
+on the planes directly or unpack what they read with `EventBatch.matrix`:
+an int8 matrix of chosen events, each over all rows or over its own
+window of rows, with -1 for a skipped event.  The scalar `evaluate` and
 `register_file` are the reference the tests check it against.
 """
 
@@ -269,8 +268,9 @@ class Circuit:
         del names  # 512 KB at level 2, freed before the gate tables grow
         self.init_ones = tuple(init_ones)  # ids of the registers that start at 1
         nregs = len(self.registers)
-        gate_events, skippable, rand_events, written = [], set(), [], set()
-        add_event, add_written = gate_events.append, written.add
+        # skippable maps each event of a conditioned gate to its condition
+        gate_start, skippable, rand_events, written = [], {}, [], set()
+        add_start, add_written = gate_start.append, written.add
         RAND = GateKind.RAND
         # within a gate the rules run in this order: operand count, distinct
         # operands, operand range, condition, tested unrolled for one and two
@@ -290,20 +290,16 @@ class Circuit:
                         raise CircuitError(f"gate references undeclared register {a}")
                     if not 0 <= b < nregs:
                         raise CircuitError(f"gate references undeclared register {b}")
-                    # a tuple display is about 5x cheaper than tuple(range(..))
-                    events = (eid, eid + 1)
                 elif n == 1:
                     a, = args
                     if not 0 <= a < nregs:
                         raise CircuitError(f"gate references undeclared register {a}")
-                    events = (eid,)  # shares its int with rand_events
                 else:
                     if len(set(args)) != n:
                         raise CircuitError(f"duplicate operand in {kind.value} gate")
                     for a in args:
                         if not 0 <= a < nregs:
                             raise CircuitError(f"gate references undeclared register {a}")
-                    events = tuple(range(eid, eid + n))
                 if cond is not None:
                     if not 0 <= cond < eid:
                         raise CircuitError(f"condition event {cond} does not precede the "
@@ -311,35 +307,36 @@ class Circuit:
                     if cond in skippable:
                         raise CircuitError(f"condition event {cond} is an event of a "
                                            "conditioned gate, which a run may skip")
-                    skippable.update(events)
+                    skippable.update(dict.fromkeys(range(eid, eid + n), cond))
                 port = kind.write_port
                 if port is not None:
                     add_written(args[port])
                     if kind is RAND:
                         rand_events.append(eid)
-                add_event(events)
+                add_start(eid)
                 eid += n
         except CircuitError as exc:
-            exc.gate = len(gate_events)  # one entry per gate before it
+            exc.gate = len(gate_start)  # one entry per gate before it
             raise
         for reg in self.output_regs:
             if reg.id not in written:
                 raise CircuitError(f"output register {reg.name!r} is never written",
                                    register=reg.id)
         del written  # 512 KB at level 2, freed before the arrays below
-        self.gate_events: tuple[tuple[int, ...], ...] = tuple(gate_events)
+        # gate i's events are range(gate_start[i], gate_start[i] + len(args))
+        self.gate_start: tuple[int, ...] = tuple(gate_start)
         self.num_events = eid
         self.leak_free: frozenset[int] = frozenset(rand_events)
         self.rand_count = len(rand_events)
         # decided once for every estimator and batch (see the module docstring)
         self.leakable = np.delete(np.arange(eid), rand_events)
-        self.conditioned = np.zeros(eid, dtype=bool)
-        self.conditioned[list(skippable)] = True
-        self.leakable.flags.writeable = self.conditioned.flags.writeable = False
+        self.cond_of = np.full(eid, -1, dtype=np.int64)
+        self.cond_of[list(skippable)] = list(skippable.values())
+        self.leakable.flags.writeable = self.cond_of.flags.writeable = False
 
     @cached_property
     def plane_of(self) -> np.ndarray:
-        """Per event, the first event whose value and presence planes equal
+        """Per event, the first event whose value plane and ran rows equal
         its own in every row of every batch, as a read-only int64 array,
         decided on first use from one static pass over the gates.
 
@@ -356,16 +353,16 @@ class Circuit:
         for rid, eid in self.input_events.items():
             held[rid] = eid
         COPY = GateKind.COPY
-        for g, events in zip(self.gates, self.gate_events):
+        for g, start in zip(self.gates, self.gate_start):
             args, port = g.args, g.kind.write_port
             if g.cond is not None:
                 if port is not None:
                     held[args[port]] = -1
                 continue
-            for i, (rid, e) in enumerate(zip(args, events)):
-                if i == port:
+            for e, rid in enumerate(args, start):
+                if e - start == port:
                     if g.kind is COPY:
-                        plane[e] = plane[events[0]]
+                        plane[e] = plane[start]
                     held[rid] = plane[e]
                 elif held[rid] < 0:
                     held[rid] = e
@@ -383,11 +380,11 @@ class Circuit:
         for reg in self.registers:
             if reg.id in self.input_events:
                 lines.append(f"{self.input_events[reg.id]:6d}  input {reg.role.value} {reg.name}")
-        for i, (g, events) in enumerate(zip(self.gates, self.gate_events)):
+        for i, (g, start) in enumerate(zip(self.gates, self.gate_start)):
             cond = f" if[{g.cond}]" if g.cond is not None else ""
-            for port, ev in enumerate(events):
-                name = self.registers[g.args[port]].name
-                lines.append(f"{ev:6d}  gate#{i} {g.kind.value}{cond} port {port} -> {name}")
+            for ev, rid in enumerate(g.args, start):
+                name = self.registers[rid].name
+                lines.append(f"{ev:6d}  gate#{i} {g.kind.value}{cond} port {ev - start} -> {name}")
         return lines
 
     def depth(self) -> int:
@@ -454,7 +451,7 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
         events[eid] = vals[rid]
 
     tape_bits = iter(tape.bits)
-    for g, eids in zip(circuit.gates, circuit.gate_events):
+    for g, start in zip(circuit.gates, circuit.gate_start):
         if g.kind is GateKind.RAND:
             fresh = next(tape_bits)
         if g.cond is not None and events[g.cond] == 0:
@@ -471,8 +468,8 @@ def _run(circuit: Circuit, secret, public, tape: RandomTape):
         elif g.kind is GateKind.COPY:
             vals[a[1]] = vals[a[0]]
         # Z and CZ: identity on values
-        for port, ev in enumerate(eids):
-            events[ev] = vals[a[port]]
+        for ev, rid in enumerate(a, start):
+            events[ev] = vals[rid]
 
     return vals, events
 
@@ -506,26 +503,23 @@ class EventBatch:
     """Wire-event values of a batch of rows, bitsliced: one Python int per
     event, bit r holding row r.
 
-    `values[e]` has bit r set when event e recorded 1 in row r, and
-    `presence[e]` when e's gate ran in row r; a skipped event's value bit
-    is 0.  Input events and events of unconditioned gates share the
-    all-ones int `full` as their presence; the circuit's bool array
-    `conditioned` marks the events of conditioned gates, the only ones
-    whose presence can differ from it; a condition's event is never one of
-    them, so its presence is always `full`.  `registers[i]` is register i's
-    final value plane.  Consumers read the planes directly (popcounts,
-    masks) or unpack the events they need, over all rows or one row window
-    per event, with `matrix`.
+    `values[e]` has bit r set when event e recorded 1 in row r; a skipped
+    event's value bit is 0.  The circuit's int64 array `cond_of` gives each
+    event of a conditioned gate its condition event, whose value plane
+    holds the rows where the gate ran, and -1 for every other event, which
+    ran in all rows.  `registers[i]` is register i's final value plane.
+    Consumers read the planes directly (popcounts, masks) or unpack the
+    events they need, over all rows or one row window per event, with
+    `matrix`.
     """
 
-    def __init__(self, rows: int, values: list[int], presence: list[int],
-                 registers: list[int], conditioned: np.ndarray):
+    def __init__(self, rows: int, values: list[int], registers: list[int],
+                 cond_of: np.ndarray):
         self.rows = rows
         self.full = (1 << rows) - 1
         self.values = values
-        self.presence = presence
         self.registers = registers
-        self.conditioned = conditioned
+        self.cond_of = cond_of
 
     def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (count, len(cols)) whose column
@@ -538,12 +532,13 @@ class EventBatch:
         starts = [0] * cols.size if starts is None else np.asarray(starts, dtype=np.int64).tolist()
         count = self.rows if count is None else count
         window = (1 << count) - 1
-        maybe_skipped = np.flatnonzero(self.conditioned[cols]).tolist()
+        conds = self.cond_of[cols]
+        maybe_skipped = np.flatnonzero(conds >= 0)
         cols, values = cols.tolist(), self.values
         out = _unpack_planes([(values[c] >> s) & window for c, s in zip(cols, starts)], count)
         skipped = {}
-        for j in maybe_skipped:
-            gap = ((self.full ^ self.presence[cols[j]]) >> starts[j]) & window
+        for j, c in zip(maybe_skipped.tolist(), conds[maybe_skipped].tolist()):
+            gap = ((self.full ^ values[c]) >> starts[j]) & window
             if gap:
                 skipped[j] = gap
         if skipped:
@@ -583,14 +578,13 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
         vals[reg.id] = plane
     values = [0] * circuit.num_events
-    presence = [full] * circuit.num_events
     for rid, eid in circuit.input_events.items():
         values[eid] = vals[rid]
 
     CNOT, TOF, NOT, RAND, COPY = (GateKind.CNOT, GateKind.TOF, GateKind.NOT,
                                   GateKind.RAND, GateKind.COPY)
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        kind, a, e = g.kind, g.args, eids[0]  # events e, e + 1, .. by operand
+    for g, e in zip(circuit.gates, circuit.gate_start):
+        kind, a = g.kind, g.args  # events e, e + 1, .. by operand
         # unconditioned gates (nearly all of a compiled circuit) skip the
         # run mask; this branch halves the per-gate cost at 256 rows
         if g.cond is None:
@@ -608,7 +602,7 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
                 elif kind is NOT:
                     vals[a[0]] ^= full
                 # Z and CZ: identity on values
-                for rid, ev in zip(a, eids):
+                for ev, rid in enumerate(a, e):
                     values[ev] = vals[rid]
             continue
         run = values[g.cond]  # the rows where the gate runs
@@ -622,10 +616,9 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
             vals[a[0]] ^= (vals[a[0]] ^ next(fresh)) & run
         elif kind is COPY:
             vals[a[1]] ^= (vals[a[1]] ^ vals[a[0]]) & run
-        for rid, ev in zip(a, eids):
+        for ev, rid in enumerate(a, e):
             values[ev] = vals[rid] & run
-            presence[ev] = run
-    return EventBatch(batch, values, presence, vals, circuit.conditioned)
+    return EventBatch(batch, values, vals, circuit.cond_of)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:

@@ -543,12 +543,12 @@ class CompiledCircuit:
             bi = reg_block.get(rid)
             if bi is not None:
                 snapshot_events.setdefault((bi, 0), []).append(eid)
-        for g, eids in zip(circuit.gates, circuit.gate_events):
-            for port, ev in enumerate(eids):
-                bi = reg_block.get(g.args[port])
+        for g, start in zip(circuit.gates, circuit.gate_start):
+            for ev, rid in enumerate(g.args, start):
+                bi = reg_block.get(rid)
                 if bi is None:
                     continue
-                if port == g.kind.write_port:
+                if ev - start == g.kind.write_port:
                     window[bi] += 1
                 if ev not in circuit.leak_free:
                     snapshot_events.setdefault((bi, window[bi]), []).append(ev)
@@ -745,8 +745,8 @@ def _expand(source: Circuit, level: int, ec: bool
 
     # the register each wire event was recorded on, to decode conditions
     event_reg = {eid: rid for rid, eid in source.input_events.items()}
-    for g, eids in zip(source.gates, source.gate_events):
-        event_reg.update(zip(eids, g.args))
+    for g, start in zip(source.gates, source.gate_start):
+        event_reg.update(enumerate(g.args, start))
 
     for gi, g in enumerate(source.gates):
         names = [regs[a].name for a in g.args]

@@ -40,11 +40,10 @@ which encodes the secret on the seed planes (compiler.encode_seed_planes)
 and passes the result and the tape planes to circuits.evaluate_batch, and
 reads the resulting EventBatch bit-planes; two secrets evaluated on one
 set of planes share every seed and tape bit.  The marginals count symbols
-by popcount, and read an event's presence plane only when it is
-conditioned (every other event ran in all rows), so an order-2 pair of
-unconditioned events takes one AND-popcount; at order 1 they popcount one
-event per distinct plane (Circuit.plane_of) and broadcast its counts to
-the events that share it.  Every other path unpacks only what it reads
+by popcount: an order-2 pair of unconditioned events takes one
+AND-popcount; at order 1 they popcount one event per distinct plane
+(Circuit.plane_of) and broadcast its counts to the events that share it.
+Every other path unpacks only what it reads
 with EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny
 the leakable columns, keyed into one int per row, and mc_advantage each
 mask's own events over that mask's own rows, keyed into one int64 per row
@@ -609,16 +608,17 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     is an event value v in {-1, 0, 1} (-1 = skipped), counted in column
     v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
     counted in column (a + 1) * 3 + b + 1.  Each event's ones are
-    popcounted once, and the rows it ran in only if it is conditioned (any
-    other ran in all).  At order 1 marginal_independence passes one event
-    per distinct plane (Circuit.plane_of), and each event that shares the
-    plane reads its counts; order-2 targets stay per event.  Order 2 derives
+    popcounted once, and the rows it ran in, its condition event's ones
+    (`Circuit.cond_of`), only if it is conditioned (any other ran in all).
+    At order 1 marginal_independence passes one event per distinct plane
+    (Circuit.plane_of), and each event that shares the plane reads its
+    counts; order-2 targets stay per event.  Order 2 derives
     all nine cells from the two events' own counts and four AND-counts, of
     a's ones or ran rows with b's ones or ran rows (a skipped event's value
     bit is 0, so an event's ones lie inside its ran rows).  Every pair
     popcounts ones & ones; an unconditioned event's ran rows are all rows,
-    so a pair popcounts an AND with an event's presence plane only when
-    that event is conditioned.
+    so a pair popcounts an AND with an event's ran rows only when that
+    event is conditioned.
     """
     rows = events.rows
     if order == 1:
@@ -630,35 +630,37 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     ones, ran = _event_counts(events, used)
     slot = slot.reshape(pairs.shape)
     (one_a, one_b), (ran_a, ran_b) = ones[slot].T, ran[slot].T
-    values, presence = events.values, events.presence
-    cond_a, cond_b = events.conditioned[pairs].T
+    values = events.values
     a, b = pairs.T
-    oo = _and_counts(values, values, a, b)
+    run_a, run_b = events.cond_of[pairs].T
+    cond_a, cond_b = run_a >= 0, run_b >= 0
+    oo = _and_counts(values, a, b)
     # op = |ones_a & ran_b|, po = |ran_a & ones_b| and pp = |ran_a & ran_b|,
     # where an unconditioned event's ran rows are all rows
     op, po, pp = one_a.copy(), one_b.copy(), np.minimum(ran_a, ran_b)
-    op[cond_b] = _and_counts(values, presence, a[cond_b], b[cond_b])
-    po[cond_a] = _and_counts(presence, values, a[cond_a], b[cond_a])
+    op[cond_b] = _and_counts(values, a[cond_b], run_b[cond_b])
+    po[cond_a] = _and_counts(values, run_a[cond_a], b[cond_a])
     both = cond_a & cond_b
-    pp[both] = _and_counts(presence, presence, a[both], b[both])
+    pp[both] = _and_counts(values, run_a[both], run_b[both])
     return np.stack([rows - ran_a - ran_b + pp, ran_b - one_b - pp + po, one_b - po,
                      ran_a - one_a - pp + op, pp - op - po + oo, po - oo,
                      one_a - op, op - oo, oo], axis=1)
 
 
 def _event_counts(events: EventBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per event of the int64 array `ids`, its ones and the rows it ran in;
-    presence is popcounted only for conditioned events."""
+    """Per event of the int64 array `ids`, its ones and the rows it ran in:
+    all rows, or for a conditioned event its condition event's ones."""
     ones = np.fromiter(map(int.bit_count, map(events.values.__getitem__, ids.tolist())),
                        dtype=np.int64, count=len(ids))
     ran = np.full(len(ids), events.rows, dtype=np.int64)
-    skips = np.flatnonzero(events.conditioned[ids])
-    ran[skips] = [events.presence[e].bit_count() for e in ids[skips].tolist()]
+    conds = events.cond_of[ids]
+    skips = np.flatnonzero(conds >= 0)
+    ran[skips] = [events.values[c].bit_count() for c in conds[skips].tolist()]
     return ones, ran
 
 
-def _and_counts(left: list[int], right: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per j, the popcount of left[a[j]] & right[b[j]]."""
-    return np.fromiter(map(int.bit_count, map(operator.and_, map(left.__getitem__, a.tolist()),
-                                              map(right.__getitem__, b.tolist()))),
+def _and_counts(planes: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per j, the popcount of planes[a[j]] & planes[b[j]]."""
+    return np.fromiter(map(int.bit_count, map(operator.and_, map(planes.__getitem__, a.tolist()),
+                                              map(planes.__getitem__, b.tolist()))),
                        dtype=np.int64, count=len(a))

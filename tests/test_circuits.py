@@ -71,9 +71,10 @@ def test_event_table_and_leak_free():
     # no inputs, RAND has one port, CNOT two
     assert circ.num_events == 3
     assert circ.leak_free == {0}
-    for g, events in zip(circ.gates, circ.gate_events):
+    assert circ.gate_start == (0, 1)
+    for g, start in zip(circ.gates, circ.gate_start):
         if g.kind is not GateKind.RAND:
-            assert not (set(events) & circ.leak_free)
+            assert not (set(range(start, start + len(g.args))) & circ.leak_free)
 
 
 def test_z_cz_create_identity_events():

@@ -23,8 +23,9 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 def reference_tables(registers, gates):
     """Circuit's rules as one general check per register and per gate, in
-    the order Circuit applies them; returns (gate_events, num_events,
-    leak_free, leakable, conditioned) or raises Circuit's CircuitError."""
+    the order Circuit applies them; returns (gate_start, num_events,
+    leak_free, leakable, cond_of) or raises Circuit's CircuitError.
+    cond_of gives each event its gate's `Gate.cond`, or -1."""
     names, eid = set(), 0
     for i, reg in enumerate(registers):
         if reg.id != i:
@@ -41,7 +42,8 @@ def reference_tables(registers, gates):
         if role in (Role.SECRET, Role.PUBLIC):
             eid += 1
     nregs = len(registers)
-    gate_events, skippable, rand_events, written = [], set(), [], set()
+    gate_start, skippable, rand_events, written = [], set(), [], set()
+    cond_of = [-1] * eid  # the input events
     for gi, g in enumerate(gates):
         kind, args, cond = g.kind, g.args, g.cond
         n = len(args)
@@ -52,7 +54,7 @@ def reference_tables(registers, gates):
         for a in args:
             if not 0 <= a < nregs:
                 raise CircuitError(f"gate references undeclared register {a}", gate=gi)
-        events = tuple(range(eid, eid + n))
+        events = range(eid, eid + n)
         if cond is not None:
             if not 0 <= cond < eid:
                 raise CircuitError(f"condition event {cond} does not precede the gate "
@@ -65,16 +67,15 @@ def reference_tables(registers, gates):
             written.add(args[kind.write_port])
             if kind is GateKind.RAND:
                 rand_events.append(eid)
-        gate_events.append(events)
+        gate_start.append(eid)
+        cond_of.extend([-1 if cond is None else cond] * n)
         eid += n
     for reg in registers:
         if reg.role is Role.OUTPUT and reg.id not in written:
             raise CircuitError(f"output register {reg.name!r} is never written",
                                register=reg.id)
-    conditioned = np.zeros(eid, dtype=bool)
-    conditioned[list(skippable)] = True
-    return (tuple(gate_events), eid, frozenset(rand_events),
-            np.delete(np.arange(eid), rand_events).tolist(), conditioned.tolist())
+    return (tuple(gate_start), eid, frozenset(rand_events),
+            np.delete(np.arange(eid), rand_events).tolist(), cond_of)
 
 
 def outcome(build, *args):
@@ -84,8 +85,8 @@ def outcome(build, *args):
     except CircuitError as exc:
         return "refused", str(exc), exc.gate, exc.register
     if isinstance(got, Circuit):
-        got = (got.gate_events, got.num_events, got.leak_free, got.leakable.tolist(),
-               got.conditioned.tolist())
+        got = (got.gate_start, got.num_events, got.leak_free, got.leakable.tolist(),
+               got.cond_of.tolist())
     return "built", got
 
 
@@ -281,7 +282,7 @@ def test_transversal_equals_one_emit_per_position(kind, cond):
     assert got.gates == want.gates
     assert (got._event, got._tape) == (want._event, want._tape)
     assert got.gadgets == want.gadgets
-    assert got.build().gate_events == want.build().gate_events
+    assert got.build().gate_start == want.build().gate_start
 
 
 def test_transversal_refuses_unequal_blocks_before_emitting():

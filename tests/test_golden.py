@@ -141,6 +141,9 @@ LAB_DIGESTS = {
     # column is masked, and every event's counts still come out exact
     "marginal_l2_250": "998fb501051511c6",
     "marginal_l1_17001": "08e9e5dd75bde8f9",
+    # order-2 counts at level 2, where 3,647 pairs hold a conditioned
+    # event and 931 hold two
+    "marginal_l2_order2": "9f1e54d2a2d3c716",
 }
 
 
@@ -186,6 +189,13 @@ def test_level1_marginal_report_past_one_chunk_is_pinned(one_toffoli_level1):
     report = marginal_independence(one_toffoli_level1, [0, 1], [0, 0], [], order=1,
                                    samples=17_001, seed=16)
     assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l1_17001"]
+
+
+def test_level2_pairwise_marginal_report_is_pinned(one_toffoli_level2):
+    report = marginal_independence(one_toffoli_level2, [0, 1], [1, 0], [], order=2,
+                                   samples=64, seed=17)
+    assert report.details["comparisons"] == 72_226
+    assert _sha(_json(report.to_json_dict())) == LAB_DIGESTS["marginal_l2_order2"]
 
 
 def test_level1_transcripts_are_pinned(one_toffoli_level1):

@@ -266,15 +266,32 @@ def test_popcount_symbol_counts_equal_matrix_counts(text):
             assert got.tolist() == counts_by_matrix(matrix, targets, order).tolist()
 
 
+def event_conds(circ):
+    """Per event, its gate's `Gate.cond`, or -1 for an input's or an
+    unconditioned gate's event.  The ids are counted here in program order,
+    inputs first, not read from the circuit's own tables."""
+    conds = [-1] * len(circ.input_events)
+    for g in circ.gates:
+        conds += [-1 if g.cond is None else g.cond] * len(g.args)
+    return conds
+
+
+def ran_planes(circ, batch):
+    """Per event, the rows it ran in: its condition event's value plane, or
+    every row (see `event_conds`)."""
+    return [batch.full if c < 0 else batch.values[c] for c in event_conds(circ)]
+
+
 def assert_planes_shared(circ, batch):
     """Circuit.plane_of against one evaluated batch: each event's value and
-    presence planes equal those of its plane's event, which is no later."""
+    ran-rows planes equal those of its plane's event, which is no later."""
     plane_of = circ.plane_of
     assert not plane_of.flags.writeable and plane_of.shape == (circ.num_events,)
     assert (plane_of <= np.arange(circ.num_events)).all()
+    ran = ran_planes(circ, batch)
     for e, p in enumerate(plane_of.tolist()):
         assert batch.values[e] == batch.values[p]
-        assert batch.presence[e] == batch.presence[p]
+        assert ran[e] == ran[p]
 
 
 @_SETTINGS
@@ -311,14 +328,15 @@ def test_compiled_events_share_the_planes_of_their_plane_events(level, ec):
         batch = _evaluate_rows(circ, level, secret, [], _draw_planes(
             np.random.default_rng(rows), rows, width))
         assert_planes_shared(circ, batch)
-    assert any(p != batch.full for p in batch.presence)  # some rows skip a gate
+    assert any(r != batch.full for r in ran_planes(circ, batch))  # some rows skip a gate
     assert len(np.unique(circ.plane_of[circ.leakable])) == _COMPILED_PLANES[(level, ec)]
 
 
-def nine_cell_counts(events, pairs):
+def nine_cell_counts(events, ran, pairs):
     """Order-2 counts by nine AND-popcounts per pair: each event's symbol
-    planes are its skipped rows, its present zeros and its ones."""
-    planes = {e: (events.full ^ events.presence[e], events.presence[e] ^ events.values[e],
+    planes are its skipped rows, its present zeros and its ones, with `ran`
+    the rows each event ran in (`ran_planes`)."""
+    planes = {e: (events.full ^ ran[e], ran[e] ^ events.values[e],
                   events.values[e]) for pair in pairs for e in pair}
     return [[(sa & sb).bit_count() for sa in planes[a] for sb in planes[b]] for a, b in pairs]
 
@@ -354,9 +372,10 @@ def test_four_and_pair_counts_equal_nine_cell_counts(name):
     for rows in (1, 9, 64, 4097):
         batch = _evaluate_rows(circ, level, secret, x, _draw_planes(
             np.random.default_rng(rows), rows, width))
-        skipped |= any(p != batch.full for p in batch.presence)
+        ran = ran_planes(circ, batch)
+        skipped |= any(r != batch.full for r in ran)
         got = _plane_counts(batch, pairs, 2)
-        assert got.tolist() == nine_cell_counts(batch, pairs)
+        assert got.tolist() == nine_cell_counts(batch, ran, pairs)
         assert (got.sum(axis=1) == rows).all()
     assert skipped
 
@@ -372,7 +391,8 @@ def test_presence_aware_pair_counts_equal_nine_cell_counts_at_level_2(toffoli_l2
     # every snapshot pair that touches a conditioned event, and a seeded
     # sample of 2,000 of the others, read off one count over all 72,226
     circ, pairs = toffoli_l2.circuit, toffoli_l2.snapshot_pairs
-    cond = circ.conditioned[pairs]
+    conditioned = np.array(event_conds(circ)) >= 0
+    cond = conditioned[pairs]
     touched = np.flatnonzero(cond.any(axis=1))
     others = np.random.default_rng(22).choice(
         np.flatnonzero(~cond.any(axis=1)), size=2000, replace=False)
@@ -381,15 +401,17 @@ def test_presence_aware_pair_counts_equal_nine_cell_counts_at_level_2(toffoli_l2
     width = seed_count(2, 2) + circ.rand_count
     batch = _evaluate_rows(circ, 2, [0, 1], [], _draw_planes(
         np.random.default_rng(rows), rows, width))
-    assert any(batch.presence[e] != batch.full for e in np.flatnonzero(circ.conditioned))
+    ran = ran_planes(circ, batch)
+    assert any(ran[e] != batch.full for e in np.flatnonzero(conditioned))
     got = _plane_counts(batch, pairs, 2)
     assert (got.sum(axis=1) == rows).all()
-    assert got[chosen].tolist() == nine_cell_counts(batch, pairs[chosen].tolist())
+    assert got[chosen].tolist() == nine_cell_counts(batch, ran, pairs[chosen].tolist())
 
 
 def _reference_snapshot_pairs(compiled):
     """The pair list rebuilt gate by gate: each block's events, leak-free
-    ones excepted, grouped by how many writes to the block precede them."""
+    ones excepted, grouped by how many writes to the block precede them.
+    The event ids are counted here, inputs first, then each gate's operands."""
     reg_block = {}
     for bi, (_name, regs) in enumerate(compiled.blocks):
         for r in regs:
@@ -401,9 +423,11 @@ def _reference_snapshot_pairs(compiled):
         bi = reg_block.get(rid)
         if bi is not None:
             snapshot_events.setdefault((bi, 0), []).append(eid)
-    for g, eids in zip(circuit.gates, circuit.gate_events):
-        for port, ev in enumerate(eids):
-            bi = reg_block.get(g.args[port])
+    ev = len(circuit.input_events) - 1
+    for g in circuit.gates:
+        for port, rid in enumerate(g.args):
+            ev += 1
+            bi = reg_block.get(rid)
             if bi is None:
                 continue
             if port == g.kind.write_port:
@@ -491,10 +515,10 @@ def test_a_skippable_condition_is_refused_when_built(text):
     ns, npub = len(circ.secret_regs), len(circ.public_regs)
     rows = bit_rows(ns + npub + circ.rand_count)
     secs, pubs, tapes = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
-    batch = evaluate_batch(circ, secs, pubs, tapes)
-    assert all(batch.presence[g.cond] == batch.full for g in gates if g.cond is not None)
+    evaluate_batch(circ, secs, pubs, tapes)
     for sec, pub, tape in zip(secs, pubs, tapes):
-        evaluate(circ, sec, pub, RandomTape.of(tape))
+        trace = evaluate(circ, sec, pub, RandomTape.of(tape))
+        assert all(trace.values[g.cond] is not None for g in gates if g.cond is not None)
 
 
 @_SETTINGS
@@ -508,20 +532,31 @@ def test_circuit_owns_its_leakable_and_conditioned_events(raw, logical, ec):
         assert circ.leakable.dtype == np.int64
         assert circ.leakable.tolist() == [e for e in range(circ.num_events)
                                           if e not in circ.leak_free]
-        # the netlist lists the gates in order, a conditioned one as `cgate`
-        cgates = [line.startswith("cgate ") for line in text.splitlines()
-                  if line.startswith(("gate ", "cgate "))]
-        assert len(cgates) == len(circ.gate_events)
-        want = [e for c, events in zip(cgates, circ.gate_events) if c for e in events]
-        assert circ.conditioned.shape == (circ.num_events,)
-        assert np.flatnonzero(circ.conditioned).tolist() == want
-        for facts in (circ.leakable, circ.conditioned):
+        # the netlist lists the inputs first, then the gates in order, a
+        # conditioned one as `cgate <condition event>`
+        lines = [line.split() for line in text.splitlines()]
+        starts, cond_of = [], [-1] * sum(tok[0] == "in" for tok in lines)
+        for tok in lines:
+            if tok[0] in ("gate", "cgate"):
+                cond = int(tok.pop(1)) if tok[0] == "cgate" else -1
+                starts.append(len(cond_of))
+                cond_of += [cond] * (len(tok) - 2)
+        assert circ.gate_start == tuple(starts)
+        assert len(cond_of) == circ.num_events
+        assert circ.cond_of.dtype == np.int64 and circ.cond_of.shape == (circ.num_events,)
+        assert circ.cond_of.tolist() == cond_of
+        # -1 on every input and on every event of an unconditioned gate
+        assert (circ.cond_of[list(circ.input_events.values())] == -1).all()
+        assert all(circ.cond_of[e] == -1
+                   for g, start in zip(circ.gates, circ.gate_start) if g.cond is None
+                   for e in range(start, start + len(g.args)))
+        for facts in (circ.leakable, circ.cond_of):
             with pytest.raises(ValueError, match="read-only"):
                 facts[...] = 0
         ns, npub = len(circ.secret_regs), len(circ.public_regs)
         empty = np.zeros((0, ns + npub + circ.rand_count), dtype=np.int8)
         batch = evaluate_batch(circ, empty[:, :ns], empty[:, ns:ns + npub], empty[:, ns + npub:])
-        assert batch.conditioned is circ.conditioned
+        assert batch.cond_of is circ.cond_of
 
 
 @_SETTINGS
@@ -652,8 +687,8 @@ def test_a_built_circuit_round_trips_to_the_same_evaluation(case):
         assert register_file(parsed, *args) == register_file(circ, *args)
     args = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
     want, got = evaluate_batch(circ, *args), evaluate_batch(parsed, *args)
-    assert (got.values, got.presence, got.registers) == (want.values, want.presence,
-                                                        want.registers)
+    assert (got.values, ran_planes(parsed, got), got.registers) == (
+        want.values, ran_planes(circ, want), want.registers)
 
 
 # -- array code against its loop references ------------------------------------
@@ -725,8 +760,8 @@ def test_evaluating_drawn_planes_equals_evaluate_batch_on_their_rows(compiled, r
     bits = drawn_rows(np.random.default_rng(rows), rows, width)
     want = evaluate_batch(circ, encode_seed_rows(secret, bits[:, :enc_bits], level), x,
                           bits[:, enc_bits:])
-    assert (got.values, got.presence, got.registers) == (want.values, want.presence,
-                                                        want.registers)
+    assert (got.values, ran_planes(circ, got), got.registers) == (
+        want.values, ran_planes(circ, want), want.registers)
 
 
 @_SETTINGS
