@@ -7,9 +7,10 @@ the Schur (entrywise) product M * rho with M_ij = [l(i) = l(j)].  The same
 channel is produced by a uniform mixture of diagonal phase operators
 F^k = diag(w^{k l(s)}) with w a primitive d-th root of unity, d the number
 of distinct values l takes.  Every channel here has diagonal Kraus
-operators, so each is held as its multiplier M and two channels are
-compared entrywise on their multipliers, which is the footing for treating
-leakage as phase noise.
+operators, so each is built from their weights and diagonals (d rows of
+length 2^n, never a dense operator) and held as its multiplier M, and two
+channels are compared entrywise on their multipliers, which is the footing
+for treating leakage as phase noise.
 
 Dimensions are capped at 2^4; everything is dense numpy.
 """
@@ -81,53 +82,47 @@ class LeakageFunction:
         return cls(n, tuple(int(v) for v in rng.integers(0, d, size=2 ** n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """Map rho -> sum_k weight_k D_k rho D_k^dag with diagonal D_k = diag(d_k).
+    """Map rho -> sum_k weights[k] D_k rho D_k^dag with D_k = diag(diags[k]).
 
-    That is the Schur product rho -> M * rho with multiplier
-    M = sum_k weight_k d_k d_k^*, stored as `multiplier`.  A term that is not
-    diagonal is refused; trace preservation is diag(M) = 1.
+    `weights` is a (k,) array and `diags` a (k, dim) array, row k the
+    diagonal of D_k.  That is the Schur product rho -> M * rho with
+    multiplier M = sum_k weights[k] d_k d_k^*, stored as `multiplier`;
+    trace preservation is diag(M) = 1.  Channels are compared by
+    `channel_distance`, not by `==`, which is identity.
     """
 
-    terms: tuple[tuple[float, np.ndarray], ...]
-    dim: int
-    multiplier: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray
+    diags: np.ndarray
+    multiplier: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = [op for _, op in self.terms]
-        # the refusal a term-by-term check (shape, then diagonal) gives: a
-        # non-diagonal term before the first misshapen one is named first
-        fit = next((i for i, op in enumerate(ops) if op.shape != (self.dim, self.dim)), len(ops))
-        stack = np.array(ops[:fit], dtype=complex).reshape(fit, self.dim, self.dim)
-        if np.count_nonzero(stack[:, ~np.eye(self.dim, dtype=bool)]):
-            raise ValueError("operator-sum terms must be diagonal")
-        if fit < len(ops):
-            raise DimensionError("operator shape does not match channel dim")
-        diags = np.diagonal(stack, axis1=1, axis2=2)
-        weights = np.array([w for w, _ in self.terms], dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        diags = np.asarray(self.diags, dtype=complex)
+        # numpy would broadcast one weight over every row
+        if diags.ndim != 2 or weights.shape != diags.shape[:1]:
+            raise DimensionError("need a (k,) weight array and a (k, dim) diagonal array")
         m = (weights[:, None] * diags).T @ diags.conj()
-        if np.abs(np.diag(m) - 1.0).max() > _COMPLETENESS_TOL:
+        # written so that a NaN fails it
+        if not np.abs(np.diag(m) - 1.0).max() <= _COMPLETENESS_TOL:
             raise ValueError("operator-sum terms are not trace preserving")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "diags", diags)
         object.__setattr__(self, "multiplier", m)
+
+    @property
+    def dim(self) -> int:
+        return self.diags.shape[1]
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.multiplier * rho
 
 
-def _diagonal_terms(weight: float, diags: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
-    """One term (weight, diag(d)) per row d of `diags`, built as one array."""
-    k, dim = diags.shape
-    ops = np.zeros((k, dim, dim), dtype=complex)
-    ops[:, np.arange(dim), np.arange(dim)] = diags
-    return tuple((weight, op) for op in ops)
-
-
 def leakage_channel(l: LeakageFunction) -> Channel:
     """Isometry-then-discard form: one projector per realized leak value."""
     ranks = np.array(l.ranks())
-    projectors = np.arange(l.alphabet_size)[:, None] == ranks
-    return Channel(_diagonal_terms(1.0, projectors), l.dim)
+    return Channel(np.ones(l.alphabet_size), np.arange(l.alphabet_size)[:, None] == ranks)
 
 
 def dephasing_channel(l: LeakageFunction) -> Channel:
@@ -135,7 +130,7 @@ def dephasing_channel(l: LeakageFunction) -> Channel:
     d = l.alphabet_size
     omega = np.exp(2j * np.pi / d)
     ranks = np.array(l.ranks())
-    return Channel(_diagonal_terms(1.0 / d, omega ** (np.arange(d)[:, None] * ranks)), l.dim)
+    return Channel(np.full(d, 1.0 / d), omega ** (np.arange(d)[:, None] * ranks))
 
 
 def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:
@@ -147,16 +142,15 @@ def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:
     if not requests:
         raise ValueError("empty request list")
     probs = [p for _, p in requests]
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+    # written so that a NaN fails it
+    if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
         raise ValueError("request probabilities must be a distribution")
     dim = requests[0][0].dim
-    terms = []
-    for l, p in requests:
-        if l.dim != dim:
-            raise DimensionError("mixed functions must share a wire count")
-        for w, op in dephasing_channel(l).terms:
-            terms.append((p * w, op))
-    return Channel(tuple(terms), dim)
+    if any(l.dim != dim for l, _ in requests):
+        raise DimensionError("mixed functions must share a wire count")
+    chans = [(dephasing_channel(l), p) for l, p in requests]
+    return Channel(np.concatenate([p * ch.weights for ch, p in chans]),
+                   np.concatenate([ch.diags for ch, _ in chans]))
 
 
 def channel_distance(c1: Channel, c2: Channel) -> float:

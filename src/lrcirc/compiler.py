@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, Planes, Register, Role, collector_paused
+from .circuits import Circuit, Gate, GateKind, Register, Role, collector_paused
 from .faults import SHOR_DECODE, SHOR_PREP
 from .steane import H_ROWS, LOGICAL_SUPPORT, LOGICAL_WORD
 
@@ -445,14 +445,6 @@ def encode_seed_planes(bits, seeds, level: int, rows: int) -> tuple[int, ...]:
                 out.append(plane)
         words = out
     return tuple(words)
-
-
-def encode_seed_rows(bits, seeds: np.ndarray, level: int) -> np.ndarray:
-    """encode_seed_planes on an int8 (rows, seed_count) seed matrix: the
-    int8 (rows, k * 7**level) matrix of circuit secret bits, one fresh
-    encoding per row; level 0 returns the bits themselves on every row."""
-    seeds = Planes.pack(seeds)
-    return Planes(seeds.rows, encode_seed_planes(bits, seeds.planes, level, seeds.rows)).unpack()
 
 
 # JSON values are compared by exact type, which also keeps a bool (an int

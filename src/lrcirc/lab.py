@@ -79,7 +79,7 @@ from .circuits import (  # noqa: F401 - perfbench/run.py wraps lab.evaluate by n
     evaluate_batch,
     rows_per_batch,
 )
-from .compiler import CompiledCircuit, encode_seed_planes, encode_seed_rows, seed_count
+from .compiler import CompiledCircuit, encode_seed_planes, seed_count
 
 _METHODS = ("exact-tiny", "mask-decomposed-MC", "per-wire-marginal", "pairwise-marginal")
 _MAX_EXACT_EVENTS = 24
@@ -210,8 +210,8 @@ def encoded_secret_rows(target, secret, rows: int, np_rng) -> np.ndarray:
     leaves `np_rng` untouched.  For callers outside the estimators, which
     encode their own seed columns in _evaluate_rows."""
     level = _unpack(target, secret)[2]
-    seeds = np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level)))
-    return encode_seed_rows(secret, seeds, level)
+    seeds = Planes.pack(np_rng.integers(0, 2, size=(rows, seed_count(len(secret), level))))
+    return Planes(rows, encode_seed_planes(secret, seeds.planes, level, rows)).unpack()
 
 
 # -- round sampling ------------------------------------------------------------

@@ -20,18 +20,20 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
-def apply_by_terms(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Reference: the operator sum, term by term."""
+def apply_by_terms(terms, rho: np.ndarray) -> np.ndarray:
+    """Reference: the operator sum over (weight, diagonal) terms, each
+    Kraus operator built dense from its diagonal."""
     out = np.zeros_like(rho, dtype=complex)
-    for w, op in ch.terms:
+    for w, d in terms:
+        op = np.diag(d)
         out += w * (op @ rho @ op.conj().T)
     return out
 
 
-def distance_by_probes(c1: Channel, c2: Channel) -> float:
+def distance_by_probes(t1, t2) -> float:
     """Reference: max entrywise output gap over the probe states |i>,
     (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2, applied through `apply_by_terms`."""
-    dim = c1.dim
+    dim = len(t1[0][1])
     vectors = list(np.eye(dim, dtype=complex))
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -40,22 +42,35 @@ def distance_by_probes(c1: Channel, c2: Channel) -> float:
                 v[i], v[j] = 1 / np.sqrt(2), phase / np.sqrt(2)
                 vectors.append(v)
     return max(
-        float(np.abs(apply_by_terms(c1, rho) - apply_by_terms(c2, rho)).max())
+        float(np.abs(apply_by_terms(t1, rho) - apply_by_terms(t2, rho)).max())
         for rho in (np.outer(v, v.conj()) for v in vectors)
     )
 
 
-def _random_diagonal_channel(dim: int, terms: int, rng) -> Channel:
+def _random_diagonal_channel(dim: int, terms: int, rng):
+    """A channel of random phase diagonals, with the drawn (weight,
+    diagonal) terms as its reference."""
     weights = rng.dirichlet(np.ones(terms))
-    ops = [np.diag(np.exp(2j * np.pi * rng.random(dim))) for _ in range(terms)]
-    return Channel(tuple(zip(weights, ops)), dim)
+    diags = [np.exp(2j * np.pi * rng.random(dim)) for _ in range(terms)]
+    return Channel(weights, np.array(diags)), list(zip(weights, diags))
 
 
-def _channels_on(n: int, rng) -> list[Channel]:
+def _channels_on(n: int, rng):
+    """Leakage, dephasing and mixture channels on three random functions,
+    each paired with its terms built one by one from the functions."""
     ls = [LeakageFunction.random(n, int(rng.integers(1, 2 ** n + 1)), rng) for _ in range(3)]
     probs = rng.dirichlet(np.ones(3))
-    return [*map(leakage_channel, ls), *map(dephasing_channel, ls),
-            mixture_channel(list(zip(ls, probs)))]
+    mix = [(p * w, d) for l, p in zip(ls, probs) for w, d in _terms_one_by_one(l, True)]
+    return [*((leakage_channel(l), _terms_one_by_one(l, False)) for l in ls),
+            *((dephasing_channel(l), _terms_one_by_one(l, True)) for l in ls),
+            (mixture_channel(list(zip(ls, probs))), mix)]
+
+
+_IDENT2 = [(1.0, np.ones(2, dtype=complex))]
+
+
+def _identity_channel(dim: int) -> Channel:
+    return Channel(np.ones(1), np.ones((1, dim)))
 
 
 def test_constant_function_gives_identity_channel():
@@ -157,18 +172,19 @@ def test_channel_distance_self_is_zero():
     l = LeakageFunction.random(2, 4, np.random.default_rng(7))
     ch = leakage_channel(l)
     assert channel_distance(ch, ch) == 0.0
+    # `==` is identity: it never compares the arrays, so it cannot raise
+    assert ch == ch and ch != leakage_channel(l)
 
 
 def test_channel_distance_identity_vs_full_dephasing():
-    ident = Channel(((1.0, np.eye(2, dtype=complex)),), 2)
+    ident = _identity_channel(2)
     deph = dephasing_channel(LeakageFunction.identity(1))
     # on (|0>+|1>)/sqrt2 the off-diagonal 1/2 is erased
     assert abs(channel_distance(ident, deph) - 0.5) < 1e-14
 
 
 def test_channel_distance_dimension_mismatch():
-    a = Channel(((1.0, np.eye(2, dtype=complex)),), 2)
-    b = Channel(((1.0, np.eye(4, dtype=complex)),), 4)
+    a, b = _identity_channel(2), _identity_channel(4)
     with pytest.raises(DimensionError):
         channel_distance(a, b)
 
@@ -193,9 +209,8 @@ def test_leakage_channel_idempotent():
 
 
 def test_completeness_enforced():
-    bad = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="trace preserving"):
-        Channel(((1.0, bad),), 2)
+        Channel(np.ones(1), np.array([[1.0, 0.0]]))
 
 
 _LEAK1 = LeakageFunction(1, (0, 1))
@@ -203,8 +218,11 @@ _LEAK1 = LeakageFunction(1, (0, 1))
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: LeakageFunction(1, (0, 1, 0)), ValueError, "cover all 2"),
-    (lambda: Channel(((1.0, np.eye(3, dtype=complex)),), 2), DimensionError, "operator shape"),
     (lambda: mixture_channel([]), ValueError, "empty request list"),
+    # every comparison with NaN is False, so a NaN must fail the check
+    (lambda: mixture_channel([(_LEAK1, float("nan"))]), ValueError, "must be a distribution"),
+    (lambda: mixture_channel([(_LEAK1, 1.0), (_LEAK1, float("nan"))]), ValueError,
+     "must be a distribution"),
     (lambda: mixture_channel([(_LEAK1, 0.5), (LeakageFunction(2, (0, 1, 1, 0)), 0.5)]),
      DimensionError, "share a wire count"),
     (lambda: assert_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])), ValueError,
@@ -212,47 +230,43 @@ _LEAK1 = LeakageFunction(1, (0, 1))
     (lambda: assert_density_matrix(np.eye(2)), ValueError, "trace is not 1"),
     (lambda: assert_density_matrix(np.diag([1.5, -0.5])), ValueError,
      "not positive semidefinite"),
-], ids=["table-length", "term-shape", "empty-mixture", "mixed-wire-counts",
+], ids=["table-length", "empty-mixture", "nan-probability", "nan-after-one", "mixed-wire-counts",
         "non-hermitian", "trace-2", "not-psd"])
 def test_malformed_inputs_are_refused(build, error, match):
     with pytest.raises(error, match=match):
         build()
 
 
-def test_non_diagonal_terms_are_refused():
-    # H^dag H = I, so the completeness check alone accepts the Hadamard
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    with pytest.raises(ValueError, match="diagonal"):
-        Channel(((1.0, h),), 2)
+@pytest.mark.parametrize("weights, diags", [
+    ([0.5, 0.25], np.ones((2, 2))),
+    (np.zeros(0), np.zeros((0, 2))),
+    ([0.5, float("nan")], np.ones((2, 2))),
+], ids=["weights-short", "no-terms", "nan-weight"])
+def test_terms_are_refused_in_order(weights, diags):
+    # the trace check is the one refusal left on the terms
+    with pytest.raises(ValueError, match="trace preserving"):
+        Channel(weights, diags)
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_I2, _I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
-
-
-@pytest.mark.parametrize("terms, error, match", [
-    (((0.5, _I2), (0.5, _H)), ValueError, "must be diagonal"),
-    (((0.5, _I2), (0.5, _I3)), DimensionError, "operator shape"),
-    (((0.5, _H), (0.5, _I3)), ValueError, "must be diagonal"),
-    (((0.5, _I3), (0.5, _H)), DimensionError, "operator shape"),
-    (((0.5, _I2), (0.5, _H), (0.5, _I3)), ValueError, "must be diagonal"),
-    (((0.5, _I2), (0.25, _I2)), ValueError, "trace preserving"),
-    ((), ValueError, "trace preserving"),
-], ids=["second-not-diagonal", "second-misshapen", "not-diagonal-then-misshapen",
-        "misshapen-then-not-diagonal", "first-fault-wins", "weights-short", "no-terms"])
-def test_terms_are_refused_in_order(terms, error, match):
-    # term by term, shape before diagonal; the trace only once all terms pass
-    with pytest.raises(error, match=match):
-        Channel(terms, 2)
+@pytest.mark.parametrize("weights, diags", [
+    ([0.5], np.ones((2, 2))),
+    ([0.5, 0.5, 0.0], np.ones((2, 2))),
+    ([1.0], np.ones(2)),
+    ([[1.0]], np.ones((1, 1, 2))),
+], ids=["one-weight-for-two-rows", "extra-weight", "one-row-unstacked", "3-d"])
+def test_weights_and_diagonals_must_match(weights, diags):
+    with pytest.raises(DimensionError, match=r"\(k, dim\) diagonal array"):
+        Channel(weights, diags)
 
 
 def _terms_one_by_one(l: LeakageFunction, phases: bool):
-    """Reference: each channel's terms built one diagonal at a time."""
+    """Reference: each channel's (weight, diagonal) terms built one diagonal
+    at a time from the function's table."""
     ranks, d = np.array(l.ranks()), l.alphabet_size
     if phases:
         omega = np.exp(2j * np.pi / d)
-        return [(1.0 / d, np.diag(omega ** (k * ranks)).astype(complex)) for k in range(d)]
-    return [(1.0, np.diag((ranks == v).astype(float)).astype(complex)) for v in range(d)]
+        return [(1.0 / d, (omega ** (k * ranks)).astype(complex)) for k in range(d)]
+    return [(1.0, (ranks == v).astype(float).astype(complex)) for v in range(d)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -263,49 +277,56 @@ def test_channel_terms_equal_the_one_by_one_construction(n):
     for l in [*functions, LeakageFunction.constant(n), LeakageFunction.parity(n)]:
         for build, phases in ((leakage_channel, False), (dephasing_channel, True)):
             ch, expected = build(l), _terms_one_by_one(l, phases)
-            assert len(ch.terms) == len(expected)
-            for (w, op), (w_ref, op_ref) in zip(ch.terms, expected):
-                assert w == w_ref and op.dtype == op_ref.dtype
-                assert op.tobytes() == op_ref.tobytes()
-            assert ch.multiplier.tobytes() == Channel(tuple(expected), l.dim).multiplier.tobytes()
+            assert ch.weights.shape == (len(expected),)
+            assert ch.diags.shape == (len(expected), l.dim)
+            for w, d, (w_ref, d_ref) in zip(ch.weights, ch.diags, expected):
+                assert w == w_ref and d.dtype == d_ref.dtype
+                assert d.tobytes() == d_ref.tobytes()
+            ref = Channel(np.array([w for w, _ in expected]), np.array([d for _, d in expected]))
+            assert ch.multiplier.tobytes() == ref.multiplier.tobytes()
 
 
 def test_schur_multiplier_matches_operator_sum_on_random_diagonal_channels():
     rng = np.random.default_rng(12)
     for dim in (1, 2, 4, 8, 16):
         chans = [_random_diagonal_channel(dim, int(rng.integers(1, 6)), rng) for _ in range(4)]
-        for ch in chans:
+        for ch, terms in chans:
             rho = random_density_matrix(dim, rng)
-            assert np.abs(ch(rho) - apply_by_terms(ch, rho)).max() < 1e-14
-        for a in chans:
-            for b in chans:
-                assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+            assert np.abs(ch(rho) - apply_by_terms(terms, rho)).max() < 1e-14
+        for a, ta in chans:
+            for b, tb in chans:
+                assert abs(channel_distance(a, b) - distance_by_probes(ta, tb)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_schur_multiplier_matches_operator_sum_on_leakage_channels(n):
     rng = np.random.default_rng(13 + n)
     chans = _channels_on(n, rng)
-    for ch in chans:
+    for ch, terms in chans:
         for _ in range(3):
             rho = random_density_matrix(2 ** n, rng)
-            assert np.abs(ch(rho) - apply_by_terms(ch, rho)).max() < 1e-14
+            assert np.abs(ch(rho) - apply_by_terms(terms, rho)).max() < 1e-14
     # each leakage channel against its phase form, then neighbours in the list
-    for a, b in [*zip(chans[:3], chans[3:6]), *zip(chans, chans[1:] + chans[:1])]:
-        assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+    for (a, ta), (b, tb) in [*zip(chans[:3], chans[3:6]), *zip(chans, chans[1:] + chans[:1])]:
+        assert abs(channel_distance(a, b) - distance_by_probes(ta, tb)) < 1e-14
 
 
 def test_closed_form_distance_on_unequal_channels():
-    ident = Channel(((1.0, np.eye(2, dtype=complex)),), 2)
-    deph = dephasing_channel(LeakageFunction.identity(1))
-    assert distance_by_probes(ident, deph) == pytest.approx(0.5, abs=1e-14)
-    assert abs(channel_distance(ident, deph) - distance_by_probes(ident, deph)) < 1e-14
+    ident = _identity_channel(2)
+    one = LeakageFunction.identity(1)
+    deph, deph_terms = dephasing_channel(one), _terms_one_by_one(one, True)
+    assert distance_by_probes(_IDENT2, deph_terms) == pytest.approx(0.5, abs=1e-14)
+    assert abs(channel_distance(ident, deph) - distance_by_probes(_IDENT2, deph_terms)) < 1e-14
     parity, identity = LeakageFunction.parity(3), LeakageFunction.identity(3)
-    pairs = [(leakage_channel(parity), leakage_channel(identity)),
-             (dephasing_channel(parity), mixture_channel([(identity, 0.25), (parity, 0.75)]))]
-    for a, b in pairs:
+    mix_terms = [(p * w, d) for l, p in ((identity, 0.25), (parity, 0.75))
+                 for w, d in _terms_one_by_one(l, True)]
+    pairs = [(leakage_channel(parity), _terms_one_by_one(parity, False),
+              leakage_channel(identity), _terms_one_by_one(identity, False)),
+             (dephasing_channel(parity), _terms_one_by_one(parity, True),
+              mixture_channel([(identity, 0.25), (parity, 0.75)]), mix_terms)]
+    for a, ta, b, tb in pairs:
         assert channel_distance(a, b) > 0.1
-        assert abs(channel_distance(a, b) - distance_by_probes(a, b)) < 1e-14
+        assert abs(channel_distance(a, b) - distance_by_probes(ta, tb)) < 1e-14
 
 
 def test_dimension_guard():

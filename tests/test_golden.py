@@ -15,10 +15,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+from lrcirc.channels import (
+    LeakageFunction,
+    dephasing_channel,
+    leakage_channel,
+    mixture_channel,
+)
 from lrcirc.circuits import RandomTape, evaluate, rows_per_batch, truth_table
 from lrcirc import lab
+from lrcirc.cli import main
 from lrcirc.compiler import compile_circuit, location_report
 from lrcirc.lab import (
     LeakageModel,
@@ -429,3 +437,54 @@ def test_raw_transcripts_are_pinned(name):
     inputs = [[(r >> k) & 1 for k in range(width)] for r in range(60)]
     ts = run_rounds(parse_netlist(text), secret, inputs, LeakageModel(0.3), seed=21)
     assert _sha(_json([t.to_json_dict() for t in ts])) == digest
+
+
+# sha256 of `lrc noise-equiv --seed 5 --trials 20 --wires w` on stdout
+NOISE_EQUIV = {
+    1: "a6e3728ccaf7108cd18e4960a20c565aa8f7343df1139e9b491d0bba9db7477d",
+    2: "92d92514623ffc7e8cf1abbeba582c37783b629e53ca99aaaa52deb35fbb170d",
+    3: "3aebad894e27f290c37271b984ba5812e8853f56463709c51c4d8f1bf0fed4b1",
+    4: "a4a1fb97dd139f5dd0b8efdda8b70a2ae725dbb98d760aa8c5e5582934cf19df",
+}
+
+
+@pytest.mark.parametrize("wires", sorted(NOISE_EQUIV))
+def test_noise_equiv_output_is_pinned(wires, capsys):
+    assert main(["noise-equiv", "--seed", "5", "--trials", "20", "--wires", str(wires)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NOISE_EQUIV[wires]
+
+
+# sha256 over the multiplier bytes of each channel kind, built on 13
+# functions per wire count: 10 seeded random ones, constant, parity and
+# identity; a mixture pairs each function with the next, at 1/4 and 3/4
+MULTIPLIERS = {
+    ("leakage", 1): "744391fe08f7da219f4625a32d9827816b13df926e5c99f0c929295d992aa390",
+    ("dephasing", 1): "9beb95989b098cc10042dd7bb22dcc4038414e021ac9e024811bc6cb228074e8",
+    ("mixture", 1): "4ec08690c5bdb794b415fad6b5ec3693808b5b06a94346e04a153b58d04a0cd1",
+    ("leakage", 2): "85bd135ebdaa77beb2d1603cb613ce1d325c9e8afdeaa07bf0891b6933590da0",
+    ("dephasing", 2): "693b7a7afc711aacde2300245d064b348145c2435e57c92a61c53e7b53495a85",
+    ("mixture", 2): "591ebf203d2f846d74999c85cb3a8d8a0a20ce99977b2449fc1d1a968df23e3a",
+    ("leakage", 3): "52ea55c6be6dd14e5ed44a6a9c0f9a62e185430235de8d8a5dc6184be937a64d",
+    ("dephasing", 3): "5ad5639ab636c787160a3fc14b405ef53121e423fdcf269567db84b33fb0181e",
+    ("mixture", 3): "cf323aedc7dc4a094a667b1138567c51d61cdbb0d90f96dfda39aa1064aaff9e",
+    ("leakage", 4): "fb33ab552e6fb409ea427b71ab0bc8c4812c359ac7c73a437abf5a0081b8157c",
+    ("dephasing", 4): "7031bcb000de48991e87e00f62b176a940aaef145412e61b04dec1349bb1773e",
+    ("mixture", 4): "05d532bf79dde86d3ba5bc18fdbb1a77ccdc1e377298c3e4707f7826457cc7be",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(MULTIPLIERS))
+def test_channel_multipliers_are_pinned(kind, n):
+    rng = np.random.default_rng(60 + n)
+    fs = [LeakageFunction.random(n, int(rng.integers(1, 2 ** n + 1)), rng) for _ in range(10)]
+    fs += [LeakageFunction.constant(n), LeakageFunction.parity(n), LeakageFunction.identity(n)]
+    if kind == "mixture":
+        chans = [mixture_channel([(l, 0.25), (m, 0.75)]) for l, m in zip(fs, fs[1:] + fs[:1])]
+    else:
+        build = leakage_channel if kind == "leakage" else dephasing_channel
+        chans = [build(l) for l in fs]
+    h = hashlib.sha256()
+    for ch in chans:
+        h.update(ch.multiplier.tobytes())
+    assert h.hexdigest() == MULTIPLIERS[(kind, n)]

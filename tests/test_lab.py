@@ -8,7 +8,7 @@ import pytest
 
 from lrcirc.circuits import EvalError, Planes, evaluate_batch
 from lrcirc import lab
-from lrcirc.compiler import compile_circuit, encode_seed_rows, seed_count
+from lrcirc.compiler import compile_circuit, encode_seed_planes, seed_count
 from lrcirc.lab import (
     AdvantageReport,
     LeakageModel,
@@ -543,9 +543,14 @@ def test_paired_encoding_is_linear_in_the_secret(level):
     # one seed batch serves both secrets: enc(y1) = enc(y0) ^ enc(y0 ^ y1, 0)
     width = seed_count(2, level)
     seeds = np.random.default_rng(4).integers(0, 2, size=(64, width))
+
+    def encode(y, seeds):
+        planes = Planes.pack(seeds)
+        return Planes(planes.rows, encode_seed_planes(y, planes.planes, level, planes.rows)).unpack()
+
     for y0, y1 in product(product((0, 1), repeat=2), repeat=2):
-        enc0, enc1 = (encode_seed_rows(y, seeds, level) for y in (y0, y1))
-        diff = encode_seed_rows([a ^ b for a, b in zip(y0, y1)], np.zeros((1, width)), level)
+        enc0, enc1 = (encode(y, seeds) for y in (y0, y1))
+        diff = encode([a ^ b for a, b in zip(y0, y1)], np.zeros((1, width)))
         assert ((enc0 ^ diff) == enc1).all()
 
 

@@ -26,6 +26,7 @@ from lrcirc.circuits import (
     EvalError,
     Gate,
     GateKind,
+    Planes,
     RandomTape,
     Register,
     Role,
@@ -43,7 +44,6 @@ from lrcirc.compiler import (
     CompileError,
     compile_circuit,
     encode_seed_planes,
-    encode_seed_rows,
     seed_count,
 )
 from lrcirc import lab
@@ -719,7 +719,9 @@ def secrets_and_seeds(draw):
 @given(secrets_and_seeds())
 def test_array_encoder_equals_codeword_loop(case):
     bits, seeds, level = case
-    assert encode_seed_rows(bits, seeds, level).tolist() == encode_by_rows(bits, seeds.tolist(), level)
+    rows = len(seeds)
+    got = Planes(rows, encode_seed_planes(bits, Planes.pack(seeds).planes, level, rows)).unpack()
+    assert got.tolist() == encode_by_rows(bits, seeds.tolist(), level)
 
 
 def planes_of(matrix) -> list[int]:
@@ -758,8 +760,8 @@ def test_evaluating_drawn_planes_equals_evaluate_batch_on_their_rows(compiled, r
     got = _evaluate_rows(circ, level, secret, x, _draw_planes(np.random.default_rng(rows),
                                                                rows, width))
     bits = drawn_rows(np.random.default_rng(rows), rows, width)
-    want = evaluate_batch(circ, encode_seed_rows(secret, bits[:, :enc_bits], level), x,
-                          bits[:, enc_bits:])
+    enc = encode_seed_planes(secret, Planes.pack(bits[:, :enc_bits]).planes, level, rows)
+    want = evaluate_batch(circ, Planes(rows, enc), x, bits[:, enc_bits:])
     assert (got.values, ran_planes(circ, got), got.registers) == (
         want.values, ran_planes(circ, want), want.registers)
 
@@ -928,7 +930,7 @@ def drawn_rows(np_rng, rows, width):
 def mc_by_mask_loop(target, y0, y1, x, model, samples, seed, inner):
     """mc_advantage as it was before its tally read the bit-planes and
     before it drew bit-planes: per chunk one [seed | tape] int8 bit matrix
-    (drawn_rows), each secret encoded on it by encode_seed_rows and
+    (drawn_rows), each secret encoded on its seed planes and
     evaluated by evaluate_batch, the chunk's masked-column union unpacked
     with EventBatch.matrix, then each mask tallied on its own rows by
     Counter."""
@@ -943,8 +945,9 @@ def mc_by_mask_loop(target, y0, y1, x, model, samples, seed, inner):
     for pos in range(0, samples, 64):
         m = min(64, samples - pos)
         bits = drawn_rows(np_rng, m * inner, width)
-        ev0, ev1 = (evaluate_batch(circ, encode_seed_rows(y, bits[:, :enc_bits], level), x,
-                                   bits[:, enc_bits:]) for y in (y0, y1))
+        seeds = Planes.pack(bits[:, :enc_bits])
+        ev0, ev1 = (evaluate_batch(circ, Planes(seeds.rows, encode_seed_planes(
+            y, seeds.planes, level, seeds.rows)), x, bits[:, enc_bits:]) for y in (y0, y1))
         masks = np_rng.random((m, leakable.size)) < model.p
         leaked = masks.any(axis=0)
         masks = masks[:, leaked]
@@ -1022,7 +1025,8 @@ def rounds_by_round_loop(target, secret, inputs, model, seed):
             seeds[i] = [int(u < 0.5) for u in row[:enc_bits]]
             tapes[i] = [int(u < 0.5) for u in row[enc_bits:nbits]]
             masks.append(tuple(e for e, u in zip(leakable, row[nbits:]) if u < model.p))
-        events = evaluate_batch(circuit, encode_seed_rows(secret, seeds, level), xs, tapes)
+        enc = encode_seed_planes(secret, Planes.pack(seeds).planes, level, len(xs))
+        events = evaluate_batch(circuit, Planes(len(xs), enc), xs, tapes)
         outputs = batch_outputs(circuit, events).tolist()
         cols = np.array(sorted(set().union(*masks)), dtype=np.int64)
         masked = events.matrix(cols)
