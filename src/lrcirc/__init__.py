@@ -58,12 +58,10 @@ from .lab import (
 )
 from .netlist import NetlistError, parse_netlist, serialize_netlist
 from .steane import (
-    SteaneTables,
     encode_codeword,
     logical_value,
     overlap_parity,
     pairwise_uniformity_check,
-    tables,
 )
 
 __all__ = [
@@ -84,7 +82,6 @@ __all__ = [
     "RandomTape",
     "Register",
     "Role",
-    "SteaneTables",
     "Trace",
     "channel_distance",
     "compile_circuit",
@@ -109,7 +106,6 @@ __all__ = [
     "run_rounds",
     "serialize_netlist",
     "syndrome_of",
-    "tables",
     "transversality_audit",
     "truth_table",
 ]

@@ -116,6 +116,10 @@ class Channel:
         return self.diags.shape[1]
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
+        # numpy would broadcast a 1x1 or a flat state up to dim x dim
+        if np.shape(rho) != self.multiplier.shape:
+            raise DimensionError(
+                f"state must be {self.dim}x{self.dim}, got shape {np.shape(rho)}")
         return self.multiplier * rho
 
 
@@ -125,12 +129,16 @@ def leakage_channel(l: LeakageFunction) -> Channel:
     return Channel(np.ones(l.alphabet_size), np.arange(l.alphabet_size)[:, None] == ranks)
 
 
-def dephasing_channel(l: LeakageFunction) -> Channel:
-    """Uniform mixture of the diagonal phase powers F^k, k = 0..d-1."""
+def _phase_terms(l: LeakageFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Weights 1/d and diagonal rows of the phase powers F^k, k = 0..d-1."""
     d = l.alphabet_size
     omega = np.exp(2j * np.pi / d)
-    ranks = np.array(l.ranks())
-    return Channel(np.full(d, 1.0 / d), omega ** (np.arange(d)[:, None] * ranks))
+    return np.full(d, 1.0 / d), omega ** (np.arange(d)[:, None] * np.array(l.ranks()))
+
+
+def dephasing_channel(l: LeakageFunction) -> Channel:
+    """Uniform mixture of the diagonal phase powers F^k, k = 0..d-1."""
+    return Channel(*_phase_terms(l))
 
 
 def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:
@@ -148,9 +156,9 @@ def mixture_channel(requests: list[tuple[LeakageFunction, float]]) -> Channel:
     dim = requests[0][0].dim
     if any(l.dim != dim for l, _ in requests):
         raise DimensionError("mixed functions must share a wire count")
-    chans = [(dephasing_channel(l), p) for l, p in requests]
-    return Channel(np.concatenate([p * ch.weights for ch, p in chans]),
-                   np.concatenate([ch.diags for ch, _ in chans]))
+    terms = [(_phase_terms(l), p) for l, p in requests]
+    return Channel(np.concatenate([p * weights for (weights, _), p in terms]),
+                   np.concatenate([diags for (_, diags), _ in terms]))
 
 
 def channel_distance(c1: Channel, c2: Channel) -> float:

@@ -193,9 +193,6 @@ class RandomTape:
     def of(cls, bits) -> RandomTape:
         return cls(tuple(int(b) & 1 for b in bits))
 
-    def __len__(self):
-        return len(self.bits)
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -628,8 +625,6 @@ def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
         if bits.shape != (batch, width):
             raise EvalError(f"{label} matrix must have shape ({batch}, {width})")
         return list(bits.planes)
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
     try:
         arr = np.asarray(bits, dtype=np.int8) & 1
     except ValueError as exc:  # rows of unequal length

@@ -551,15 +551,6 @@ class CompiledCircuit:
         pairs.flags.writeable = False
         return pairs
 
-    def location_counts(self) -> list[tuple[str, str, int]]:
-        """(kind, source, locations) per gadget: emitted gates plus the
-        registers created in the span (standing in for state preparation)."""
-        return [
-            (g["kind"], g["source"],
-             g["gates"][1] - g["gates"][0] + g["regs_created"])
-            for g in self.gadget_index
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "level": self.level,
@@ -801,9 +792,10 @@ def location_report(compiled: CompiledCircuit) -> dict:
     """
     per_kind: dict[str, dict] = {}
     largest = None
-    for g, (kind, _src, locations) in zip(compiled.gadget_index,
-                                          compiled.location_counts()):
+    for g in compiled.gadget_index:
+        kind = g["kind"]
         gates = g["gates"][1] - g["gates"][0]
+        locations = gates + g["regs_created"]
         entry = per_kind.setdefault(
             kind, {"count": 0, "locations_min": locations,
                    "locations_max": locations, "gates": 0}

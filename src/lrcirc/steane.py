@@ -5,12 +5,14 @@ the parity-check rows are 1010101 (support {1,3,5,7}), 0110011 ({2,3,6,7})
 and 0001111 ({4,5,6,7}).  The even-weight codewords form the self-dual-side
 subcode (the span of the check rows); the odd-weight codewords are its coset
 under the logical flip on positions {1,2,3}.  The parity of a codeword is
-its logical value.
+its logical value.  The tables are plain module constants: the check rows
+`H_ROWS`, the classes `EVEN` and `ODD`, all 16 `CODEWORDS`, and
+`LOGICAL_SUPPORT`, which both logical operators act on; `syndrome` checks a
+word against `H_ROWS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 Word = tuple[int, ...]
@@ -63,54 +65,22 @@ def encode_codeword(bit: int, seeds: tuple[int, int, int]) -> Word:
     return w
 
 
-def _span() -> tuple[Word, ...]:
-    return tuple(
-        sorted(encode_codeword(0, seeds) for seeds in product((0, 1), repeat=3))
-    )
+# the 8 even-weight codewords (the span of the check rows), the 8 odd-weight
+# ones (their coset under the logical flip) and all 16, each sorted
+EVEN: tuple[Word, ...] = tuple(
+    sorted(encode_codeword(0, seeds) for seeds in product((0, 1), repeat=3))
+)
+ODD: tuple[Word, ...] = tuple(sorted(xor(w, LOGICAL_WORD) for w in EVEN))
+CODEWORDS: tuple[Word, ...] = tuple(sorted(EVEN + ODD))
 
 
-@dataclass(frozen=True)
-class SteaneTables:
-    """All static code data: checks, codeword classes, operator supports."""
-
-    H: tuple[Word, ...]
-    C: tuple[Word, ...]                 # the 16 Hamming codewords
-    C_perp: tuple[Word, ...]            # the 8 even-weight codewords
-    C_minus_Cperp: tuple[Word, ...]     # the 8 odd-weight codewords
-    logical_x_support: tuple[int, ...]
-    logical_z_support: tuple[int, ...]
-    generators: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def syndrome(self, w: Word) -> tuple[int, ...]:
-        return tuple(sum(a & b for a, b in zip(row, w)) & 1 for row in self.H)
-
-
-def _support(row: Word) -> tuple[int, ...]:
-    return tuple(i + 1 for i, b in enumerate(row) if b)
-
-
-def tables() -> SteaneTables:
-    even = _span()
-    odd = tuple(sorted(xor(w, LOGICAL_WORD) for w in even))
-    gens = tuple(
-        [("Z", _support(r)) for r in H_ROWS] + [("X", _support(r)) for r in H_ROWS]
-    )
-    return SteaneTables(
-        H=H_ROWS,
-        C=tuple(sorted(even + odd)),
-        C_perp=even,
-        C_minus_Cperp=odd,
-        logical_x_support=LOGICAL_SUPPORT,
-        logical_z_support=LOGICAL_SUPPORT,
-        generators=gens,
-    )
-
-
-_TABLES = tables()
+def syndrome(w: Word) -> tuple[int, ...]:
+    """Parity of `w` against each check row; all zero on a codeword."""
+    return tuple(sum(a & b for a, b in zip(row, w)) & 1 for row in H_ROWS)
 
 
 def is_codeword(w: Word) -> bool:
-    return all(s == 0 for s in _TABLES.syndrome(w))
+    return not any(syndrome(w))
 
 
 def overlap_parity(u: Word, v: Word) -> int:
@@ -130,7 +100,7 @@ def pair_marginal(parity: int, i: int, j: int) -> dict[tuple[int, int], int]:
     """Counts of the four patterns at positions (i, j) over one codeword class."""
     if i == j:
         raise ValueError("positions must be distinct")
-    cls = _TABLES.C_perp if parity == 0 else _TABLES.C_minus_Cperp
+    cls = EVEN if parity == 0 else ODD
     counts = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
     for w in cls:
         counts[(w[i - 1], w[j - 1])] += 1
@@ -159,27 +129,28 @@ def pairwise_uniformity_check() -> dict:
 
 def steane_report() -> dict:
     """JSON-ready dump of the tables plus the property checks."""
-    t = _TABLES
     dual = all(
-        sum(a & b for a, b in zip(u, v)) & 1 == 0 for u in t.C_perp for v in t.C
+        sum(a & b for a, b in zip(u, v)) & 1 == 0 for u in EVEN for v in CODEWORDS
     )
     overlap = all(
         overlap_parity(u, v) == logical_value(u) * logical_value(v)
-        for u in t.C for v in t.C
+        for u in CODEWORDS for v in CODEWORDS
     )
+    codeset = set(CODEWORDS)
     closure = all(
-        xor(u, v) in set(t.C)
+        xor(u, v) in codeset
         and logical_value(xor(u, v)) == logical_value(u) ^ logical_value(v)
-        for u in t.C for v in t.C
+        for u in CODEWORDS for v in CODEWORDS
     )
+    supports = [tuple(i + 1 for i, b in enumerate(r) if b) for r in H_ROWS]
     return {
-        "H": [word_str(r) for r in t.H],
-        "codewords_even": [word_str(w) for w in t.C_perp],
-        "codewords_odd": [word_str(w) for w in t.C_minus_Cperp],
-        "logical_x_support": list(t.logical_x_support),
-        "logical_z_support": list(t.logical_z_support),
+        "H": [word_str(r) for r in H_ROWS],
+        "codewords_even": [word_str(w) for w in EVEN],
+        "codewords_odd": [word_str(w) for w in ODD],
+        "logical_x_support": list(LOGICAL_SUPPORT),
+        "logical_z_support": list(LOGICAL_SUPPORT),
         "generators": [
-            {"type": kind, "support": list(sup)} for kind, sup in t.generators
+            {"type": kind, "support": list(sup)} for kind in ("Z", "X") for sup in supports
         ],
         "checks": {
             "dual_containment": dual,

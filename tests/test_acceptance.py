@@ -42,7 +42,7 @@ from lrcirc.lab import (
     mc_advantage,
 )
 from lrcirc.netlist import parse_netlist
-from lrcirc.steane import tables, word_str
+from lrcirc.steane import CODEWORDS, EVEN, ODD, syndrome, word_str
 
 # reference codeword tables (each class is an 8-element affine space; the
 # final word of each is forced by linearity from the other seven)
@@ -74,16 +74,15 @@ def verdict(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_steane_tables():
     t0 = time.perf_counter()
-    t = tables()
-    even = {word_str(w) for w in t.C_perp}
-    odd = {word_str(w) for w in t.C_minus_Cperp}
+    even = {word_str(w) for w in EVEN}
+    odd = {word_str(w) for w in ODD}
     ok = (
         even == REFERENCE_EVEN | {FORCED_EVEN}
         and odd == REFERENCE_ODD | {FORCED_ODD}
         and len(even) == 8 and len(odd) == 8
-        and all(t.syndrome(w) == (0, 0, 0) for w in t.C)
-        and all(sum(w) % 2 == 0 for w in t.C_perp)
-        and all(sum(w) % 2 == 1 for w in t.C_minus_Cperp)
+        and all(syndrome(w) == (0, 0, 0) for w in CODEWORDS)
+        and all(sum(w) % 2 == 0 for w in EVEN)
+        and all(sum(w) % 2 == 1 for w in ODD)
     )
     dt = time.perf_counter() - t0
     verdict(1, ok and dt < 1.0,
@@ -94,10 +93,9 @@ def test_criterion_02_overlap_lemma():
     from lrcirc.steane import logical_value, overlap_parity
 
     t0 = time.perf_counter()
-    t = tables()
     ok = all(
         overlap_parity(u, v) == logical_value(u) * logical_value(v)
-        for u in t.C for v in t.C
+        for u in CODEWORDS for v in CODEWORDS
     )
     dt = time.perf_counter() - t0
     verdict(2, ok and dt < 1.0, f"overlap identity on all 256 pairs ({dt:.3f}s)")

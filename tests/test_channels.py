@@ -259,6 +259,18 @@ def test_weights_and_diagonals_must_match(weights, diags):
         Channel(weights, diags)
 
 
+@pytest.mark.parametrize("rho", [
+    np.array([[1.0]]),
+    np.array([0.5, 0.5]),
+    np.eye(4) / 4,
+], ids=["1x1", "flat", "4x4"])
+def test_channel_refuses_a_wrong_sized_state(rho):
+    # numpy broadcasting would turn the first two into 2x2 outputs
+    ch = leakage_channel(LeakageFunction.identity(1))
+    with pytest.raises(DimensionError, match=r"state must be 2x2, got shape"):
+        ch(rho)
+
+
 def _terms_one_by_one(l: LeakageFunction, phases: bool):
     """Reference: each channel's (weight, diagonal) terms built one diagonal
     at a time from the function's table."""

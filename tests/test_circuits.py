@@ -401,8 +401,9 @@ _TAPES = np.zeros((4, 1), dtype=np.int8)
     ([[1], [0, 1], [1], [0]], [0], _TAPES, "secret rows must each have 1 bits"),
     ([1, 0], [0], _TAPES, "expected 1 secret bits, got 2"),
     ([1], np.zeros((4, 2), dtype=np.int8), _TAPES, r"public matrix must have shape \(4, 1\)"),
+    ("1", [0], _TAPES, r"secret matrix must have shape \(4, 1\)"),
 ], ids=["1-d-tapes", "tape-width", "planes-shape", "ragged-rows", "shared-row-length",
-        "matrix-shape"])
+        "matrix-shape", "string-secret"])
 def test_evaluate_batch_refuses_misshapen_inputs(secret, public, tapes, match):
     circ = parse_netlist("in secret s\nin public x\nreg a\nout o\n"
                          "gate RAND a\ngate CNOT a o\ngate CNOT x o\n")

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrcirc
-from lrcirc import cli, faults
+from lrcirc import cli, faults, steane
 from lrcirc.cli import main
 
 ONE_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
@@ -67,13 +67,46 @@ def test_audit_shor_lists_four_classes(capsys):
 
 
 def test_audit_shor_failure_exits_2(capsys, monkeypatch):
-    def fail():
-        raise faults.FaultAuditError("classes [6, 7] and [5, 6, 7] share syndrome [6, 7]")
-
-    monkeypatch.setattr(faults, "enumerate_single_faults", fail)
+    # the audit on a decoder that sees nothing, as `audit shor` would run it
+    blind = faults.CliffordCircuit(wires=7, cnots=(), prep={},
+                                   measure={w: "Z" for w in range(1, 8)})
+    audit = faults.enumerate_single_faults
+    monkeypatch.setattr(faults, "enumerate_single_faults",
+                        lambda: audit(faults.SHOR_PREP, blind))
     code, out, err = run_cli(capsys, "audit", "shor")
-    assert (code, out) == (2, "")
-    assert err == "audit failed: classes [6, 7] and [5, 6, 7] share syndrome [6, 7]\n"
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report == audit(faults.SHOR_PREP, blind)
+    assert report["distinct"] is False
+    assert report["problems"][0] == "class [1] has an empty syndrome"
+
+
+@pytest.mark.parametrize("what", ["steane", "transversality"])
+def test_failing_audit_writes_its_report_and_exits_2(capsys, monkeypatch, tmp_path,
+                                                     compiled_files, what):
+    if what == "steane":
+        # the code tables are constants, so only a patched report can fail
+        build = steane.steane_report
+        monkeypatch.setattr(steane, "steane_report", lambda: {
+            **build(), "checks": {**build()["checks"], "xor_closure": False}})
+        argv = ["audit", "steane"]
+    else:
+        # one readout CNOT rewired to couple two wires of block a
+        dirty = tmp_path / "dirty.net"
+        dirty.write_text(compiled_files["l1"].read_text().replace(
+            "gate CNOT a.1 g0.m1\n", "gate CNOT a.1 a.2\n", 1))
+        argv = ["audit", "transversality", "--circuit", dirty,
+                "--gadgets", compiled_files["l1.json"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if what == "steane":
+        assert report["checks"]["xor_closure"] is False
+    else:
+        assert report["flags"] == [{"block": "a", "gate": 376, "kind": "CNOT",
+                                    "reason": "intra-block", "registers": [0, 1]}]
 
 
 @pytest.mark.parametrize("argv, message", [

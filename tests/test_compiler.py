@@ -36,13 +36,13 @@ from lrcirc.compiler import (
 from lrcirc.faults import SHOR_DECODE, SHOR_PREP, transversality_audit
 from lrcirc.lab import encoded_secret_rows
 from lrcirc.netlist import parse_netlist, serialize_netlist
-from lrcirc.steane import logical_value, tables, word_str
+from lrcirc import steane
+from lrcirc.steane import logical_value, word_str
 
 import random
 
-T = tables()
-EVEN = {word_str(w) for w in T.C_perp}
-ODD = {word_str(w) for w in T.C_minus_Cperp}
+EVEN = {word_str(w) for w in steane.EVEN}
+ODD = {word_str(w) for w in steane.ODD}
 ALL_CODEWORDS = EVEN | ODD
 
 
@@ -517,11 +517,10 @@ def test_compiled_init_one_register():
 
 def test_location_counts_accessor():
     comp = compile_circuit(parse_netlist(ONE_TOFFOLI), level=1, ec=True)
-    counts = comp.location_counts()
-    assert len(counts) == len(comp.gadget_index)
-    kinds = {k for k, _, _ in counts}
-    assert "toffoli" in kinds and "prep-zero" in kinds
-    assert all(n > 0 for _, _, n in counts)
+    per_gadget = location_report(comp)["per_gadget"]
+    assert sum(e["count"] for e in per_gadget.values()) == len(comp.gadget_index)
+    assert "toffoli" in per_gadget and "prep-zero" in per_gadget
+    assert all(e["locations_min"] > 0 for e in per_gadget.values())
 
 
 def test_compiled_functional_equivalence_with_public_and_not():

@@ -97,22 +97,35 @@ def test_complement_fold_merges_first_cnot_target_fault():
     assert [1, 2, 3, 4] in cls["raw_patterns"]
 
 
-def test_audit_raises_on_degenerate_decoder():
-    from lrcirc.faults import CliffordCircuit, FaultAuditError
+def test_audit_reports_a_degenerate_decoder():
+    from lrcirc.faults import CliffordCircuit
 
     # a decoder that measures everything in Z sees no phase errors at all
     blind = CliffordCircuit(wires=7, cnots=(), prep={},
                             measure={w: "Z" for w in range(1, 8)})
-    with pytest.raises(FaultAuditError, match="empty syndrome"):
-        enumerate_single_faults(SHOR_PREP, blind)
+    report = enumerate_single_faults(SHOR_PREP, blind)
+    assert report["distinct"] is False
+    # every class is empty, and each shares that syndrome with the one before
+    order = [[1], [1, 2], [1, 2, 3], [2], [3], [4], [5], [5, 6, 7], [6], [6, 7], [7]]
+    want = []
+    for prev, cls in zip([None] + order, order):
+        want.append(f"class {cls} has an empty syndrome")
+        if prev is not None:
+            want.append(f"classes {prev} and {cls} share syndrome []")
+    assert report["problems"] == want
+    assert [c["pattern"] for c in report["classes"]] == [[]] + sorted(order, key=len)
 
 
-def test_audit_raises_on_unexpected_multi_error_classes():
-    from lrcirc.faults import CliffordCircuit, FaultAuditError
+def test_audit_reports_unexpected_multi_error_classes():
+    from lrcirc.faults import CliffordCircuit
 
     short = CliffordCircuit(7, SHOR_PREP.cnots[:-1], SHOR_PREP.prep, {})
-    with pytest.raises(FaultAuditError, match="unexpected multi-error classes"):
-        enumerate_single_faults(prep=short)
+    report = enumerate_single_faults(prep=short)
+    assert report["distinct"] is False
+    assert report["problems"] == [
+        "unexpected multi-error classes: [[1, 2], [1, 2, 3], [2, 3], [2, 3, 4]]"]
+    # without the last CNOT, [2, 3] and [2, 3, 4] stand where [1, 2] and [1, 2, 3] should
+    assert report["multi_error_classes"] == [[2, 3], [2, 3, 4], [5, 6, 7], [6, 7]]
 
 
 def test_cnot_on_one_wire_is_refused():

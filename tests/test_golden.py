@@ -488,3 +488,29 @@ def test_channel_multipliers_are_pinned(kind, n):
     for ch in chans:
         h.update(ch.multiplier.tobytes())
     assert h.hexdigest() == MULTIPLIERS[(kind, n)]
+
+
+# sha256 of the stdout of each audit: `lrc audit steane`, `lrc audit shor`,
+# and `lrc audit transversality` on the level-1 and level-2 one-Toffoli
+AUDITS = {
+    "steane": "b9948e3de640728748880d1c1abc0239427e3a7d42f729cf9e5aad998716d651",
+    "shor": "69025a24eb2a83e977b9a62c46c800475a7cb9ef414e34b286cc9129b9ed4453",
+    "transversality-l1": "17f637fd1290ca61f8d9b793b7bb6160f6600c4313d43a920a6ffe0b69c8db37",
+    "transversality-l2": "ec9b712b76bcdd55f0dae343b1be21b256208ba82b8111ddbec66558f44c2d7d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_audit_output_is_pinned(name, capsys, tmp_path, request):
+    argv = ["audit", name.split("-")[0]]
+    if name.startswith("transversality"):
+        level = name[-1]
+        comp = request.getfixturevalue(f"one_toffoli_level{level}")
+        net, index = tmp_path / "c.net", tmp_path / "c.json"
+        net.write_text(serialize_netlist(comp.circuit))
+        index.write_text(_json(comp.to_json_dict()))
+        argv += ["--circuit", str(net), "--gadgets", str(index)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == AUDITS[name]

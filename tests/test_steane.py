@@ -6,12 +6,16 @@ import pytest
 
 from lrcirc import steane
 from lrcirc.steane import (
+    CODEWORDS,
+    EVEN,
+    H_ROWS,
+    ODD,
     encode_codeword,
     logical_value,
     overlap_parity,
     pair_marginal,
     pairwise_uniformity_check,
-    tables,
+    syndrome,
     word,
     word_str,
     xor,
@@ -28,33 +32,31 @@ REFERENCE_ODD = ["1111111", "1110000", "1001100", "0101010",
 FULL_EVEN = sorted(REFERENCE_EVEN + ["1101001"])
 FULL_ODD = sorted(REFERENCE_ODD + ["0010110"])
 
-T = tables()
-
 
 def test_class_sizes():
-    assert len(T.C_perp) == 8
-    assert len(T.C_minus_Cperp) == 8
-    assert len(T.C) == 16
-    assert set(T.C_perp) < set(T.C)
+    assert len(EVEN) == 8
+    assert len(ODD) == 8
+    assert len(CODEWORDS) == 16
+    assert set(EVEN) < set(CODEWORDS)
 
 
 def test_codeword_classes_match_reference_tables():
-    assert sorted(word_str(w) for w in T.C_perp) == FULL_EVEN
-    assert sorted(word_str(w) for w in T.C_minus_Cperp) == FULL_ODD
+    assert sorted(word_str(w) for w in EVEN) == FULL_EVEN
+    assert sorted(word_str(w) for w in ODD) == FULL_ODD
 
 
 def test_weights_split_by_parity():
-    assert all(sum(w) % 2 == 0 for w in T.C_perp)
-    assert all(sum(w) % 2 == 1 for w in T.C_minus_Cperp)
+    assert all(sum(w) % 2 == 0 for w in EVEN)
+    assert all(sum(w) % 2 == 1 for w in ODD)
 
 
 def test_check_matrix_annihilates_code():
-    for c in T.C:
-        assert T.syndrome(c) == (0, 0, 0)
+    for c in CODEWORDS:
+        assert syndrome(c) == (0, 0, 0)
 
 
 def test_check_rows_have_documented_supports():
-    supports = [tuple(i + 1 for i, b in enumerate(r) if b) for r in T.H]
+    supports = [tuple(i + 1 for i, b in enumerate(r) if b) for r in H_ROWS]
     assert supports == [(1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
 
 
@@ -104,21 +106,21 @@ def test_overlap_parity_rejects_non_codewords():
 
 
 def test_overlap_identity_all_256_pairs():
-    for u in T.C:
-        for v in T.C:
+    for u in CODEWORDS:
+        for v in CODEWORDS:
             assert overlap_parity(u, v) == logical_value(u) * logical_value(v)
 
 
 def test_dual_containment():
-    for u in T.C_perp:
-        for v in T.C:
+    for u in EVEN:
+        for v in CODEWORDS:
             assert sum(a & b for a, b in zip(u, v)) % 2 == 0
 
 
 def test_xor_closure_with_parity_addition():
-    codeset = set(T.C)
-    for u in T.C:
-        for v in T.C:
+    codeset = set(CODEWORDS)
+    for u in CODEWORDS:
+        for v in CODEWORDS:
             w = xor(u, v)
             assert w in codeset
             assert logical_value(w) == logical_value(u) ^ logical_value(v)
