@@ -21,26 +21,29 @@ static property of the circuit.  `Circuit` fixes two read-only arrays
 once: `leakable`, the ascending ids of the events that can leak (all but
 RAND's, which are leak-free), and `cond_of`, which gives each event of a
 conditioned gate, the only ones a row can skip, its condition event, and
--1 to every other event.  A third, `plane_of`, which names for each event
-the first event sharing its planes in every row, is built on first use.
+-1 to every other event.
 
 `evaluate_batch` is the evaluator every library path runs.  It is
-bitsliced: each register and each event holds one Python int whose bit r
-is row r, so a gate costs a few big-int operations for the whole batch.  It
-takes per-row inputs and tapes as int8 matrices, which it packs into
-planes, or already packed as `Planes`, the lab's own layout.  It
-returns an `EventBatch`: a value plane per event and each register's
-final plane, from which `batch_outputs` reads the outputs.  Callers count
-on the planes directly or unpack what they read with `EventBatch.matrix`:
-an int8 matrix of chosen events, each over all rows or over its own
-window of rows, with -1 for a skipped event.  The scalar `evaluate` and
-`register_file` are the reference the tests check it against.
+bitsliced: each value is one Python int whose bit r is row r, so an
+operation acts on the whole batch at once.  It runs the circuit's
+`ValueProgram` (`Circuit.program`, built on the first evaluation and
+cached): a straight-line list of XOR and AND instructions over a table of
+value slots, with a map from each event, and from each register's final
+value, to its slot.  It takes per-row inputs and tapes as int8 matrices,
+which it packs into planes, or already packed as `Planes`, the lab's own
+layout.  It returns an `EventBatch`: the run's slot planes, from which
+`batch_outputs` reads the outputs.  Callers count on the planes directly
+or unpack what they read with `EventBatch.matrix`: an int8 matrix of
+chosen events, each over all rows or over its own window of rows, with
+-1 for a skipped event.  The scalar `evaluate` and `register_file` are
+the reference the tests check it against.
 """
 
 from __future__ import annotations
 
 import gc
 import re
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -332,42 +335,10 @@ class Circuit:
         self.leakable.flags.writeable = self.cond_of.flags.writeable = False
 
     @cached_property
-    def plane_of(self) -> np.ndarray:
-        """Per event, the first event whose value plane and ran rows equal
-        its own in every row of every batch, as a read-only int64 array,
-        decided on first use from one static pass over the gates.
-
-        A port that reads a register without writing it shares the plane
-        of that register's input or last unconditioned write (or of the
-        first event to read it, before any); a COPY target shares its
-        source's; every other write starts a new plane.  Every port of a
-        conditioned gate holds `value & run` and starts a new plane, and so
-        does the register that gate writes, whose next reader starts one.
-        So plane_of[e] <= e, and events that share a plane share every
-        count and every affine form."""
-        plane = list(range(self.num_events))
-        held = [-1] * len(self.registers)  # register id -> event of its plane
-        for rid, eid in self.input_events.items():
-            held[rid] = eid
-        COPY = GateKind.COPY
-        for g, start in zip(self.gates, self.gate_start):
-            args, port = g.args, g.kind.write_port
-            if g.cond is not None:
-                if port is not None:
-                    held[args[port]] = -1
-                continue
-            for e, rid in enumerate(args, start):
-                if e - start == port:
-                    if g.kind is COPY:
-                        plane[e] = plane[start]
-                    held[rid] = plane[e]
-                elif held[rid] < 0:
-                    held[rid] = e
-                else:
-                    plane[e] = held[rid]
-        table = np.array(plane, dtype=np.int64)
-        table.flags.writeable = False
-        return table
+    def program(self) -> ValueProgram:
+        """The circuit's straight-line XOR/AND program (`ValueProgram`),
+        built on first use, which is the first `evaluate_batch` call."""
+        return _build_program(self)
 
     # -- introspection ----------------------------------------------------
 
@@ -496,46 +467,171 @@ class Planes:
         return _unpack_planes(self.planes, self.rows)
 
 
-class EventBatch:
-    """Wire-event values of a batch of rows, bitsliced: one Python int per
-    event, bit r holding row r.
+class ValueProgram:
+    """A circuit as a straight-line program over a table of value slots.
 
-    `values[e]` has bit r set when event e recorded 1 in row r; a skipped
-    event's value bit is 0.  The circuit's int64 array `cond_of` gives each
-    event of a conditioned gate its condition event, whose value plane
-    holds the rows where the gate ran, and -1 for every other event, which
-    ran in all rows.  `registers[i]` is register i's final value plane.
-    Consumers read the planes directly (popcounts, masks) or unpack the
-    events they need, over all rows or one row window per event, with
-    `matrix`.
+    The table starts with one slot per register, holding its initial
+    plane (an input's plane, all ones for an `init 1` register, else 0),
+    then one per tape bit, then one all-ones slot; instruction i appends
+    slot `head + i`, holding `S[left[i]] ^ S[right[i]]` when `ops[i]` is
+    0 and `S[left[i]] & S[right[i]]` when it is 1.  `slot_of[e]` (a
+    read-only int64 array) is the slot holding event e's value plane and
+    `register_slot[i]` (likewise) register i's final one.
+
+    RAND, COPY, Z and CZ rename slots and emit nothing; an unconditioned
+    CNOT or NOT emits one XOR (NOT with the all-ones slot) and a TOF an AND
+    and an XOR.  A conditioned gate acts through ANDs with its condition's
+    slot, the rows where it runs, and each of its ports gets a slot of its
+    own, `value & run`, the control port of a CNOT reusing the AND that
+    feeds its write.  So two events share a slot exactly when one
+    register value reaches both with no write between, through reads,
+    unconditioned writes and COPY (a conditioned gate's port never shares),
+    and events that share a slot share every count and every affine form.
+    The fields are not to be changed.
     """
 
-    def __init__(self, rows: int, values: list[int], registers: list[int],
+    # a plain class: a frozen dataclass takes about 1 ms to define, which
+    # every `lrc` start-up would pay
+    __slots__ = ("ops", "left", "right", "head", "slot_of", "register_slot")
+
+    def __init__(self, ops: bytes, left: array, right: array, head: int,
+                 slot_of: np.ndarray, register_slot: np.ndarray):
+        self.ops, self.left, self.right = ops, left, right
+        self.head = head  # slots before the first instruction's
+        self.slot_of, self.register_slot = slot_of, register_slot
+
+    @property
+    def slots(self) -> int:
+        """The length of the slot table after a run."""
+        return self.head + len(self.ops)
+
+
+_XOR, _AND = 0, 1
+
+
+def _build_program(circuit: Circuit) -> ValueProgram:
+    """One pass over the gates, tracking the slot each register holds."""
+    nregs = len(circuit.registers)
+    held = list(range(nregs))  # register id -> the slot of its value
+    tape = nregs  # the next RAND's tape slot
+    ones = nregs + circuit.rand_count
+    head = ones + 1
+    ops, left, right = bytearray(), array("i"), array("i")
+    add_op, add_left, add_right = ops.append, left.append, right.append
+
+    def emit(op: int, a: int, b: int) -> int:
+        add_op(op)
+        add_left(a)
+        add_right(b)
+        return head + len(left) - 1
+
+    slot_of = array("q", bytes(8 * circuit.num_events))
+    for rid, eid in circuit.input_events.items():
+        slot_of[eid] = rid
+    NOT, CNOT, TOF, RAND, COPY = (GateKind.NOT, GateKind.CNOT, GateKind.TOF,
+                                  GateKind.RAND, GateKind.COPY)
+    for g, e in zip(circuit.gates, circuit.gate_start):
+        kind, args = g.kind, g.args  # events e, e + 1, .. by operand
+        if g.cond is None:
+            if kind is CNOT:
+                c, t = args
+                slot_of[e] = x = held[c]
+                slot_of[e + 1] = held[t] = emit(_XOR, held[t], x)
+            elif kind is RAND:
+                slot_of[e] = held[args[0]] = tape
+                tape += 1
+            elif kind is COPY:
+                slot_of[e] = slot_of[e + 1] = held[args[1]] = held[args[0]]
+            else:
+                if kind is TOF:
+                    a, b, t = args
+                    held[t] = emit(_XOR, held[t], emit(_AND, held[a], held[b]))
+                elif kind is NOT:
+                    held[args[0]] = emit(_XOR, held[args[0]], ones)
+                for ev, rid in enumerate(args, e):  # Z and CZ rename only
+                    slot_of[ev] = held[rid]
+            continue
+        run = slot_of[g.cond]  # the rows where the gate runs
+        first = e  # the first port still without a slot
+        if kind is CNOT:
+            c, t = args
+            slot_of[e] = x = emit(_AND, held[c], run)
+            held[t] = emit(_XOR, held[t], x)
+            first += 1
+        elif kind is TOF:
+            a, b, t = args
+            held[t] = emit(_XOR, held[t], emit(_AND, emit(_AND, held[a], held[b]), run))
+        elif kind is NOT:
+            held[args[0]] = emit(_XOR, held[args[0]], run)
+        elif kind is RAND:  # a skipped RAND still consumes its bit
+            r = args[0]
+            held[r] = emit(_XOR, held[r], emit(_AND, emit(_XOR, held[r], tape), run))
+            tape += 1
+        elif kind is COPY:
+            s, t = args
+            held[t] = emit(_XOR, held[t], emit(_AND, emit(_XOR, held[t], held[s]), run))
+        for ev in range(first, e + len(args)):
+            slot_of[ev] = emit(_AND, held[args[ev - e]], run)
+    slot_of, register_slot = np.array(slot_of, dtype=np.int64), np.array(held, dtype=np.int64)
+    slot_of.flags.writeable = register_slot.flags.writeable = False
+    return ValueProgram(bytes(ops), left, right, head, slot_of, register_slot)
+
+
+class EventBatch:
+    """Wire-event values of a batch of rows, bitsliced: one Python int per
+    slot of the circuit's `ValueProgram`, bit r holding row r.
+
+    `planes[slot_of[e]]` has bit r set when event e recorded 1 in row r;
+    a skipped event's value bit is 0, and `planes[register_slot[i]]` is
+    register i's final plane.  The circuit's int64 array `cond_of` gives
+    each event of a conditioned gate its condition event, whose value
+    plane holds the rows where the gate ran, and -1 for every other event,
+    which ran in all rows.  Consumers read the planes directly (popcounts,
+    masks) or unpack the events they need, over all rows or one row
+    window per event, with `matrix`.
+    """
+
+    def __init__(self, rows: int, planes: list[int], program: ValueProgram,
                  cond_of: np.ndarray):
         self.rows = rows
         self.full = (1 << rows) - 1
-        self.values = values
-        self.registers = registers
+        self.planes = planes
+        self.slot_of = program.slot_of
+        self.register_slot = program.register_slot
         self.cond_of = cond_of
 
     def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (count, len(cols)) whose column
         j holds event cols[j] (default: every event) in rows starts[j] ..
         starts[j] + count - 1 (default: every row), with -1 for a skipped
-        event.  Each column is cut from the event's value plane by a shift
-        and a mask, and only the cut bits are unpacked; skipped rows are
-        cut only for the columns of conditioned events."""
-        cols = np.arange(len(self.values)) if cols is None else np.asarray(cols, dtype=np.int64)
-        starts = [0] * cols.size if starts is None else np.asarray(starts, dtype=np.int64).tolist()
+        event.  A window that starts below row 0, has a negative count or
+        ends past the last row is refused with EvalError.  Each column is
+        cut from the event's value plane by a shift and a mask, and only
+        the cut bits are unpacked; skipped rows are cut only for the
+        columns of conditioned events."""
+        cols = np.arange(self.slot_of.size) if cols is None else np.asarray(cols, dtype=np.int64)
         count = self.rows if count is None else count
+        if not 0 <= count <= self.rows:
+            raise EvalError(f"window of {count} rows in a batch of {self.rows}")
+        if starts is None:
+            starts = [0] * cols.size
+        else:
+            starts = np.asarray(starts, dtype=np.int64)
+            if starts.shape != cols.shape:
+                raise EvalError(f"got {starts.size} window starts for {cols.size} columns")
+            if cols.size and (starts.min() < 0 or starts.max() > self.rows - count):
+                raise EvalError(f"window of {count} rows from row {int(starts.min())} or "
+                                f"{int(starts.max())} is outside rows 0 .. {self.rows - 1}")
+            starts = starts.tolist()
         window = (1 << count) - 1
         conds = self.cond_of[cols]
         maybe_skipped = np.flatnonzero(conds >= 0)
-        cols, values = cols.tolist(), self.values
-        out = _unpack_planes([(values[c] >> s) & window for c, s in zip(cols, starts)], count)
+        planes = self.planes
+        out = _unpack_planes([(planes[s] >> t) & window
+                              for s, t in zip(self.slot_of[cols].tolist(), starts)], count)
         skipped = {}
-        for j, c in zip(maybe_skipped.tolist(), conds[maybe_skipped].tolist()):
-            gap = ((self.full ^ values[c]) >> starts[j]) & window
+        for j, s in zip(maybe_skipped.tolist(), self.slot_of[conds[maybe_skipped]].tolist()):
+            gap = ((self.full ^ planes[s]) >> starts[j]) & window
             if gap:
                 skipped[j] = gap
         if skipped:
@@ -549,10 +645,10 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     `tapes` is a (batch, rand_count) int8 matrix or its `Planes`.
     `secret`/`public` are each one bit row shared by the whole batch, or
     per-row input bits as a (batch, k) array or `Planes`.  Matrices are
-    packed into planes first, and every register holds one int with a bit
-    per row, so a gate costs a few big-int operations whatever the batch
-    size; a conditioned gate acts on the rows its condition event selects.
-    The scalar `evaluate` is the reference semantics and the two are
+    packed into planes, one int with a bit per row, which fill the head of
+    the slot table of the circuit's `ValueProgram`; the program then runs
+    as one loop of big-int XORs and ANDs, whatever the batch size.  The
+    scalar `evaluate` is the reference semantics and the two are
     cross-checked in the tests.
     """
     shape_error = f"tape batch must have shape (n, {circuit.rand_count})"
@@ -567,55 +663,19 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     full = (1 << batch) - 1
     secret = _input_planes(secret, len(circuit.secret_regs), batch, "secret")
     public = _input_planes(public, len(circuit.public_regs), batch, "public")
-    fresh = iter(tapes.planes)
+    program = circuit.program
 
-    vals = [0] * len(circuit.registers)
+    planes = [0] * len(circuit.registers)
     for rid in circuit.init_ones:
-        vals[rid] = full
+        planes[rid] = full
     for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
-        vals[reg.id] = plane
-    values = [0] * circuit.num_events
-    for rid, eid in circuit.input_events.items():
-        values[eid] = vals[rid]
-
-    CNOT, TOF, NOT, RAND, COPY = (GateKind.CNOT, GateKind.TOF, GateKind.NOT,
-                                  GateKind.RAND, GateKind.COPY)
-    for g, e in zip(circuit.gates, circuit.gate_start):
-        kind, a = g.kind, g.args  # events e, e + 1, .. by operand
-        # unconditioned gates (nearly all of a compiled circuit) skip the
-        # run mask; this branch halves the per-gate cost at 256 rows
-        if g.cond is None:
-            if kind is CNOT:
-                c, t = a
-                values[e] = x = vals[c]
-                values[e + 1] = vals[t] = vals[t] ^ x
-            elif kind is RAND:
-                values[e] = vals[a[0]] = next(fresh)
-            elif kind is COPY:
-                values[e] = values[e + 1] = vals[a[1]] = vals[a[0]]
-            else:
-                if kind is TOF:
-                    vals[a[2]] ^= vals[a[0]] & vals[a[1]]
-                elif kind is NOT:
-                    vals[a[0]] ^= full
-                # Z and CZ: identity on values
-                for ev, rid in enumerate(a, e):
-                    values[ev] = vals[rid]
-            continue
-        run = values[g.cond]  # the rows where the gate runs
-        if kind is CNOT:
-            vals[a[1]] ^= vals[a[0]] & run
-        elif kind is TOF:
-            vals[a[2]] ^= vals[a[0]] & vals[a[1]] & run
-        elif kind is NOT:
-            vals[a[0]] ^= run
-        elif kind is RAND:  # a skipped RAND still consumes its bit
-            vals[a[0]] ^= (vals[a[0]] ^ next(fresh)) & run
-        elif kind is COPY:
-            vals[a[1]] ^= (vals[a[1]] ^ vals[a[0]]) & run
-        for ev, rid in enumerate(a, e):
-            values[ev] = vals[rid] & run
-    return EventBatch(batch, values, vals, circuit.cond_of)
+        planes[reg.id] = plane
+    planes += tapes.planes
+    planes.append(full)
+    append = planes.append
+    for op, a, b in zip(program.ops, program.left, program.right):
+        append(planes[a] & planes[b] if op else planes[a] ^ planes[b])
+    return EventBatch(batch, planes, program, circuit.cond_of)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:
@@ -667,8 +727,8 @@ def _unpack_planes(planes, rows: int) -> np.ndarray:
 def batch_outputs(circuit: Circuit, events: EventBatch) -> np.ndarray:
     """Final output-register values, as an int8 (rows, outputs) matrix, for
     an EventBatch of `circuit` from evaluate_batch."""
-    return _unpack_planes([events.registers[r.id] for r in circuit.output_regs],
-                          events.rows)
+    slots = events.register_slot[[r.id for r in circuit.output_regs]].tolist()
+    return _unpack_planes([events.planes[s] for s in slots], events.rows)
 
 
 def bit_rows(width: int) -> np.ndarray:

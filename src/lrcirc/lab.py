@@ -38,16 +38,17 @@ rows) pack their int8 bit rows into planes once.
 Every path evaluates its [seed | tape] bit-planes with _evaluate_rows,
 which encodes the secret on the seed planes (compiler.encode_seed_planes)
 and passes the result and the tape planes to circuits.evaluate_batch, and
-reads the resulting EventBatch bit-planes; two secrets evaluated on one
-set of planes share every seed and tape bit.  The marginals count symbols
-by popcount: an order-2 pair of unconditioned events takes one
-AND-popcount; at order 1 they popcount one event per distinct plane
-(Circuit.plane_of) and broadcast its counts to the events that share it.
-Every other path unpacks only what it reads
-with EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny
-the leakable columns, keyed into one int per row, and mc_advantage each
-mask's own events over that mask's own rows, keyed into one int64 per row
-with a rank fold (_empirical_tv).  Both TV
+reads the resulting EventBatch bit-planes, one per value slot of the
+circuit's ValueProgram; two secrets evaluated on one set of planes share
+every seed and tape bit.  The marginals count symbols by popcount: each
+slot the counted events read is popcounted once (_event_counts), order 1
+counts one event per distinct slot (_one_event_per_slot) for all the
+events that share it, and an order-2 pair of unconditioned events takes
+one AND-popcount.  Every other
+path unpacks only what it reads with EventBatch.matrix: run_rounds the
+masked event columns, exact_tv_tiny the leakable columns, keyed into one
+int per row, and mc_advantage each mask's own events over that mask's own
+rows, keyed into one int64 per row with a rank fold (_empirical_tv).  Both TV
 estimators tally with one grouped sum per row of int64 keys,
 _abs_group_sums: the sum, over a row's distinct keys, of |count under y0 -
 count under y1|, which is twice a mask's masked-value TV times the row
@@ -64,7 +65,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -547,25 +548,19 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
         targets = compiled.snapshot_pairs
         symbols = 9
 
-    # counts row slot[j] holds target j's counts
-    counted, slot = targets, np.arange(len(targets))
+    # row[j] is the counts row of target j
+    counted, row = targets, np.arange(len(targets))
     if order == 1:
-        # events that share a plane share their counts, so one event per
-        # distinct plane is counted (21,909 of the level-2 one-Toffoli's
-        # 42,781) and each target reads its plane's row
-        planes = circuit.plane_of[targets]
-        seen = np.zeros(circuit.num_events, dtype=bool)
-        seen[planes] = True
-        counted, slot = np.flatnonzero(seen), np.cumsum(seen)[planes] - 1
+        counted, row = _one_event_per_slot(circuit, targets)
     counts0, counts1 = (_symbol_counts(circuit, level, y, x, samples, gen, counted, order)
                         for y, gen in ((y0, rng0), (y1, rng1)))
-    tv = (0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples)[slot]
+    tv = (0.5 * np.abs(counts0 - counts1).sum(axis=1) / samples)[row]
     estimate, std_error, worst = 0.0, 0.0, None
     if len(targets):
         i = int(np.argmax(tv))
         estimate, worst = float(tv[i]), np.atleast_1d(targets[i]).tolist()
         # plug-in standard error of the worst comparison's empirical TV
-        p_hat, q_hat = counts0[slot[i]] / samples, counts1[slot[i]] / samples
+        p_hat, q_hat = counts0[row[i]] / samples, counts1[row[i]] / samples
         var = (p_hat * (1 - p_hat) + q_hat * (1 - q_hat)).sum() / samples
         std_error = 0.5 * math.sqrt(var)
     # union Hoeffding bound over every cell of every comparison
@@ -584,6 +579,22 @@ def marginal_independence(target, y0, y1, x, order: int, samples: int,
             "hoeffding_delta": delta,
         },
     )
+
+
+def _one_event_per_slot(circuit: Circuit, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One of `events` per distinct value slot (`ValueProgram.slot_of`), in
+    slot order, and per event the index of its slot's one.  Events that
+    share a slot share their counts, so order 1 counts one event per slot
+    (21,909 of the level-2 one-Toffoli's 42,781) and each target reads its
+    slot's row."""
+    program = circuit.program
+    slots = program.slot_of[events]
+    seen = np.zeros(program.slots, dtype=bool)
+    seen[slots] = True
+    row = (np.cumsum(seen) - 1)[slots]
+    counted = np.empty(int(np.count_nonzero(seen)), dtype=np.int64)
+    counted[row] = events
+    return counted, row
 
 
 def _symbol_counts(circuit, level, secret, x, samples, np_rng, targets, order) -> np.ndarray:
@@ -608,14 +619,15 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     is an event value v in {-1, 0, 1} (-1 = skipped), counted in column
     v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
     counted in column (a + 1) * 3 + b + 1.  Each event's ones are
-    popcounted once, and the rows it ran in, its condition event's ones
-    (`Circuit.cond_of`), only if it is conditioned (any other ran in all).
-    At order 1 marginal_independence passes one event per distinct plane
-    (Circuit.plane_of), and each event that shares the plane reads its
-    counts; order-2 targets stay per event.  Order 2 derives
-    all nine cells from the two events' own counts and four AND-counts, of
-    a's ones or ran rows with b's ones or ran rows (a skipped event's value
-    bit is 0, so an event's ones lie inside its ran rows).  Every pair
+    popcounted, and the rows it ran in, its condition event's ones
+    (`Circuit.cond_of`), only if it is conditioned (any other ran in all);
+    events that share a value slot (`ValueProgram.slot_of`) share their
+    ones, so each slot is popcounted once (_event_counts), and at order 1
+    marginal_independence passes one event per slot (_one_event_per_slot).
+    Order 2 derives all nine cells from the two events' own counts and
+    four AND-counts, of a's ones or ran rows with b's ones or ran rows (a
+    skipped event's value bit is 0, so an event's ones lie inside its ran
+    rows).  Every pair
     popcounts ones & ones; an unconditioned event's ran rows are all rows,
     so a pair popcounts an AND with an event's ran rows only when that
     event is conditioned.
@@ -630,18 +642,21 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     ones, ran = _event_counts(events, used)
     slot = slot.reshape(pairs.shape)
     (one_a, one_b), (ran_a, ran_b) = ones[slot].T, ran[slot].T
-    values = events.values
-    a, b = pairs.T
-    run_a, run_b = events.cond_of[pairs].T
-    cond_a, cond_b = run_a >= 0, run_b >= 0
-    oo = _and_counts(values, a, b)
+    planes, slot_of = events.planes, events.slot_of
+    # each event's slot and, where it is conditioned, its condition
+    # event's slot, the rows it ran in
+    a, b = slot_of[pairs].T
+    conds = events.cond_of[pairs]
+    cond_a, cond_b = conds.T >= 0
+    run_a, run_b = slot_of[conds].T
+    oo = _and_counts(planes, a, b)
     # op = |ones_a & ran_b|, po = |ran_a & ones_b| and pp = |ran_a & ran_b|,
     # where an unconditioned event's ran rows are all rows
     op, po, pp = one_a.copy(), one_b.copy(), np.minimum(ran_a, ran_b)
-    op[cond_b] = _and_counts(values, a[cond_b], run_b[cond_b])
-    po[cond_a] = _and_counts(values, run_a[cond_a], b[cond_a])
+    op[cond_b] = _and_counts(planes, a[cond_b], run_b[cond_b])
+    po[cond_a] = _and_counts(planes, run_a[cond_a], b[cond_a])
     both = cond_a & cond_b
-    pp[both] = _and_counts(values, run_a[both], run_b[both])
+    pp[both] = _and_counts(planes, run_a[both], run_b[both])
     return np.stack([rows - ran_a - ran_b + pp, ran_b - one_b - pp + po, one_b - po,
                      ran_a - one_a - pp + op, pp - op - po + oo, po - oo,
                      one_a - op, op - oo, oo], axis=1)
@@ -649,18 +664,27 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
 
 def _event_counts(events: EventBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per event of the int64 array `ids`, its ones and the rows it ran in:
-    all rows, or for a conditioned event its condition event's ones."""
-    ones = np.fromiter(map(int.bit_count, map(events.values.__getitem__, ids.tolist())),
-                       dtype=np.int64, count=len(ids))
-    ran = np.full(len(ids), events.rows, dtype=np.int64)
+    all rows, or for a conditioned event its condition event's ones.
+    Events that share a value slot share their ones, so each slot read
+    is popcounted once, in one pass over the slot table."""
+    slot_of = events.slot_of
+    slots = slot_of[ids]
     conds = events.cond_of[ids]
     skips = np.flatnonzero(conds >= 0)
-    ran[skips] = [events.values[c].bit_count() for c in conds[skips].tolist()]
-    return ones, ran
+    runs = slot_of[conds[skips]]
+    read = np.zeros(len(events.planes), dtype=bool)
+    read[slots] = read[runs] = True
+    counts = np.fromiter(map(int.bit_count, compress(events.planes, read.tobytes())),
+                         dtype=np.int64, count=int(np.count_nonzero(read)))
+    rank = np.cumsum(read) - 1  # a read slot's index in counts
+    ran = np.full(len(ids), events.rows, dtype=np.int64)
+    ran[skips] = counts[rank[runs]]
+    return counts[rank[slots]], ran
 
 
 def _and_counts(planes: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per j, the popcount of planes[a[j]] & planes[b[j]]."""
+    """Per j, the popcount of planes[a[j]] & planes[b[j]], for the int64
+    slot arrays `a` and `b`."""
     return np.fromiter(map(int.bit_count, map(operator.and_, map(planes.__getitem__, a.tolist()),
                                               map(planes.__getitem__, b.tolist()))),
                        dtype=np.int64, count=len(a))

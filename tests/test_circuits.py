@@ -1,11 +1,13 @@
 """Core IR semantics: evaluation, wire events, tapes, truth tables."""
 
+import json
 from dataclasses import MISSING, FrozenInstanceError, fields
 from itertools import product
 
 import numpy as np
 import pytest
 
+from lrcirc import circuits
 from lrcirc.circuits import (
     Circuit,
     CircuitError,
@@ -22,7 +24,8 @@ from lrcirc.circuits import (
     register_file,
     truth_table,
 )
-from lrcirc.netlist import parse_netlist
+from lrcirc.compiler import CompiledCircuit, compile_circuit
+from lrcirc.netlist import parse_netlist, serialize_netlist
 
 EMPTY = RandomTape.of([])
 
@@ -418,3 +421,66 @@ def test_batch_outputs_reads_the_last_touch_that_ran():
     want = [[evaluate(circ, [s], [], EMPTY).outputs["o"]] for s in (0, 1)]
     assert want == [[0], [0]]
     assert batch_outputs(circ, events).tolist() == want
+
+
+@pytest.mark.parametrize("starts, count, match", [
+    ([2, 2], 5, "window of 5 rows in a batch of 4"),  # three rows past the last one
+    ([2, 2], 3, "outside rows 0 .. 3"),
+    ([0, 1], 4, "outside rows 0 .. 3"),
+    ([-1, 0], 2, "outside rows 0 .. 3"),
+    ([0, 0], -1, "window of -1 rows"),
+    (None, 5, "window of 5 rows in a batch of 4"),
+    ([0], 2, "1 window starts for 2 columns"),
+], ids=["longer-than-the-batch", "past-the-end", "one-past-the-end", "negative-start",
+        "negative-count", "default-starts", "short-starts"])
+def test_event_matrix_refuses_a_window_it_cannot_read(starts, count, match):
+    circ = parse_netlist("in secret s\nreg a\nout o\ngate RAND a\ngate CNOT a o\ncgate 0 NOT o\n")
+    events = evaluate_batch(circ, [[1], [0], [1], [1]], [], np.ones((4, 1), dtype=np.int8))
+    assert events.matrix([0, 3], [0, 0], 4).shape == (4, 2)  # the whole batch reads
+    assert events.matrix([0, 3], [4, 4], 0).shape == (0, 2)  # so does an empty tail
+    with pytest.raises(EvalError, match=match):
+        events.matrix([0, 3], starts, count)
+
+
+_TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
+
+
+# instructions of the one-Toffoli's value program: RAND, COPY, Z and CZ emit
+# none, an unconditioned CNOT or NOT one, a TOF two, a conditioned CNOT three
+@pytest.mark.parametrize("level, ec, gates, instructions", [
+    (1, False, 400, 271), (1, True, 562, 358), (2, True, 28_219, 15_131)])
+def test_value_program_sizes_are_pinned(level, ec, gates, instructions):
+    circ = compile_circuit(parse_netlist(_TOFFOLI), level=level, ec=ec).circuit
+    program = circ.program
+    assert (len(circ.gates), len(program.ops)) == (gates, instructions)
+    assert len(program.left) == len(program.right) == instructions
+    assert set(program.ops) <= {0, 1}
+    assert program.head == len(circ.registers) + circ.rand_count + 1
+    for table, size in ((program.slot_of, circ.num_events),
+                        (program.register_slot, len(circ.registers))):
+        assert table.dtype == np.int64 and table.shape == (size,)
+        assert not table.flags.writeable
+        assert 0 <= table.min() and table.max() < program.slots
+
+
+def test_value_program_is_built_on_first_evaluation_only(monkeypatch):
+    # parsing, compiling, writing and reading back a target build no
+    # program; the first evaluate_batch builds it and later ones reuse it
+    builds = []
+    build_program = circuits._build_program
+    monkeypatch.setattr(circuits, "_build_program",
+                        lambda circ: builds.append(circ) or build_program(circ))
+    logical = parse_netlist(_TOFFOLI)
+    comp = compile_circuit(logical, level=1)
+    gadgets = json.loads(json.dumps(comp.to_json_dict()))
+    again = CompiledCircuit.from_json_dict(parse_netlist(serialize_netlist(comp.circuit)),
+                                           gadgets)
+    circs = (logical, comp.circuit, again.circuit)
+    assert not builds and all("program" not in vars(c) for c in circs)
+    tapes = np.zeros((3, comp.circuit.rand_count), dtype=np.int8)
+    first = evaluate_batch(comp.circuit, np.zeros((3, 14), dtype=np.int8), [], tapes)
+    assert builds == [comp.circuit]
+    second = evaluate_batch(comp.circuit, np.ones((3, 14), dtype=np.int8), [], tapes)
+    assert builds == [comp.circuit]
+    assert first.slot_of is second.slot_of is comp.circuit.program.slot_of
+    assert "program" not in vars(again.circuit)

@@ -1,6 +1,7 @@
 """Properties on generated inputs: the level-1 compiler on reversible
 circuits, the batch evaluator and truth tables against the scalar
-evaluate, the array secret encoder, the row tally, the Monte-Carlo
+evaluate, the value program's slot map against the plane-sharing rule
+written out gate by gate, the array secret encoder, the row tally, the Monte-Carlo
 estimator, the transcript sampler, the name allocator and the snapshot
 pairs against their loop references, netlist errors on generated circuits
 with one injected fault, refusals of skippable conditions, the netlist
@@ -13,6 +14,7 @@ import re
 from collections import Counter
 from datetime import timedelta
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,22 +278,86 @@ def event_conds(circ):
     return conds
 
 
+def event_planes(batch):
+    """Per event, its value plane, read through the program's slot map."""
+    return [batch.planes[s] for s in batch.slot_of.tolist()]
+
+
+def register_planes(batch):
+    """Per register, its final plane."""
+    return [batch.planes[s] for s in batch.register_slot.tolist()]
+
+
 def ran_planes(circ, batch):
     """Per event, the rows it ran in: its condition event's value plane, or
     every row (see `event_conds`)."""
-    return [batch.full if c < 0 else batch.values[c] for c in event_conds(circ)]
+    planes = event_planes(batch)
+    return [batch.full if c < 0 else planes[c] for c in event_conds(circ)]
+
+
+def reference_planes(circ):
+    """Per event, the first event that holds its value plane and ran rows
+    in every row of every batch, by the sharing rule written out gate by
+    gate, apart from the value program that evaluate_batch runs.
+
+    A port that reads a register without writing it shares the plane of
+    that register's input or last unconditioned write (or of the first
+    event to read it, before any); a COPY target shares its source's;
+    every other write starts a new plane.  Every port of a conditioned
+    gate holds `value & run` and starts a new plane, and so does the
+    register that gate writes, whose next reader starts one.  The event
+    ids are counted here, inputs first, then each gate's operands."""
+    held = [-1] * len(circ.registers)  # register id -> event of its plane
+    plane = []
+    for reg in circ.registers:
+        if reg.role in (Role.SECRET, Role.PUBLIC):
+            held[reg.id] = len(plane)
+            plane.append(len(plane))
+    for g in circ.gates:
+        start, port = len(plane), g.kind.write_port
+        plane.extend(range(start, start + len(g.args)))
+        if g.cond is not None:
+            if port is not None:
+                held[g.args[port]] = -1
+            continue
+        for e, rid in enumerate(g.args, start):
+            if e - start == port:
+                if g.kind is GateKind.COPY:
+                    plane[e] = plane[start]
+                held[rid] = plane[e]
+            elif held[rid] < 0:
+                held[rid] = e
+            else:
+                plane[e] = held[rid]
+    return plane
 
 
 def assert_planes_shared(circ, batch):
-    """Circuit.plane_of against one evaluated batch: each event's value and
-    ran-rows planes equal those of its plane's event, which is no later."""
-    plane_of = circ.plane_of
-    assert not plane_of.flags.writeable and plane_of.shape == (circ.num_events,)
-    assert (plane_of <= np.arange(circ.num_events)).all()
-    ran = ran_planes(circ, batch)
-    for e, p in enumerate(plane_of.tolist()):
-        assert batch.values[e] == batch.values[p]
+    """The slot map against one evaluated batch and the reference: events
+    share a slot exactly when reference_planes puts them in one plane, and
+    each event's value and ran-rows planes equal those of its reference
+    plane's event, which is no later."""
+    slot_of, ref = circ.program.slot_of, reference_planes(circ)
+    assert batch.slot_of is slot_of
+    assert all(p <= e for e, p in enumerate(ref))
+    assert slot_of[ref].tolist() == slot_of.tolist()  # a plane in one slot ...
+    assert len(set(ref)) == len(set(slot_of.tolist()))  # ... and one plane per slot
+    values, ran = event_planes(batch), ran_planes(circ, batch)
+    for e, p in enumerate(ref):
+        assert values[e] == values[p]
         assert ran[e] == ran[p]
+
+
+@_SETTINGS
+@given(raw_netlists())
+def test_events_share_a_slot_iff_the_reference_shares_their_plane(text):
+    # every kind, conditions on inputs and on unconditioned gates' events,
+    # `init 1` registers and public inputs; no evaluation
+    circ = parse_netlist(text)
+    slot_of, ref = circ.program.slot_of.tolist(), reference_planes(circ)
+    for a in range(circ.num_events):
+        for b in range(a):
+            assert (slot_of[a] == slot_of[b]) == (ref[a] == ref[b])
 
 
 @_SETTINGS
@@ -302,17 +368,29 @@ def test_events_share_the_planes_of_their_plane_events(text):
         assert_planes_shared(circ, evaluate_batch(circ, *args))
 
 
+def per_event_counts(events, ids):
+    """lab._event_counts without its slot dedup: each event's own plane
+    and its condition event's are popcounted, event by event."""
+    planes = event_planes(events)
+    ones = np.array([planes[e].bit_count() for e in ids.tolist()], dtype=np.int64)
+    ran = [events.rows if c < 0 else planes[c].bit_count()
+           for c in events.cond_of[ids].tolist()]
+    return ones, np.array(ran, dtype=np.int64)
+
+
 @_SETTINGS
 @given(raw_netlists(), st.sampled_from([1, 9, 64]), st.integers(0, 2 ** 32 - 1))
 def test_order1_marginals_equal_counting_every_event_alone(text, samples, seed):
-    shared, alone = parse_netlist(text), parse_netlist(text)
-    alone.plane_of = np.arange(alone.num_events)  # every event its own plane
+    circ = parse_netlist(text)
     rng = random.Random(seed)
-    y0, y1 = ([rng.getrandbits(1) for _ in shared.secret_regs] for _ in range(2))
-    x = [rng.getrandbits(1) for _ in shared.public_regs]
-    reports = [marginal_independence(c, y0, y1, x, order=1, samples=samples, seed=seed)
-               for c in (shared, alone)]
-    assert reports[0] == reports[1]
+    y0, y1 = ([rng.getrandbits(1) for _ in circ.secret_regs] for _ in range(2))
+    x = [rng.getrandbits(1) for _ in circ.public_regs]
+    shared = marginal_independence(circ, y0, y1, x, order=1, samples=samples, seed=seed)
+    with mock.patch.object(lab, "_one_event_per_slot",
+                           lambda circuit, events: (events, np.arange(len(events)))), \
+            mock.patch.object(lab, "_event_counts", per_event_counts):
+        alone = marginal_independence(circ, y0, y1, x, order=1, samples=samples, seed=seed)
+    assert shared == alone
 
 
 # distinct planes among the leakable events of the compiled one-Toffoli
@@ -329,15 +407,16 @@ def test_compiled_events_share_the_planes_of_their_plane_events(level, ec):
             np.random.default_rng(rows), rows, width))
         assert_planes_shared(circ, batch)
     assert any(r != batch.full for r in ran_planes(circ, batch))  # some rows skip a gate
-    assert len(np.unique(circ.plane_of[circ.leakable])) == _COMPILED_PLANES[(level, ec)]
+    assert len(np.unique(circ.program.slot_of[circ.leakable])) == _COMPILED_PLANES[(level, ec)]
 
 
 def nine_cell_counts(events, ran, pairs):
     """Order-2 counts by nine AND-popcounts per pair: each event's symbol
     planes are its skipped rows, its present zeros and its ones, with `ran`
     the rows each event ran in (`ran_planes`)."""
-    planes = {e: (events.full ^ ran[e], ran[e] ^ events.values[e],
-                  events.values[e]) for pair in pairs for e in pair}
+    values = event_planes(events)
+    planes = {e: (events.full ^ ran[e], ran[e] ^ values[e], values[e])
+              for pair in pairs for e in pair}
     return [[(sa & sb).bit_count() for sa in planes[a] for sb in planes[b]] for a, b in pairs]
 
 
@@ -687,8 +766,8 @@ def test_a_built_circuit_round_trips_to_the_same_evaluation(case):
         assert register_file(parsed, *args) == register_file(circ, *args)
     args = rows[:, :ns], rows[:, ns:ns + npub], rows[:, ns + npub:]
     want, got = evaluate_batch(circ, *args), evaluate_batch(parsed, *args)
-    assert (got.values, ran_planes(parsed, got), got.registers) == (
-        want.values, ran_planes(circ, want), want.registers)
+    assert (event_planes(got), ran_planes(parsed, got), register_planes(got)) == (
+        event_planes(want), ran_planes(circ, want), register_planes(want))
 
 
 # -- array code against its loop references ------------------------------------
@@ -762,8 +841,8 @@ def test_evaluating_drawn_planes_equals_evaluate_batch_on_their_rows(compiled, r
     bits = drawn_rows(np.random.default_rng(rows), rows, width)
     enc = encode_seed_planes(secret, Planes.pack(bits[:, :enc_bits]).planes, level, rows)
     want = evaluate_batch(circ, Planes(rows, enc), x, bits[:, enc_bits:])
-    assert (got.values, ran_planes(circ, got), got.registers) == (
-        want.values, ran_planes(circ, want), want.registers)
+    assert (event_planes(got), ran_planes(circ, got), register_planes(got)) == (
+        event_planes(want), ran_planes(circ, want), register_planes(want))
 
 
 @_SETTINGS
