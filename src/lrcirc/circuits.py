@@ -17,26 +17,26 @@ event, a plain bit on every row, which gates execution.  A skipped gate
 updates no register and records no values; its event slots stay empty
 (no-op markers), so the skipped branch exposes nothing to leakage.  A
 skipped RAND still consumes its tape bit, which keeps tape consumption a
-static property of the circuit.  `Circuit` fixes two read-only arrays
-once: `leakable`, the ascending ids of the events that can leak (all but
-RAND's, which are leak-free), and `cond_of`, which gives each event of a
-conditioned gate, the only ones a row can skip, its condition event, and
--1 to every other event.
+static property of the circuit.  `Circuit` fixes one read-only array
+once, `leakable`: the ascending ids of the events that can leak (all but
+RAND's, which are leak-free).
 
 `evaluate_batch` is the evaluator every library path runs.  It is
 bitsliced: each value is one Python int whose bit r is row r, so an
 operation acts on the whole batch at once.  It runs the circuit's
 `ValueProgram` (`Circuit.program`, built on the first evaluation and
 cached): a straight-line list of XOR and AND instructions over a table of
-value slots, with a map from each event, and from each register's final
-value, to its slot.  It takes per-row inputs and tapes as int8 matrices,
-which it packs into planes, or already packed as `Planes`, the lab's own
-layout.  It returns an `EventBatch`: the run's slot planes, from which
-`batch_outputs` reads the outputs.  Callers count on the planes directly
-or unpack what they read with `EventBatch.matrix`: an int8 matrix of
-chosen events, each over all rows or over its own window of rows, with
--1 for a skipped event.  The scalar `evaluate` and `register_file` are
-the reference the tests check it against.
+value slots, headed by the input and tape planes and a constant zero and
+ones slot, with maps from each event to its value slot and the slot of
+the rows it ran in, and from each register to its final slot.  It takes
+per-row inputs and tapes as int8 matrices, which it packs into planes, or
+already packed as `Planes`, the lab's own layout.  It returns an
+`EventBatch`: the run's slot planes, from which `batch_outputs` reads the
+outputs.  Callers count on the planes directly or unpack what they read
+with `EventBatch.matrix`: an int8 matrix of chosen events, each over all
+rows or over its own window of rows, with -1 for a skipped event.  The
+scalar `evaluate` and `register_file` are the reference the tests check
+it against.
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ class Circuit:
         del names  # 512 KB at level 2, freed before the gate tables grow
         self.init_ones = tuple(init_ones)  # ids of the registers that start at 1
         nregs = len(self.registers)
-        # skippable maps each event of a conditioned gate to its condition
-        gate_start, skippable, rand_events, written = [], {}, [], set()
+        # skippable holds the events of the conditioned gates
+        gate_start, skippable, rand_events, written = [], set(), [], set()
         add_start, add_written = gate_start.append, written.add
         RAND = GateKind.RAND
         # within a gate the rules run in this order: operand count, distinct
@@ -307,7 +307,7 @@ class Circuit:
                     if cond in skippable:
                         raise CircuitError(f"condition event {cond} is an event of a "
                                            "conditioned gate, which a run may skip")
-                    skippable.update(dict.fromkeys(range(eid, eid + n), cond))
+                    skippable.update(range(eid, eid + n))
                 port = kind.write_port
                 if port is not None:
                     add_written(args[port])
@@ -330,9 +330,7 @@ class Circuit:
         self.rand_count = len(rand_events)
         # decided once for every estimator and batch (see the module docstring)
         self.leakable = np.delete(np.arange(eid), rand_events)
-        self.cond_of = np.full(eid, -1, dtype=np.int64)
-        self.cond_of[list(skippable)] = list(skippable.values())
-        self.leakable.flags.writeable = self.cond_of.flags.writeable = False
+        self.leakable.flags.writeable = False
 
     @cached_property
     def program(self) -> ValueProgram:
@@ -470,35 +468,41 @@ class Planes:
 class ValueProgram:
     """A circuit as a straight-line program over a table of value slots.
 
-    The table starts with one slot per register, holding its initial
-    plane (an input's plane, all ones for an `init 1` register, else 0),
-    then one per tape bit, then one all-ones slot; instruction i appends
-    slot `head + i`, holding `S[left[i]] ^ S[right[i]]` when `ops[i]` is
-    0 and `S[left[i]] & S[right[i]]` when it is 1.  `slot_of[e]` (a
-    read-only int64 array) is the slot holding event e's value plane and
-    `register_slot[i]` (likewise) register i's final one.
+    The table's head is one slot per input register (secret, then public),
+    one per tape bit, then the constant zero slot and the all-ones slot
+    `ones`, where every other register starts by its `init`.  Instruction
+    i appends slot `head + i`, holding `S[left[i]] ^ S[right[i]]` when
+    `ops[i]` is 0 and `S[left[i]] & S[right[i]]` when it is 1.  Read-only
+    int64 arrays give event e's value slot, `slot_of[e]`, and the slot of
+    the rows it ran in, `ran_of[e]`: its condition's value slot for an
+    event of a conditioned gate, else `ones`, so `ran_of[e] != ones` marks
+    the events some row may skip; `register_slot[i]` is register i's final
+    slot.
 
     RAND, COPY, Z and CZ rename slots and emit nothing; an unconditioned
     CNOT or NOT emits one XOR (NOT with the all-ones slot) and a TOF an AND
     and an XOR.  A conditioned gate acts through ANDs with its condition's
     slot, the rows where it runs, and each of its ports gets a slot of its
     own, `value & run`, the control port of a CNOT reusing the AND that
-    feeds its write.  So two events share a slot exactly when one
-    register value reaches both with no write between, through reads,
-    unconditioned writes and COPY (a conditioned gate's port never shares),
-    and events that share a slot share every count and every affine form.
+    feeds its write.  So two events share a slot exactly when one value
+    reaches both with no write between, through reads, unconditioned
+    writes and COPY, where the initial values of the non-input registers
+    of one `init` count as one value (a conditioned gate's port never
+    shares), and events that share a slot share every count and every
+    affine form.
     The fields are not to be changed.
     """
 
     # a plain class: a frozen dataclass takes about 1 ms to define, which
     # every `lrc` start-up would pay
-    __slots__ = ("ops", "left", "right", "head", "slot_of", "register_slot")
+    __slots__ = ("ops", "left", "right", "head", "ones", "slot_of", "ran_of", "register_slot")
 
     def __init__(self, ops: bytes, left: array, right: array, head: int,
-                 slot_of: np.ndarray, register_slot: np.ndarray):
+                 slot_of: np.ndarray, ran_of: np.ndarray, register_slot: np.ndarray):
         self.ops, self.left, self.right = ops, left, right
         self.head = head  # slots before the first instruction's
-        self.slot_of, self.register_slot = slot_of, register_slot
+        self.ones = head - 1  # the all-ones slot, after the zero slot
+        self.slot_of, self.ran_of, self.register_slot = slot_of, ran_of, register_slot
 
     @property
     def slots(self) -> int:
@@ -511,11 +515,16 @@ _XOR, _AND = 0, 1
 
 def _build_program(circuit: Circuit) -> ValueProgram:
     """One pass over the gates, tracking the slot each register holds."""
-    nregs = len(circuit.registers)
-    held = list(range(nregs))  # register id -> the slot of its value
-    tape = nregs  # the next RAND's tape slot
-    ones = nregs + circuit.rand_count
+    inputs = circuit.secret_regs + circuit.public_regs
+    tape = len(inputs)  # the next RAND's tape slot
+    zero = tape + circuit.rand_count
+    ones = zero + 1
     head = ones + 1
+    held = [zero] * len(circuit.registers)  # register id -> the slot of its value
+    for rid in circuit.init_ones:
+        held[rid] = ones
+    for slot, reg in enumerate(inputs):
+        held[reg.id] = slot
     ops, left, right = bytearray(), array("i"), array("i")
     add_op, add_left, add_right = ops.append, left.append, right.append
 
@@ -526,8 +535,9 @@ def _build_program(circuit: Circuit) -> ValueProgram:
         return head + len(left) - 1
 
     slot_of = array("q", bytes(8 * circuit.num_events))
+    ran_of = array("q", [ones]) * circuit.num_events
     for rid, eid in circuit.input_events.items():
-        slot_of[eid] = rid
+        slot_of[eid] = held[rid]
     NOT, CNOT, TOF, RAND, COPY = (GateKind.NOT, GateKind.CNOT, GateKind.TOF,
                                   GateKind.RAND, GateKind.COPY)
     for g, e in zip(circuit.gates, circuit.gate_start):
@@ -556,6 +566,7 @@ def _build_program(circuit: Circuit) -> ValueProgram:
         if kind is CNOT:
             c, t = args
             slot_of[e] = x = emit(_AND, held[c], run)
+            ran_of[e] = run
             held[t] = emit(_XOR, held[t], x)
             first += 1
         elif kind is TOF:
@@ -572,44 +583,51 @@ def _build_program(circuit: Circuit) -> ValueProgram:
             held[t] = emit(_XOR, held[t], emit(_AND, emit(_XOR, held[t], held[s]), run))
         for ev in range(first, e + len(args)):
             slot_of[ev] = emit(_AND, held[args[ev - e]], run)
-    slot_of, register_slot = np.array(slot_of, dtype=np.int64), np.array(held, dtype=np.int64)
-    slot_of.flags.writeable = register_slot.flags.writeable = False
-    return ValueProgram(bytes(ops), left, right, head, slot_of, register_slot)
+            ran_of[ev] = run
+    tables = (np.frombuffer(slot_of, dtype=np.int64), np.frombuffer(ran_of, dtype=np.int64),
+              np.array(held, dtype=np.int64))
+    for t in tables:
+        t.setflags(write=False)
+    return ValueProgram(bytes(ops), left, right, head, *tables)
 
 
 class EventBatch:
     """Wire-event values of a batch of rows, bitsliced: one Python int per
     slot of the circuit's `ValueProgram`, bit r holding row r.
 
-    `planes[slot_of[e]]` has bit r set when event e recorded 1 in row r;
-    a skipped event's value bit is 0, and `planes[register_slot[i]]` is
-    register i's final plane.  The circuit's int64 array `cond_of` gives
-    each event of a conditioned gate its condition event, whose value
-    plane holds the rows where the gate ran, and -1 for every other event,
-    which ran in all rows.  Consumers read the planes directly (popcounts,
-    masks) or unpack the events they need, over all rows or one row
-    window per event, with `matrix`.
+    `planes[slot_of[e]]` has bit r set when event e recorded 1 in row r,
+    `planes[ran_of[e]]` when it ran in row r (a skipped event's value bit
+    is 0), and `planes[register_slot[i]]` is register i's final plane;
+    the three maps and the all-ones slot `ones` are the program's.
+    Consumers read the planes directly (popcounts, masks) or unpack the
+    events they need, over all rows or one row window per event, with
+    `matrix`.
     """
 
-    def __init__(self, rows: int, planes: list[int], program: ValueProgram,
-                 cond_of: np.ndarray):
+    def __init__(self, rows: int, planes: list[int], program: ValueProgram):
         self.rows = rows
         self.full = (1 << rows) - 1
         self.planes = planes
         self.slot_of = program.slot_of
+        self.ran_of = program.ran_of
         self.register_slot = program.register_slot
-        self.cond_of = cond_of
+        self.ones = program.ones
 
     def matrix(self, cols=None, starts=None, count=None) -> np.ndarray:
         """C-contiguous int8 matrix of shape (count, len(cols)) whose column
         j holds event cols[j] (default: every event) in rows starts[j] ..
         starts[j] + count - 1 (default: every row), with -1 for a skipped
-        event.  A window that starts below row 0, has a negative count or
-        ends past the last row is refused with EvalError.  Each column is
-        cut from the event's value plane by a shift and a mask, and only
-        the cut bits are unpacked; skipped rows are cut only for the
-        columns of conditioned events."""
-        cols = np.arange(self.slot_of.size) if cols is None else np.asarray(cols, dtype=np.int64)
+        event.  An event id outside 0 .. num_events - 1, or a window that
+        starts below row 0, has a negative count or ends past the last row,
+        is refused with EvalError.  Each column is cut from the event's
+        value plane by a shift and a mask, and only the cut bits are
+        unpacked; skipped rows are cut only for the columns whose ran slot
+        is not the ones slot."""
+        events = self.slot_of.size
+        cols = np.arange(events) if cols is None else np.asarray(cols, dtype=np.int64)
+        outside = cols.view(np.uint64) >= events  # a negative id reads as a huge one
+        if np.count_nonzero(outside):
+            raise EvalError(f"event {cols[outside][0]} is outside events 0 .. {events - 1}")
         count = self.rows if count is None else count
         if not 0 <= count <= self.rows:
             raise EvalError(f"window of {count} rows in a batch of {self.rows}")
@@ -624,13 +642,13 @@ class EventBatch:
                                 f"{int(starts.max())} is outside rows 0 .. {self.rows - 1}")
             starts = starts.tolist()
         window = (1 << count) - 1
-        conds = self.cond_of[cols]
-        maybe_skipped = np.flatnonzero(conds >= 0)
+        ran = self.ran_of[cols]
+        maybe_skipped = np.flatnonzero(ran != self.ones)
         planes = self.planes
         out = _unpack_planes([(planes[s] >> t) & window
                               for s, t in zip(self.slot_of[cols].tolist(), starts)], count)
         skipped = {}
-        for j, s in zip(maybe_skipped.tolist(), self.slot_of[conds[maybe_skipped]].tolist()):
+        for j, s in zip(maybe_skipped.tolist(), ran[maybe_skipped].tolist()):
             gap = ((self.full ^ planes[s]) >> starts[j]) & window
             if gap:
                 skipped[j] = gap
@@ -645,11 +663,11 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     `tapes` is a (batch, rand_count) int8 matrix or its `Planes`.
     `secret`/`public` are each one bit row shared by the whole batch, or
     per-row input bits as a (batch, k) array or `Planes`.  Matrices are
-    packed into planes, one int with a bit per row, which fill the head of
-    the slot table of the circuit's `ValueProgram`; the program then runs
-    as one loop of big-int XORs and ANDs, whatever the batch size.  The
-    scalar `evaluate` is the reference semantics and the two are
-    cross-checked in the tests.
+    packed into planes, one int with a bit per row, which with the zero and
+    all-ones planes fill the head of the slot table of the circuit's
+    `ValueProgram`; the program then runs as one loop of big-int XORs and
+    ANDs, whatever the batch size.  The scalar `evaluate` is the reference
+    semantics and the two are cross-checked in the tests.
     """
     shape_error = f"tape batch must have shape (n, {circuit.rand_count})"
     if not isinstance(tapes, Planes):
@@ -660,22 +678,14 @@ def evaluate_batch(circuit: Circuit, secret, public, tapes) -> EventBatch:
     if len(tapes.planes) != circuit.rand_count:
         raise EvalError(shape_error)
     batch = tapes.rows
-    full = (1 << batch) - 1
     secret = _input_planes(secret, len(circuit.secret_regs), batch, "secret")
     public = _input_planes(public, len(circuit.public_regs), batch, "public")
     program = circuit.program
-
-    planes = [0] * len(circuit.registers)
-    for rid in circuit.init_ones:
-        planes[rid] = full
-    for reg, plane in zip(circuit.secret_regs + circuit.public_regs, secret + public):
-        planes[reg.id] = plane
-    planes += tapes.planes
-    planes.append(full)
+    planes = [*secret, *public, *tapes.planes, 0, (1 << batch) - 1]
     append = planes.append
     for op, a, b in zip(program.ops, program.left, program.right):
         append(planes[a] & planes[b] if op else planes[a] ^ planes[b])
-    return EventBatch(batch, planes, program, circuit.cond_of)
+    return EventBatch(batch, planes, program)
 
 
 def _input_planes(bits, width: int, batch: int, label: str) -> list[int]:

@@ -41,22 +41,23 @@ and passes the result and the tape planes to circuits.evaluate_batch, and
 reads the resulting EventBatch bit-planes, one per value slot of the
 circuit's ValueProgram; two secrets evaluated on one set of planes share
 every seed and tape bit.  The marginals count symbols by popcount: each
-slot the counted events read is popcounted once (_event_counts), order 1
-counts one event per distinct slot (_one_event_per_slot) for all the
-events that share it, and an order-2 pair of unconditioned events takes
-one AND-popcount.  Every other
-path unpacks only what it reads with EventBatch.matrix: run_rounds the
-masked event columns, exact_tv_tiny the leakable columns, keyed into one
-int per row, and mc_advantage each mask's own events over that mask's own
-rows, keyed into one int64 per row with a rank fold (_empirical_tv).  Both TV
-estimators tally with one grouped sum per row of int64 keys,
-_abs_group_sums: the sum, over a row's distinct keys, of |count under y0 -
-count under y1|, which is twice a mask's masked-value TV times the row
-count.  mc_advantage runs it once per sampled mask.  exact_tv_tiny runs it
-once per subset of leak classes (_leak_classes), not per mask: events
-that split the distinct keys alike share a class, so a mask's grouping
-depends only on the set of classes it hits, and each subset is weighed
-by the closed-form probability that it is the set hit.
+value or ran slot (ValueProgram.ran_of) that the counted events read is
+popcounted once (_event_counts), order 1 counts one event per distinct
+value slot (_one_event_per_slot) for all the events that share it, and
+an order-2 pair of events whose ran slot is the ones slot takes one
+AND-popcount.  Every other path unpacks only what it reads with
+EventBatch.matrix: run_rounds the masked event columns, exact_tv_tiny the
+leakable columns, keyed into one int per row, and mc_advantage each
+mask's own events over that mask's own rows, keyed into one int64 per row
+with a rank fold (_empirical_tv).  Both TV estimators tally with one
+grouped sum per row of int64 keys, _abs_group_sums: the sum, over a row's
+distinct keys, of |count under y0 - count under y1|, which is twice a
+mask's masked-value TV times the row count.  mc_advantage runs it once
+per sampled mask.  exact_tv_tiny runs it once per subset of leak classes
+(_leak_classes), not per mask: events that split the distinct keys alike
+share a class, so a mask's grouping depends only on the set of classes it
+hits, and each subset is weighed by the closed-form probability that it
+is the set hit.
 """
 
 from __future__ import annotations
@@ -618,19 +619,14 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
     pair of them at order 2 (a (P, 2) array or a list of pairs).  A symbol
     is an event value v in {-1, 0, 1} (-1 = skipped), counted in column
     v + 1; an order-2 symbol codes the pair (a, b) as (a + 1) * 3 + b,
-    counted in column (a + 1) * 3 + b + 1.  Each event's ones are
-    popcounted, and the rows it ran in, its condition event's ones
-    (`Circuit.cond_of`), only if it is conditioned (any other ran in all);
-    events that share a value slot (`ValueProgram.slot_of`) share their
-    ones, so each slot is popcounted once (_event_counts), and at order 1
-    marginal_independence passes one event per slot (_one_event_per_slot).
-    Order 2 derives all nine cells from the two events' own counts and
-    four AND-counts, of a's ones or ran rows with b's ones or ran rows (a
-    skipped event's value bit is 0, so an event's ones lie inside its ran
-    rows).  Every pair
-    popcounts ones & ones; an unconditioned event's ran rows are all rows,
-    so a pair popcounts an AND with an event's ran rows only when that
-    event is conditioned.
+    counted in column (a + 1) * 3 + b + 1.  An event's ones and the rows
+    it ran in are the popcounts of its value and ran slots (_event_counts);
+    at order 1 marginal_independence passes one event per value slot
+    (_one_event_per_slot).  Order 2 derives all nine cells from the two
+    events' own counts and four AND-counts, of a's ones or ran rows with
+    b's ones or ran rows (a skipped event's value bit is 0, so an event's
+    ones lie inside its ran rows).  Every pair popcounts ones & ones; it
+    ANDs with an event's ran slot only when that is not the ones slot.
     """
     rows = events.rows
     if order == 1:
@@ -638,20 +634,17 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
         return np.stack([rows - ran, ran - ones, ones], axis=1)
 
     pairs = np.asarray(targets, dtype=np.int64).reshape(-1, 2)
-    used, slot = np.unique(pairs, return_inverse=True)
-    ones, ran = _event_counts(events, used)
-    slot = slot.reshape(pairs.shape)
-    (one_a, one_b), (ran_a, ran_b) = ones[slot].T, ran[slot].T
-    planes, slot_of = events.planes, events.slot_of
-    # each event's slot and, where it is conditioned, its condition
-    # event's slot, the rows it ran in
-    a, b = slot_of[pairs].T
-    conds = events.cond_of[pairs]
-    cond_a, cond_b = conds.T >= 0
-    run_a, run_b = slot_of[conds].T
+    ones, ran = _event_counts(events, pairs.ravel())
+    (one_a, one_b), (ran_a, ran_b) = ones.reshape(-1, 2).T, ran.reshape(-1, 2).T
+    planes = events.planes
+    # each event's value slot and the slot of the rows it ran in
+    a, b = events.slot_of[pairs].T
+    runs = events.ran_of[pairs]
+    run_a, run_b = runs.T
+    cond_a, cond_b = (runs != events.ones).T  # some row may skip the event
     oo = _and_counts(planes, a, b)
     # op = |ones_a & ran_b|, po = |ran_a & ones_b| and pp = |ran_a & ran_b|,
-    # where an unconditioned event's ran rows are all rows
+    # where an event whose ran slot is the ones slot ran in all rows
     op, po, pp = one_a.copy(), one_b.copy(), np.minimum(ran_a, ran_b)
     op[cond_b] = _and_counts(planes, a[cond_b], run_b[cond_b])
     po[cond_a] = _and_counts(planes, run_a[cond_a], b[cond_a])
@@ -663,23 +656,17 @@ def _plane_counts(events: EventBatch, targets, order: int) -> np.ndarray:
 
 
 def _event_counts(events: EventBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per event of the int64 array `ids`, its ones and the rows it ran in:
-    all rows, or for a conditioned event its condition event's ones.
-    Events that share a value slot share their ones, so each slot read
-    is popcounted once, in one pass over the slot table."""
-    slot_of = events.slot_of
-    slots = slot_of[ids]
-    conds = events.cond_of[ids]
-    skips = np.flatnonzero(conds >= 0)
-    runs = slot_of[conds[skips]]
+    """Per event of the int64 array `ids`, the popcounts of its value slot
+    and of its ran slot (`ValueProgram.ran_of`): its ones and the rows it
+    ran in.  Each slot read, the ones slot too, is popcounted once, in one
+    pass over the slot table, however many of `ids` read it."""
+    slots, runs = events.slot_of[ids], events.ran_of[ids]
     read = np.zeros(len(events.planes), dtype=bool)
     read[slots] = read[runs] = True
     counts = np.fromiter(map(int.bit_count, compress(events.planes, read.tobytes())),
                          dtype=np.int64, count=int(np.count_nonzero(read)))
     rank = np.cumsum(read) - 1  # a read slot's index in counts
-    ran = np.full(len(ids), events.rows, dtype=np.int64)
-    ran[skips] = counts[rank[runs]]
-    return counts[rank[slots]], ran
+    return counts[rank[slots]], counts[rank[runs]]
 
 
 def _and_counts(planes: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:

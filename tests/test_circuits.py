@@ -442,7 +442,27 @@ def test_event_matrix_refuses_a_window_it_cannot_read(starts, count, match):
         events.matrix([0, 3], starts, count)
 
 
+@pytest.mark.parametrize("col", [-1, 7, -8, 2 ** 40])
+def test_event_matrix_refuses_an_event_it_does_not_hold(col):
+    # a negative id once read an event from the end, and one past the last
+    # raised a bare IndexError
+    circ = parse_netlist("in secret a\nin secret b\nreg r\nout o\n"
+                         "gate RAND r\ngate CNOT a r\ngate COPY r o\n")
+    assert circ.num_events == 7
+    events = evaluate_batch(circ, [[0, 1], [1, 1]], [], [[1], [0]])
+    assert events.matrix([6, 0]).shape == (2, 2)
+    with pytest.raises(EvalError, match=rf"^event {col} is outside events 0 \.\. 6$"):
+        events.matrix([0, col])
+    with pytest.raises(EvalError, match=rf"^event {col} is outside events 0 \.\. 6$"):
+        events.matrix([col], [0], 1)
+
+
 _TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
+
+
+# the one-Toffoli value program's head, the input and tape planes and the
+# zero and ones slots, and its slot count, by (level, ec)
+_HEAD_AND_SLOTS = {(1, False): (119, 390), (1, True): (173, 531), (2, True): (6_957, 22_088)}
 
 
 # instructions of the one-Toffoli's value program: RAND, COPY, Z and CZ emit
@@ -450,13 +470,15 @@ _TOFFOLI = "in secret a\nin secret b\nout c\ngate TOF a b c\n"
 @pytest.mark.parametrize("level, ec, gates, instructions", [
     (1, False, 400, 271), (1, True, 562, 358), (2, True, 28_219, 15_131)])
 def test_value_program_sizes_are_pinned(level, ec, gates, instructions):
+    head, slots = _HEAD_AND_SLOTS[level, ec]
     circ = compile_circuit(parse_netlist(_TOFFOLI), level=level, ec=ec).circuit
     program = circ.program
     assert (len(circ.gates), len(program.ops)) == (gates, instructions)
     assert len(program.left) == len(program.right) == instructions
     assert set(program.ops) <= {0, 1}
-    assert program.head == len(circ.registers) + circ.rand_count + 1
-    for table, size in ((program.slot_of, circ.num_events),
+    assert program.head == len(circ.input_events) + circ.rand_count + 2 == head
+    assert program.slots == slots and program.ones == head - 1
+    for table, size in ((program.slot_of, circ.num_events), (program.ran_of, circ.num_events),
                         (program.register_slot, len(circ.registers))):
         assert table.dtype == np.int64 and table.shape == (size,)
         assert not table.flags.writeable

@@ -25,7 +25,8 @@ def reference_tables(registers, gates):
     """Circuit's rules as one general check per register and per gate, in
     the order Circuit applies them; returns (gate_start, num_events,
     leak_free, leakable, cond_of) or raises Circuit's CircuitError.
-    cond_of gives each event its gate's `Gate.cond`, or -1."""
+    cond_of gives each event its gate's `Gate.cond`, or -1, for checking
+    the circuit's `ValueProgram.ran_of`."""
     names, eid = set(), 0
     for i, reg in enumerate(registers):
         if reg.id != i:
@@ -85,8 +86,7 @@ def outcome(build, *args):
     except CircuitError as exc:
         return "refused", str(exc), exc.gate, exc.register
     if isinstance(got, Circuit):
-        got = (got.gate_start, got.num_events, got.leak_free, got.leakable.tolist(),
-               got.cond_of.tolist())
+        got = (got.gate_start, got.num_events, got.leak_free, got.leakable.tolist())
     return "built", got
 
 
@@ -197,8 +197,14 @@ def generated_circuits(draw, fault=None, fault_kind=None):
 @_SETTINGS
 @given(generated_circuits())
 def test_a_valid_circuit_has_the_reference_tables(case):
-    assert outcome(Circuit, *case) == outcome(reference_tables, *case)
-    assert outcome(Circuit, *case)[0] == "built"
+    got, want = outcome(Circuit, *case), outcome(reference_tables, *case)
+    assert got[0] == want[0] == "built"
+    *tables, cond_of = want[1]
+    assert got[1] == tuple(tables)
+    # each event's ran slot is its condition's value slot, or the ones slot
+    program = Circuit(*case).program
+    assert program.ran_of.tolist() == [program.ones if c < 0 else program.slot_of[c]
+                                       for c in cond_of]
 
 
 def _kinds_holding(fault: str) -> list[GateKind]:

@@ -301,13 +301,17 @@ def reference_planes(circ):
     gate, apart from the value program that evaluate_batch runs.
 
     A port that reads a register without writing it shares the plane of
-    that register's input or last unconditioned write (or of the first
-    event to read it, before any); a COPY target shares its source's;
-    every other write starts a new plane.  Every port of a conditioned
-    gate holds `value & run` and starts a new plane, and so does the
-    register that gate writes, whose next reader starts one.  The event
-    ids are counted here, inputs first, then each gate's operands."""
-    held = [-1] * len(circ.registers)  # register id -> event of its plane
+    that register's input or last unconditioned write; before any write,
+    the non-input registers of one `init` hold one constant plane, that of
+    the first event to read any of them.  A COPY target shares its
+    source's plane; every other write starts a new plane.  Every port of a
+    conditioned gate holds `value & run` and starts a new plane, and so
+    does the register that gate writes, whose next reader starts one.  The
+    event ids are counted here, inputs first, then each gate's operands."""
+    # register id -> event of its plane; -1 - init before any write, None
+    # after a conditioned write
+    held = [-1 - reg.init for reg in circ.registers]
+    constant = {}  # -1 - init -> the first event to read that constant plane
     plane = []
     for reg in circ.registers:
         if reg.role in (Role.SECRET, Role.PUBLIC):
@@ -318,15 +322,17 @@ def reference_planes(circ):
         plane.extend(range(start, start + len(g.args)))
         if g.cond is not None:
             if port is not None:
-                held[g.args[port]] = -1
+                held[g.args[port]] = None
             continue
         for e, rid in enumerate(g.args, start):
             if e - start == port:
                 if g.kind is GateKind.COPY:
                     plane[e] = plane[start]
                 held[rid] = plane[e]
-            elif held[rid] < 0:
+            elif held[rid] is None:
                 held[rid] = e
+            elif held[rid] < 0:
+                plane[e] = held[rid] = constant.setdefault(held[rid], e)
             else:
                 plane[e] = held[rid]
     return plane
@@ -368,14 +374,28 @@ def test_events_share_the_planes_of_their_plane_events(text):
         assert_planes_shared(circ, evaluate_batch(circ, *args))
 
 
-def per_event_counts(events, ids):
-    """lab._event_counts without its slot dedup: each event's own plane
-    and its condition event's are popcounted, event by event."""
-    planes = event_planes(events)
-    ones = np.array([planes[e].bit_count() for e in ids.tolist()], dtype=np.int64)
-    ran = [events.rows if c < 0 else planes[c].bit_count()
-           for c in events.cond_of[ids].tolist()]
-    return ones, np.array(ran, dtype=np.int64)
+@_SETTINGS
+@given(raw_netlists())
+def test_each_event_runs_in_its_conditions_value_slot(text):
+    # ran_of against the gates' own conditions, and the head's constant
+    # slots and each event's ran slot against an evaluated batch
+    circ = parse_netlist(text)
+    program = circ.program
+    assert program.ran_of.tolist() == [program.ones if c < 0 else program.slot_of[c]
+                                       for c in event_conds(circ)]
+    for args in _row_batches(circ):
+        batch = evaluate_batch(circ, *args)
+        assert batch.planes[program.ones - 1:program.ones + 1] == [0, batch.full]
+        assert [batch.planes[s] for s in program.ran_of.tolist()] == ran_planes(circ, batch)
+
+
+def per_event_counts(circ, events, ids):
+    """lab._event_counts without its slot dedup and the program's ran
+    slots: each event's own plane and the rows it ran in (`ran_planes`)
+    are popcounted, event by event."""
+    planes, ran = event_planes(events), ran_planes(circ, events)
+    return tuple(np.array([p[e].bit_count() for e in ids.tolist()], dtype=np.int64)
+                 for p in (planes, ran))
 
 
 @_SETTINGS
@@ -388,7 +408,8 @@ def test_order1_marginals_equal_counting_every_event_alone(text, samples, seed):
     shared = marginal_independence(circ, y0, y1, x, order=1, samples=samples, seed=seed)
     with mock.patch.object(lab, "_one_event_per_slot",
                            lambda circuit, events: (events, np.arange(len(events)))), \
-            mock.patch.object(lab, "_event_counts", per_event_counts):
+            mock.patch.object(lab, "_event_counts",
+                              lambda events, ids: per_event_counts(circ, events, ids)):
         alone = marginal_independence(circ, y0, y1, x, order=1, samples=samples, seed=seed)
     assert shared == alone
 
@@ -429,8 +450,38 @@ _SKIPPING = {
     "cgate_last": ("in secret s\nin secret t\nin public x\nreg r\nout o\nout q\n"
                    "gate RAND r\ngate CNOT s o\ngate TOF t x q\n"
                    "cgate 2 NOT o\ncgate 1 CNOT r q\n", 0),
+    # conditions on a never-written register's event (the zero slot: no
+    # row runs events 6, 7, 11 and 12) and on an `init 1` one's (the ones
+    # slot: every row runs events 8 to 10 and 13)
+    "cgate_constant": ("in secret s\nin public x\nreg r\nreg z\nreg u init 1\nout o\n"
+                       "gate RAND r\ngate Z z\ngate CZ u r\ncgate 3 CNOT s o\n"
+                       "cgate 4 TOF s r o\ncgate 3 COPY x u\ncgate 4 NOT z\n"
+                       "gate CNOT z o\n", 0),
     "toffoli_l1": ("in secret a\nin secret b\nout c\ngate TOF a b c\n", 1),
 }
+
+
+def test_conditions_on_constant_slots_read_as_the_scalar_evaluate():
+    # every row skips the events of the gates conditioned on the zero slot
+    # and runs those conditioned on the ones slot; the matrix reads as the
+    # scalar evaluate, and the order-1 counts as the diagonal of the nine
+    # AND-counts of (e, e) (the order-2 counts are checked with the other
+    # _SKIPPING fixtures)
+    circ = parse_netlist(_SKIPPING["cgate_constant"][0])
+    program = circ.program
+    zero, ones = program.ones - 1, program.ones
+    assert program.slot_of[[3, 4]].tolist() == [zero, ones]
+    assert program.ran_of.tolist() == ([ones] * 6 + [zero] * 2 + [ones] * 3
+                                       + [zero] * 2 + [ones] * 3)
+    events = range(circ.num_events)
+    for secs, pubs, tapes in _row_batches(circ):
+        batch = evaluate_batch(circ, secs, pubs, tapes)
+        for row, sec, pub, tape in zip(batch.matrix().tolist(), secs, pubs, tapes):
+            ref = evaluate(circ, sec, pub, RandomTape.of(tape))
+            assert row == [-1 if v is None else v for v in ref.values]
+        singles = nine_cell_counts(batch, ran_planes(circ, batch), [(e, e) for e in events])
+        assert _plane_counts(batch, np.arange(circ.num_events), 1).tolist() == [
+            cells[::4] for cells in singles]
 
 
 @pytest.mark.parametrize("name", sorted(_SKIPPING))
@@ -622,20 +673,23 @@ def test_circuit_owns_its_leakable_and_conditioned_events(raw, logical, ec):
                 cond_of += [cond] * (len(tok) - 2)
         assert circ.gate_start == tuple(starts)
         assert len(cond_of) == circ.num_events
-        assert circ.cond_of.dtype == np.int64 and circ.cond_of.shape == (circ.num_events,)
-        assert circ.cond_of.tolist() == cond_of
-        # -1 on every input and on every event of an unconditioned gate
-        assert (circ.cond_of[list(circ.input_events.values())] == -1).all()
-        assert all(circ.cond_of[e] == -1
+        # a conditioned event runs in its condition's value slot
+        program = circ.program
+        ran_of, ones = program.ran_of, program.ones
+        assert ran_of.dtype == np.int64 and ran_of.shape == (circ.num_events,)
+        assert ran_of.tolist() == [ones if c < 0 else program.slot_of[c] for c in cond_of]
+        # the ones slot on every input and on every event of an unconditioned gate
+        assert (ran_of[list(circ.input_events.values())] == ones).all()
+        assert all(ran_of[e] == ones
                    for g, start in zip(circ.gates, circ.gate_start) if g.cond is None
                    for e in range(start, start + len(g.args)))
-        for facts in (circ.leakable, circ.cond_of):
+        for facts in (circ.leakable, ran_of):
             with pytest.raises(ValueError, match="read-only"):
                 facts[...] = 0
         ns, npub = len(circ.secret_regs), len(circ.public_regs)
         empty = np.zeros((0, ns + npub + circ.rand_count), dtype=np.int8)
         batch = evaluate_batch(circ, empty[:, :ns], empty[:, ns:ns + npub], empty[:, ns + npub:])
-        assert batch.cond_of is circ.cond_of
+        assert batch.ran_of is ran_of and batch.ones == ones
 
 
 @_SETTINGS
